@@ -33,7 +33,6 @@ from .geometry import (
     centroid,
     estimate_normals,
     extract_partial,
-    knn,
     knn_bruteforce,
     random_rigid_transform,
 )
@@ -49,9 +48,9 @@ from .mechanisms import (
     Plane,
     ReleasePolicy,
     ReleaseState,
-    conservative_release,
     project_to_planes,
     ransac_planes,
+    release_at,
     release_sequence,
     subsume,
 )

@@ -16,9 +16,9 @@ from .harness import ExperimentConfig, cells_to_csv, report, run_experiment, tri
 from .mechanisms import (
     GeneralizationParams,
     ReleasePolicy,
-    conservative_release,
     project_to_planes,
     ransac_planes,
+    release_at,
     release_sequence,
 )
 from .metrics import privacy_band
@@ -115,10 +115,9 @@ def cmd_release(args) -> int:
         planes = ransac_planes(cloud, gen, args.seed)
         released = project_to_planes(cloud, planes)
     elif args.mechanism == "conservative":
-        policy = ReleasePolicy(radius=args.radius, num_releases=args.releases,
-                               max_planes=args.max_planes)
+        policy = ReleasePolicy(radius=args.radius, num_releases=args.releases)
         steps, state = release_sequence(cloud, policy, args.seed, gen)
-        released = steps[-1].released
+        released = release_at(state, steps[-1], args.max_planes)
         manifest = {
             "releases": [
                 {
@@ -160,12 +159,13 @@ def cmd_report(args) -> int:
         nested = json.load(fh)
     cells = []
     for mode, by_radius in nested.items():
-        for radius, rows in by_radius.items():
+        # metrics.json sorts radius keys as text; the sweep orders them by value.
+        for radius, rows in sorted(by_radius.items(), key=lambda kv: float(kv[0])):
             for row in rows:
                 cells.append(
                     CellMetrics(
                         mode=mode,
-                        space_count=row.get("space_count", 0),
+                        space_count=row["space_count"],
                         radius=float(radius),
                         release_idx=row["release_idx"],
                         max_planes=row["max_planes"],

@@ -22,7 +22,6 @@ __all__ = [
     "centroid",
     "estimate_normals",
     "extract_partial",
-    "knn",
     "knn_bruteforce",
     "random_rigid_transform",
 ]
@@ -197,12 +196,6 @@ class SpatialIndex:
         return np.sort(np.asarray(out, dtype=np.intp))
 
 
-def knn(index: SpatialIndex, query: np.ndarray, k: int):
-    """k nearest (index, distance) pairs, sorted ascending, ties by index."""
-    dist, idx = index.query(query, k)
-    return idx, dist
-
-
 def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int):
     """Exact k-nn in arbitrary dimension, e.g. descriptor space.
 
@@ -299,9 +292,7 @@ def random_rigid_transform(
     Deterministic for a given integer seed; also accepts a Generator to draw
     from an existing stream.
     """
-    rng = np.random.default_rng(seed_or_rng) if not isinstance(
-        seed_or_rng, np.random.Generator
-    ) else seed_or_rng
+    rng = np.random.default_rng(seed_or_rng)
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     w, x, y, z = q

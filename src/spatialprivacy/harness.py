@@ -34,12 +34,20 @@ from .geometry import (
 from .mechanisms import (
     GeneralizationParams,
     ReleasePolicy,
-    project_snapshot,
     project_to_planes,
     ransac_planes,
+    release_at,
     release_sequence,
 )
-from .metrics import TrialRecord, distance_error, inter_privacy, privacy_band, qos
+from .metrics import (
+    TrialRecord,
+    abstention_rate,
+    distance_error,
+    inter_privacy,
+    intra_privacy,
+    privacy_band,
+    qos,
+)
 from .ply_io import load_ply
 from .synthetic import default_space_specs, generate_space
 
@@ -283,37 +291,34 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, caps, sample):
     """Trials for one trajectory, shared across every cap in the sweep.
 
     The generalization state never depends on the cap (the cap only filters
-    which planes get projected at release time), so one unbounded sequence is
-    run and each sweep cap re-projects from the per-release plane snapshots.
-    Caps at or above the current plane count all emit the same cloud and share
-    one inference result.
+    which planes get projected at release time), so one walk is run and each
+    release under each sweep cap is derived from its final state. Caps at or
+    above a release's plane count all emit the same cloud and share one
+    inference result.
     """
     rng = _trial_rng(
         config.seed, (_WALK_FAMILY, _KINDS.index(kind), _radius_key(radius), sample)
     )
     space = spaces_list[int(rng.integers(len(spaces_list)))]
     policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases(),
-                           max_planes=None, walk_step_max=config.walk_step_max)
+                           walk_step_max=config.walk_step_max)
+    generalize = kind == "generalized"
     steps, state = release_sequence(space, policy, rng, config.generalization,
-                                    generalize=(kind == "generalized"))
+                                    generalize=generalize)
     trials = []
     for idx, step in enumerate(steps, start=1):
         accumulated = space.subset(step.accumulated_indices)
         true_centroid = centroid(accumulated)
         shared: dict[int, tuple] = {}
         for cap in caps:
-            if kind != "generalized":
-                released, query = step.released, step.query
-                effective = -1
-            else:
+            effective = -1
+            if generalize:
                 effective = step.n_planes if cap is None else min(cap, step.n_planes)
-                if effective == step.n_planes:
-                    released, query = step.released, step.query
-                else:
-                    released = project_snapshot(state, step, effective)
-                    query = (apply_transform(released, step.transform)
-                             if len(released) else released)
             if effective not in shared:
+                released = (release_at(state, step, cap) if generalize
+                            else state.prefix(step.n_accumulated))
+                query = (apply_transform(released, step.transform)
+                         if len(released) else released)
                 q_value = None
                 if len(released) and len(accumulated):
                     q_value = qos(released, accumulated, config.qos_alpha,
@@ -409,11 +414,6 @@ def run_experiment(config: ExperimentConfig):
         kind, radius, cap, release_idx = key
         trials = by_cell[key]
         all_trials.extend(trials)
-        errors = [
-            distance_error(t.hyp_centroid, t.true_centroid)
-            for t in trials
-            if t.correct and not t.abstained and t.hyp_centroid is not None
-        ]
         cells.append(
             CellMetrics(
                 mode=f"{config.mode}-{_kind_tag(kind)}",
@@ -422,8 +422,8 @@ def run_experiment(config: ExperimentConfig):
                 release_idx=release_idx,
                 max_planes=cap,
                 pi1=inter_privacy(trials),
-                pi2=float(np.mean(errors)) if errors else None,
-                abstain_rate=sum(t.abstained for t in trials) / len(trials),
+                pi2=intra_privacy(trials),
+                abstain_rate=abstention_rate(trials),
                 q=_cell_q(trials),
                 n_trials=len(trials),
             )
@@ -473,6 +473,7 @@ def report(cells: list[CellMetrics], out_dir) -> dict[str, Path]:
     for c in cells:
         nested.setdefault(c.mode, {}).setdefault(_fmt(c.radius), []).append(
             {
+                "space_count": c.space_count,
                 "release_idx": c.release_idx,
                 "max_planes": c.max_planes,
                 "pi1": c.pi1,

@@ -6,7 +6,13 @@ Across successive releases a :class:`ReleaseState` accumulates the raw points
 revealed so far; new points are first subsumed by existing planes (in plane
 creation order) and only the leftovers are offered to RANSAC, so earlier
 generalizations stay stable. Conservative releasing caps how many planes are
-ever released while the full state is kept for future subsumption.
+released while the full state is kept for future subsumption.
+
+Subsumption only appends newer point indices to existing planes and new
+planes take the next creation number, so the state as of any earlier release
+is a prefix of the final one. A walk therefore keeps only the final state
+plus a few counts per release, and :func:`release_at` derives what any
+release emitted under any plane cap.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     SpatialIndex,
-    apply_transform,
     random_rigid_transform,
 )
 
@@ -31,10 +36,9 @@ __all__ = [
     "ReleasePolicy",
     "ReleaseState",
     "ReleaseStep",
-    "conservative_release",
-    "project_snapshot",
     "project_to_planes",
     "ransac_planes",
+    "release_at",
     "release_sequence",
     "subsume",
 ]
@@ -81,11 +85,10 @@ class Plane:
 
 @dataclass(frozen=True)
 class ReleasePolicy:
-    """How a space is revealed: ball radius, count, plane cap, walk step."""
+    """How a space is revealed: ball radius, release count, walk step."""
 
     radius: float
     num_releases: int = 1
-    max_planes: int | None = None
     walk_step_max: float | None = None
 
     def __post_init__(self):
@@ -93,8 +96,6 @@ class ReleasePolicy:
             raise ValueError("radius must be positive")
         if self.num_releases < 1:
             raise ValueError("num_releases must be >= 1")
-        if self.max_planes is not None and self.max_planes < 1:
-            raise ValueError("max_planes must be >= 1 when bounded")
 
     @property
     def step(self) -> float:
@@ -179,7 +180,7 @@ def ransac_planes(cloud: PointCloud, params: GeneralizationParams = Generalizati
     """
     if len(cloud) == 0:
         return []
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     eligible = _eligible_mask(cloud)
     planes, _ = _greedy_extract(
         cloud.positions, cloud.normals, eligible,
@@ -239,9 +240,23 @@ class ReleaseState:
     def residual_indices(self) -> np.ndarray:
         return np.flatnonzero(self.assignment < 0)
 
-    @property
-    def accumulated(self) -> PointCloud:
-        return PointCloud(self.positions, self.normals, self.label, self.reliable)
+    def prefix(self, n: int) -> PointCloud:
+        """The first ``n`` accumulated raw points."""
+        return PointCloud(self.positions[:n], self.normals[:n], self.label,
+                          self.reliable[:n])
+
+    def append(self, points: PointCloud) -> None:
+        """Accumulate raw points as unassigned residuals."""
+        if not points.has_normals:
+            raise ValueError("new points need normals")
+        self.positions = np.vstack([self.positions, points.positions])
+        self.normals = np.vstack([self.normals, points.normals])
+        reliable = (points.reliable if points.reliable is not None
+                    else np.ones(len(points), dtype=bool))
+        self.reliable = np.concatenate([self.reliable, reliable])
+        self.assignment = np.concatenate(
+            [self.assignment, np.full(len(points), -1, dtype=np.intp)]
+        )
 
 
 def subsume(state: ReleaseState, new_points: PointCloud,
@@ -254,21 +269,9 @@ def subsume(state: ReleaseState, new_points: PointCloud,
     mint additional planes from that pool. Existing planes are never refit, so
     previously released projections stay fixed.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     base = len(state)
-    if not new_points.has_normals:
-        raise ValueError("new points need normals")
-    state.positions = np.vstack([state.positions, new_points.positions])
-    state.normals = np.vstack([state.normals, new_points.normals])
-    new_reliable = (
-        new_points.reliable
-        if new_points.reliable is not None
-        else np.ones(len(new_points), dtype=bool)
-    )
-    state.reliable = np.concatenate([state.reliable, new_reliable])
-    state.assignment = np.concatenate(
-        [state.assignment, np.full(len(new_points), -1, dtype=np.intp)]
-    )
+    state.append(new_points)
 
     fresh = np.arange(base, len(state), dtype=np.intp)
     unclaimed = fresh[state.reliable[fresh]]
@@ -284,10 +287,9 @@ def subsume(state: ReleaseState, new_points: PointCloud,
             state.assignment[claimed] = plane.seq
             unclaimed = unclaimed[~mask]
 
-    pool = np.concatenate([state.residual_indices])
     new_planes, _ = _greedy_extract(
-        state.positions, state.normals, state.reliable, pool, params, rng,
-        start_seq=len(state.planes),
+        state.positions, state.normals, state.reliable, state.residual_indices,
+        params, rng, start_seq=len(state.planes),
     )
     for plane in new_planes:
         state.assignment[plane.inlier_indices] = plane.seq
@@ -295,57 +297,44 @@ def subsume(state: ReleaseState, new_points: PointCloud,
     return state
 
 
-def _ranked_planes(planes: list[Plane]) -> list[Plane]:
-    return sorted(planes, key=lambda p: (-len(p.inlier_indices), p.seq))
-
-
-def conservative_release(state: ReleaseState, max_planes: int | None) -> PointCloud:
-    """Projections of the points held by the top-ranked planes.
-
-    Ranking is inlier count descending, ties by creation order. The state
-    itself is untouched; withheld planes remain available for subsumption.
-    """
-    if max_planes is not None and max_planes < 1:
-        raise ValueError("max_planes must be >= 1 when bounded")
-    chosen = _ranked_planes(state.planes)
-    if max_planes is not None:
-        chosen = chosen[:max_planes]
-    return project_to_planes(state.accumulated, chosen)
-
-
 @dataclass(frozen=True)
 class ReleaseStep:
-    """One emitted release: the query the application sees plus ground truth.
+    """One emitted release: where the walk stood and how much it had revealed.
 
-    ``plane_snapshot`` and ``n_accumulated`` freeze the generalization state
-    as of this release (plane inlier indices refer to the state's first
-    ``n_accumulated`` accumulated points), so any conservative cap can be
-    re-projected after the fact without replaying the sequence.
+    ``n_accumulated`` and ``n_planes`` size the walk's state as of this
+    release; the released cloud itself is derived from the final state, by
+    :func:`release_at` for a generalized walk and by
+    ``state.prefix(n_accumulated)`` for a raw one.
     """
 
-    query: PointCloud               # released cloud, re-expressed in a random frame
-    released: PointCloud            # same cloud in the reference frame
     center: np.ndarray              # walk center, reference frame
-    transform: RigidTransform       # frame change applied to the query
+    transform: RigidTransform       # frame change the application sees
     accumulated_indices: np.ndarray  # source-space indices revealed so far
     n_planes: int
-    plane_snapshot: tuple[Plane, ...] = ()
-    n_accumulated: int = 0
+    n_accumulated: int
 
 
-def project_snapshot(state: ReleaseState, step: ReleaseStep,
-                     max_planes: int | None) -> PointCloud:
-    """Released cloud this step would have emitted under the given cap."""
-    cloud = PointCloud(
-        state.positions[: step.n_accumulated],
-        state.normals[: step.n_accumulated],
-        state.label,
-        state.reliable[: step.n_accumulated],
-    )
-    chosen = _ranked_planes(list(step.plane_snapshot))
-    if max_planes is not None:
-        chosen = chosen[:max_planes]
-    return project_to_planes(cloud, chosen)
+def release_at(state: ReleaseState, step: ReleaseStep,
+               cap: int | None = None) -> PointCloud:
+    """Generalized cloud released at ``step`` under a plane cap, reference frame.
+
+    ``state`` is the walk's final state. The planes live at ``step`` are its
+    first ``step.n_planes``, each holding its inliers below
+    ``step.n_accumulated``. They rank by inlier count descending, ties by
+    creation order, and the top ``cap`` (all when None) are projected. The
+    state itself is untouched; withheld planes remain available for
+    subsumption.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1 when bounded")
+    n = step.n_accumulated
+    live = [
+        Plane(p.normal, p.offset,
+              p.inlier_indices[: np.searchsorted(p.inlier_indices, n)], p.seq)
+        for p in state.planes[: step.n_planes]
+    ]
+    chosen = sorted(live, key=lambda p: (-len(p.inlier_indices), p.seq))[:cap]
+    return project_to_planes(state.prefix(n), chosen)
 
 
 def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
@@ -354,14 +343,15 @@ def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
     """Simulate a user revealing a space along a random walk.
 
     Per release: extract the ball around the walk center, accumulate the
-    not-yet-seen points, subsume/generalize, then emit the (conservatively
-    capped) release re-expressed in one random rigid frame shared by the whole
-    sequence. With ``generalize=False`` the accumulated raw points are emitted
-    instead, for baseline comparisons.
+    not-yet-seen points and subsume/generalize them. Each release is
+    re-expressed in one random rigid frame shared by the whole sequence. With
+    ``generalize=False`` the points are only accumulated, and a release is
+    the accumulated raw points, for baseline comparisons. Returns the steps
+    and the final state, from which every release is derived.
     """
     if len(space) == 0:
         raise ValueError("space is empty")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     transform = random_rigid_transform(rng)
     index = SpatialIndex(space)
     state = ReleaseState.empty(space.label)
@@ -373,33 +363,17 @@ def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
         ball = index.ball(center, policy.radius)
         new_idx = ball[~seen[ball]]
         seen[new_idx] = True
-        if generalize:
-            if len(new_idx):
+        if len(new_idx):
+            if generalize:
                 subsume(state, space.subset(new_idx), params, rng)
-            released = conservative_release(state, policy.max_planes)
-        else:
-            if len(new_idx):
-                state.positions = np.vstack([state.positions, space.positions[new_idx]])
-                state.normals = np.vstack([state.normals, space.normals[new_idx]])
-                rel = (space.reliable[new_idx] if space.reliable is not None
-                       else np.ones(len(new_idx), dtype=bool))
-                state.reliable = np.concatenate([state.reliable, rel])
-                state.assignment = np.concatenate(
-                    [state.assignment, np.full(len(new_idx), -1, dtype=np.intp)]
-                )
-            released = state.accumulated
+            else:
+                state.append(space.subset(new_idx))
         steps.append(
             ReleaseStep(
-                query=apply_transform(released, transform) if len(released) else released,
-                released=released,
                 center=center.copy(),
                 transform=transform,
                 accumulated_indices=np.flatnonzero(seen),
                 n_planes=len(state.planes),
-                plane_snapshot=tuple(
-                    Plane(p.normal.copy(), p.offset, p.inlier_indices.copy(), p.seq)
-                    for p in state.planes
-                ),
                 n_accumulated=len(state),
             )
         )

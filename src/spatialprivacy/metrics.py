@@ -16,6 +16,7 @@ from .geometry import PointCloud, SpatialIndex
 
 __all__ = [
     "TrialRecord",
+    "abstention_rate",
     "check_gamma",
     "distance_error",
     "inter_privacy",

@@ -97,7 +97,7 @@ def test_release_conservative_with_manifest(space_dir, tmp_path):
 def test_run_and_report(space_dir, tmp_path):
     config = {
         "mode": "one-time",
-        "radii": [1.5],
+        "radii": [2.0, 10.0],  # metrics.json orders the keys "10" < "2"
         "samples": 3,
         "kinds": ["raw"],
         "seed": 2,
@@ -118,3 +118,4 @@ def test_run_and_report(space_dir, tmp_path):
     )
     assert rc == 0
     assert (rerun / "summary.txt").exists()
+    assert (rerun / "metrics.csv").read_bytes() == (out_dir / "metrics.csv").read_bytes()

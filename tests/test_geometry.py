@@ -13,7 +13,6 @@ from spatialprivacy.geometry import (
     centroid,
     estimate_normals,
     extract_partial,
-    knn,
     knn_bruteforce,
     random_rigid_transform,
 )
@@ -120,14 +119,14 @@ class TestRandomRigidTransform:
 class TestKnn:
     def test_query_on_cloud_point(self, random_cloud):
         index = SpatialIndex(random_cloud)
-        idx, dist = knn(index, random_cloud.positions[17], 1)
+        dist, idx = index.query(random_cloud.positions[17], 1)
         assert idx[0] == 17
         assert dist[0] == 0.0
 
     def test_tie_broken_by_lower_index(self):
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 5.0, 0]])
         index = SpatialIndex(pts)
-        idx, dist = knn(index, np.zeros(3), 2)
+        dist, idx = index.query(np.zeros(3), 2)
         assert list(idx) == [0, 1]
         assert dist[0] == dist[1] == 1.0
 

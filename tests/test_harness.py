@@ -107,10 +107,21 @@ class TestRunExperiment:
         assert cells[0].pi1 == 0.0
         assert cells[0].n_trials == 8
 
-    def test_deterministic_across_runs_and_workers(self):
-        a = cells_to_csv(run_experiment(tiny_config())[0])
-        b = cells_to_csv(run_experiment(tiny_config())[0])
-        c = cells_to_csv(run_experiment(tiny_config(workers=3))[0])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(mode="conservative", radii=(0.8,), samples=3, releases=3,
+                 max_planes=(1, 3), kinds=None),
+            dict(mode="successive", radii=(0.8,), samples=3, releases=3,
+                 kinds=("raw", "generalized")),
+        ],
+        ids=["one-time", "conservative", "successive"],
+    )
+    def test_deterministic_across_runs_and_workers(self, overrides):
+        a = cells_to_csv(run_experiment(tiny_config(**overrides))[0])
+        b = cells_to_csv(run_experiment(tiny_config(**overrides))[0])
+        c = cells_to_csv(run_experiment(tiny_config(workers=3, **overrides))[0])
         assert a == b == c
 
     def test_sweep_cell_independence(self):

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from spatialprivacy.geometry import PointCloud, centroid
+from spatialprivacy.geometry import PointCloud, centroid, random_rigid_transform
 from spatialprivacy.mechanisms import (
     GeneralizationParams,
     ReleasePolicy,
     ReleaseState,
-    conservative_release,
-    project_snapshot,
+    ReleaseStep,
     project_to_planes,
     ransac_planes,
+    release_at,
     release_sequence,
     subsume,
 )
@@ -185,6 +185,20 @@ class TestSubsume:
         assert counts == sorted(counts)
 
 
+def release_now(state, cap):
+    """``release_at`` for a one-step walk whose step sees the whole state."""
+    step = ReleaseStep(
+        center=np.zeros(3), transform=random_rigid_transform(0),
+        accumulated_indices=np.arange(len(state)), n_planes=len(state.planes),
+        n_accumulated=len(state),
+    )
+    return release_at(state, step, cap)
+
+
+def ranked(planes):
+    return sorted(planes, key=lambda p: (-len(p.inlier_indices), p.seq))
+
+
 class TestConservativeRelease:
     def make_two_plane_state(self):
         big = make_plane_cloud(300)
@@ -203,15 +217,15 @@ class TestConservativeRelease:
 
     def test_cap_above_plane_count_is_identity(self):
         state = self.make_two_plane_state()
-        capped = conservative_release(state, 10)
-        full = project_to_planes(state.accumulated, state.planes)
+        capped = release_now(state, 10)
+        full = project_to_planes(state.prefix(len(state)), state.planes)
         assert np.array_equal(
             np.sort(capped.positions, axis=0), np.sort(full.positions, axis=0)
         )
 
     def test_cap_one_releases_largest_plane(self):
         state = self.make_two_plane_state()
-        out = conservative_release(state, 1)
+        out = release_now(state, 1)
         assert len(out) == 300
         assert np.allclose(out.positions[:, 2], 0.0, atol=1e-9)
 
@@ -227,27 +241,33 @@ class TestConservativeRelease:
         state = ReleaseState.empty()
         subsume(state, a, GP, seed=0)
         subsume(state, b, GP, seed=0)
-        out = conservative_release(state, 1)
+        out = release_now(state, 1)
         assert np.allclose(out.positions[:, 2], 0.0, atol=1e-9)  # earlier plane
 
     def test_nesting(self):
         state = self.make_two_plane_state()
-        small = conservative_release(state, 1)
-        large = conservative_release(state, 2)
+        small = release_now(state, 1)
+        large = release_now(state, 2)
         small_set = {tuple(p) for p in np.round(small.positions, 12)}
         large_set = {tuple(p) for p in np.round(large.positions, 12)}
         assert small_set <= large_set
 
     def test_unbounded_equals_project_all(self):
         state = self.make_two_plane_state()
-        unbounded = conservative_release(state, None)
-        full = project_to_planes(state.accumulated, state.planes)
+        unbounded = release_now(state, None)
+        full = project_to_planes(state.prefix(len(state)), state.planes)
         assert np.array_equal(unbounded.positions, full.positions)
 
     def test_state_untouched(self):
         state = self.make_two_plane_state()
-        conservative_release(state, 1)
+        release_now(state, 1)
         assert len(state.planes) == 2
+        assert [len(p.inlier_indices) for p in state.planes] == [300, 100]
+
+    def test_cap_below_one_rejected(self):
+        state = self.make_two_plane_state()
+        with pytest.raises(ValueError):
+            release_now(state, 0)
 
 
 @pytest.fixture(scope="module")
@@ -261,8 +281,10 @@ class TestReleaseSequence:
         steps, state = release_sequence(space, ReleasePolicy(1.0, 1), seed=5)
         assert len(steps) == 1
         step = steps[0]
-        expected = conservative_release(state, None)
-        assert np.array_equal(step.released.positions, expected.positions)
+        expected = project_to_planes(state.prefix(len(state)), state.planes)
+        released = release_at(state, step)
+        assert np.array_equal(released.positions, expected.positions)
+        assert np.array_equal(released.normals, expected.normals)
         ball = np.linalg.norm(space.positions - step.center, axis=1) <= 1.0
         assert np.array_equal(step.accumulated_indices, np.flatnonzero(ball))
 
@@ -290,31 +312,40 @@ class TestReleaseSequence:
             assert np.array_equal(step.transform.translation, first.translation)
 
     def test_deterministic(self, space):
-        a, state_a = release_sequence(space, ReleasePolicy(0.5, 8, 3), seed=10)
-        b, state_b = release_sequence(space, ReleasePolicy(0.5, 8, 3), seed=10)
+        a, state_a = release_sequence(space, ReleasePolicy(0.5, 8), seed=10)
+        b, state_b = release_sequence(space, ReleasePolicy(0.5, 8), seed=10)
         assert np.array_equal(state_a.positions, state_b.positions)
         assert np.array_equal(state_a.assignment, state_b.assignment)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.query.positions, sb.query.positions)
+            assert np.array_equal(release_at(state_a, sa, 3).positions,
+                                  release_at(state_b, sb, 3).positions)
 
-    def test_snapshot_reprojection_matches_capped_run(self, space):
-        unbounded, state = release_sequence(
-            space, ReleasePolicy(0.6, 10, None), seed=11
-        )
-        for cap in (1, 2, 5):
-            capped, _ = release_sequence(space, ReleasePolicy(0.6, 10, cap), seed=11)
-            for su, sc in zip(unbounded, capped):
-                derived = project_snapshot(state, su, cap)
-                assert np.array_equal(derived.positions, sc.released.positions)
-                assert np.array_equal(derived.normals, sc.released.normals)
+    def test_release_at_matches_shorter_walk(self, space):
+        # A walk cut after t releases holds exactly the state as of release t.
+        steps, final = release_sequence(space, ReleasePolicy(0.6, 10), seed=11)
+        for t in range(1, len(steps) + 1):
+            _, live = release_sequence(space, ReleasePolicy(0.6, t), seed=11)
+            assert len(live) == steps[t - 1].n_accumulated
+            assert len(live.planes) == steps[t - 1].n_planes
+            for cap in (None, 1, 2, 5):
+                derived = release_at(final, steps[t - 1], cap)
+                expected = project_to_planes(live.prefix(len(live)),
+                                             ranked(live.planes)[:cap])
+                assert np.array_equal(derived.positions, expected.positions)
+                assert np.array_equal(derived.normals, expected.normals)
 
     def test_raw_mode_releases_accumulated_points(self, space):
-        steps, _ = release_sequence(
+        steps, state = release_sequence(
             space, ReleasePolicy(0.5, 4), seed=13, generalize=False
         )
-        last = steps[-1]
-        assert len(last.released) == len(last.accumulated_indices)
-        assert last.n_planes == 0
+        for step in steps:
+            released = state.prefix(step.n_accumulated)
+            assert len(released) == len(step.accumulated_indices)
+            assert np.array_equal(
+                np.sort(released.positions, axis=0),
+                np.sort(space.positions[step.accumulated_indices], axis=0),
+            )
+        assert steps[-1].n_planes == 0
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
