@@ -17,6 +17,7 @@ from .attacker import (
     save_ensemble,
 )
 from .descriptors import (
+    CacheFormatError,
     DescribedSpace,
     KeyPoint,
     SpinParams,

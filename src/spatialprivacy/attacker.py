@@ -14,15 +14,18 @@ hypothesis.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptors import (
+    CacheFormatError,
     DescribedSpace,
     SpinParams,
+    _cache_reader,
     _dump_described,
     _load_described,
+    _read,
     describe,
 )
 from .geometry import PointCloud, knn_bruteforce
@@ -114,6 +117,7 @@ class Hypothesis:
     abstained: bool
     inter: InterSpaceResult
     intra: IntraSpaceResult
+    query: DescribedSpace        # the described query the matches index into
 
 
 def _match_label(pool: _LabelPool, query: DescribedSpace, params: AttackParams):
@@ -162,32 +166,6 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     return InterSpaceResult(scores, winner, pairs)
 
 
-def _angle_vertex_similarity(qpos: np.ndarray, rpos: np.ndarray) -> np.ndarray:
-    """Per-vertex cosine similarity of the internal-angle-cosine sets.
-
-    At each vertex the angle set holds, for every unordered pair of incident
-    edges, the cosine of the angle between them. Its inner products reduce to
-    Frobenius norms of 3x3 edge-direction gram products, so the whole
-    computation stays O(n^2).
-    """
-    n = len(qpos)
-    out = np.ones(n)
-    m = n - 1
-    for v in range(n):
-        uq = np.delete(qpos, v, axis=0) - qpos[v]
-        ur = np.delete(rpos, v, axis=0) - rpos[v]
-        uq /= np.maximum(np.linalg.norm(uq, axis=1), 1e-300)[:, None]
-        ur /= np.maximum(np.linalg.norm(ur, axis=1), 1e-300)[:, None]
-        dot_qr = (np.linalg.norm(uq.T @ ur) ** 2 - m) / 2.0
-        norm_q = (np.linalg.norm(uq.T @ uq) ** 2 - m) / 2.0
-        norm_r = (np.linalg.norm(ur.T @ ur) ** 2 - m) / 2.0
-        if norm_q <= 0 or norm_r <= 0:
-            out[v] = 1.0 if norm_q <= 0 and norm_r <= 0 else 0.0
-        else:
-            out[v] = dot_qr / np.sqrt(norm_q * norm_r)
-    return out
-
-
 def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
                 nndr: np.ndarray,
                 params: AttackParams = AttackParams()) -> IntraSpaceResult:
@@ -198,27 +176,45 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
     a distance similarity (mean of exp(-0.5 |edge length difference|) over its
     edges) and an angular similarity; their product must reach t2. The
     hypothesis is the centroid of the accepted reference keypoints.
+
+    The n gated vertices go in row blocks of ``max(1, 2**18 // n)``: O(n^2)
+    time, O(block * n) memory. A block's (2, 3, B, n) array holds the query
+    and reference edges from each vertex to every vertex. Their lengths give
+    the distance term. Normalised, their 3x3 gram products give the angle
+    term: two vertices' angle-cosine sets (one cosine per unordered pair of
+    incident edges) have inner product (|Uq^T Ur|_F^2 - (n - 1)) / 2. The
+    zero-length self edge normalises to zero and adds nothing.
     """
-    query_positions = np.asarray(query_positions, dtype=np.float64)
-    reference_positions = np.asarray(reference_positions, dtype=np.float64)
-    nndr = np.asarray(nndr, dtype=np.float64)
-    gate = nndr < params.t1
-    if int(gate.sum()) < 3:
+    gate = np.asarray(nndr, dtype=np.float64) < params.t1
+    n = int(gate.sum())
+    if n < 3:
         return IntraSpaceResult(True, None, None, None)
-    q = query_positions[gate]
-    r = reference_positions[gate]
-    dq = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
-    dr = np.linalg.norm(r[:, None, :] - r[None, :, :], axis=2)
-    edge_sim = np.exp(-0.5 * np.abs(dq - dr))
-    np.fill_diagonal(edge_sim, 0.0)
-    s_dist = edge_sim.sum(axis=1) / (len(q) - 1)
-    s_angle = _angle_vertex_similarity(q, r)
-    similarity = s_dist * s_angle
+    r = np.asarray(reference_positions, dtype=np.float64)[gate]
+    points = np.stack([np.asarray(query_positions, dtype=np.float64)[gate].T, r.T])
+    block = min(n, max(1, (1 << 18) // n))
+    buf = np.empty(6 * block * n)
+    similarity = np.empty(n)
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
+        edges = np.subtract(points[:, :, None, :], points[:, :, rows, None],
+                            out=buf[:6 * len(rows) * n].reshape(2, 3, len(rows), n))
+        length = np.sqrt(np.einsum("kcbj,kcbj->kbj", edges, edges))
+        edge_sim = np.exp(-0.5 * np.abs(length[0] - length[1]))
+        edge_sim[np.arange(len(rows)), rows] = 0.0
+        edges /= np.maximum(length, 1e-300)[:, None]
+        stacked = edges.reshape(6, len(rows), n).transpose(1, 0, 2)
+        gram = np.square(stacked @ stacked.transpose(0, 2, 1))
+        fro = (gram.reshape(-1, 2, 3, 2, 3).sum(axis=(2, 4)) - (n - 1)) / 2.0
+        dot_qr, norm_q, norm_r = fro[:, 0, 1], fro[:, 0, 0], fro[:, 1, 1]
+        # Two empty angle sets agree; one empty set matches nothing.
+        s_angle = np.where((norm_q > 0) | (norm_r > 0), 0.0, 1.0)
+        both = (norm_q > 0) & (norm_r > 0)
+        s_angle[both] = dot_qr[both] / np.sqrt(norm_q[both] * norm_r[both])
+        similarity[rows] = edge_sim.sum(axis=1) / (n - 1) * s_angle
     survivors = similarity >= params.t2
     if not np.any(survivors):
         return IntraSpaceResult(True, survivors, similarity, None)
-    centroid = r[survivors].mean(axis=0)
-    return IntraSpaceResult(False, survivors, similarity, centroid)
+    return IntraSpaceResult(False, survivors, similarity, r[survivors].mean(axis=0))
 
 
 def infer(ensemble: ReferenceEnsemble, query: PointCloud,
@@ -235,7 +231,8 @@ def infer(ensemble: ReferenceEnsemble, query: PointCloud,
         matched.nndr,
         params,
     )
-    return Hypothesis(inter.winner, intra.centroid, intra.abstained, inter, intra)
+    return Hypothesis(inter.winner, intra.centroid, intra.abstained, inter, intra,
+                      described)
 
 
 def build_reference(
@@ -290,15 +287,15 @@ def save_ensemble(ensemble: ReferenceEnsemble, path) -> None:
 
 
 def load_ensemble(path) -> ReferenceEnsemble:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _ENSEMBLE_MAGIC:
-            raise ValueError("not an ensemble cache file")
-        version, n_labels = struct.unpack("<II", fh.read(8))
+    with _cache_reader(path) as fh:
+        if _read(fh, 4) != _ENSEMBLE_MAGIC:
+            raise CacheFormatError("not an ensemble cache file")
+        version, n_labels = struct.unpack("<II", _read(fh, 8))
         if version != _ENSEMBLE_VERSION:
-            raise ValueError(f"unsupported ensemble cache version {version}")
+            raise CacheFormatError(f"unsupported ensemble cache version {version}")
         variants_by_label: dict[str, list[DescribedSpace]] = {}
         for _ in range(n_labels):
-            (n_variants,) = struct.unpack("<I", fh.read(4))
+            (n_variants,) = struct.unpack("<I", _read(fh, 4))
             variants = [_load_described(fh) for _ in range(n_variants)]
             variants_by_label[variants[0].label] = variants
     return ReferenceEnsemble(variants_by_label)

@@ -12,6 +12,7 @@ so the descriptor is invariant to rigid motion.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .geometry import PointCloud, SpatialIndex, canonical_order
 
 __all__ = [
+    "CacheFormatError",
     "DescribedSpace",
     "KeyPoint",
     "SpinParams",
@@ -33,6 +35,11 @@ __all__ = [
 
 class UnusableSpaceError(ValueError):
     """A cloud produced no usable descriptors."""
+
+
+class CacheFormatError(ValueError):
+    """A cache file has the wrong magic or version, is cut short, or has
+    bytes after its end."""
 
 
 @dataclass(frozen=True)
@@ -86,9 +93,6 @@ class DescribedSpace:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def keypoint(self, i: int) -> KeyPoint:
-        return KeyPoint(int(self.indices[i]), self.positions[i], self.normals[i])
-
 
 def select_keypoints(cloud: PointCloud, factor: int = 5) -> list[KeyPoint]:
     """Every factor-th point of the canonical ordering, reliable normals only.
@@ -141,14 +145,18 @@ def _spin_accumulate(rel: np.ndarray, normal: np.ndarray, params: SpinParams) ->
     return hist
 
 
-def spin_image(keypoint: KeyPoint, cloud: PointCloud, params: SpinParams = SpinParams()) -> np.ndarray:
-    """Descriptor vector for one keypoint; zero vector if support is empty."""
-    rel = cloud.positions - keypoint.position
+def _spin_vector(rel: np.ndarray, normal: np.ndarray, params: SpinParams) -> np.ndarray:
+    """Unit descriptor over the offsets ``rel`` that lie in the support."""
     within = np.einsum("ij,ij->i", rel, rel) <= params.support_radius**2
-    hist = _spin_accumulate(rel[within], np.asarray(keypoint.normal, float), params)
-    vec = hist.ravel()
+    vec = _spin_accumulate(rel[within], normal, params).ravel()
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
+
+
+def spin_image(keypoint: KeyPoint, cloud: PointCloud, params: SpinParams = SpinParams()) -> np.ndarray:
+    """Descriptor vector for one keypoint; zero vector if support is empty."""
+    return _spin_vector(cloud.positions - keypoint.position,
+                        np.asarray(keypoint.normal, float), params)
 
 
 def describe(
@@ -166,17 +174,10 @@ def describe(
     if not keypoints:
         raise UnusableSpaceError("no keypoints with reliable normals")
     index = SpatialIndex(cloud)
-    support_sq = params.support_radius**2
     descs = np.zeros((len(keypoints), params.length))
     for row, kp in enumerate(keypoints):
         neigh = index.ball(kp.position, params.support_radius)
-        rel = cloud.positions[neigh] - kp.position
-        within = np.einsum("ij,ij->i", rel, rel) <= support_sq
-        hist = _spin_accumulate(rel[within], kp.normal, params)
-        vec = hist.ravel()
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            descs[row] = vec / norm
+        descs[row] = _spin_vector(cloud.positions[neigh] - kp.position, kp.normal, params)
     keep = np.flatnonzero(np.einsum("ij,ij->i", descs, descs) > 0)
     if len(keep) == 0:
         raise UnusableSpaceError("all descriptors are zero; cloud too sparse")
@@ -201,12 +202,28 @@ def _write_array(fh, arr: np.ndarray, dtype: str) -> None:
     fh.write(data.tobytes())
 
 
+def _read(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise CacheFormatError("cache file is cut short")
+    return data
+
+
 def _read_array(fh, dtype: str) -> np.ndarray:
-    ndim, size = struct.unpack("<BI", fh.read(5))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+    ndim, size = struct.unpack("<BI", _read(fh, 5))
+    shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
     itemsize = np.dtype(dtype).itemsize
-    data = np.frombuffer(fh.read(size * itemsize), dtype=dtype, count=size)
+    data = np.frombuffer(_read(fh, size * itemsize), dtype=dtype, count=size)
     return data.reshape(shape).copy()
+
+
+@contextmanager
+def _cache_reader(path):
+    """The open cache file; it must end where the reading ends."""
+    with open(path, "rb") as fh:
+        yield fh
+        if fh.read(1):
+            raise CacheFormatError("cache file has bytes after its end")
 
 
 def save_described(space: DescribedSpace, path) -> None:
@@ -229,20 +246,19 @@ def _dump_described(space: DescribedSpace, fh) -> None:
 
 
 def load_described(path) -> DescribedSpace:
-    with open(path, "rb") as fh:
+    with _cache_reader(path) as fh:
         return _load_described(fh)
 
 
 def _load_described(fh) -> DescribedSpace:
-    magic = fh.read(4)
-    if magic != _CACHE_MAGIC:
-        raise ValueError("not a descriptor cache file")
-    (version,) = struct.unpack("<I", fh.read(4))
+    if _read(fh, 4) != _CACHE_MAGIC:
+        raise CacheFormatError("not a descriptor cache file")
+    (version,) = struct.unpack("<I", _read(fh, 4))
     if version != _CACHE_VERSION:
-        raise ValueError(f"unsupported descriptor cache version {version}")
-    (label_len,) = struct.unpack("<I", fh.read(4))
-    label = fh.read(label_len).decode("utf-8")
-    bin_size, image_width = struct.unpack("<dI", fh.read(12))
+        raise CacheFormatError(f"unsupported descriptor cache version {version}")
+    (label_len,) = struct.unpack("<I", _read(fh, 4))
+    label = _read(fh, label_len).decode("utf-8")
+    bin_size, image_width = struct.unpack("<dI", _read(fh, 12))
     return DescribedSpace(
         label=label,
         indices=_read_array(fh, "<i8"),

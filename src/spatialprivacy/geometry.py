@@ -53,10 +53,10 @@ class PointCloud:
     reliable: np.ndarray | None = None
 
     def __post_init__(self):
-        pos = _as_points(self.positions)
+        pos = _as_points(self.positions).view()
         object.__setattr__(self, "positions", pos)
         if self.normals is not None:
-            nrm = _as_points(self.normals, "normals")
+            nrm = _as_points(self.normals, "normals").view()
             if len(nrm) != len(pos):
                 raise ValueError("normals and positions length mismatch")
             rel = self.reliable
@@ -106,8 +106,8 @@ class RigidTransform:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.ascontiguousarray(self.rotation, dtype=np.float64)
-        t = np.ascontiguousarray(self.translation, dtype=np.float64)
+        r = np.ascontiguousarray(self.rotation, dtype=np.float64).view()
+        t = np.ascontiguousarray(self.translation, dtype=np.float64).view()
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be (3, 3) and translation (3,)")
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9:

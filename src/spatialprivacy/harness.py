@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacker import AttackParams, ReferenceEnsemble, build_reference, infer
-from .descriptors import SpinParams, UnusableSpaceError, describe
+from .descriptors import SpinParams, UnusableSpaceError
 from .geometry import (
     PointCloud,
     apply_transform,
@@ -221,10 +221,9 @@ def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
             )
         if hyp.abstained:
             raise RuntimeError(f"self-query intra check abstained for {label!r}")
-        described = describe(space, config.descriptor, config.factor)
         pairs = hyp.inter.pairs[label]
         gate = pairs.nndr < config.attack.t1
-        matched = described.positions[pairs.query_indices[gate]]
+        matched = hyp.query.positions[pairs.query_indices[gate]]
         expected = matched[hyp.intra.survivor_mask].mean(axis=0)
         if distance_error(hyp.centroid, expected) > 1e-6:
             raise RuntimeError(f"self-query intra check failed for {label!r}")
@@ -247,7 +246,7 @@ def _infer_or_abstain(ensemble, query, config) -> tuple[str | None, np.ndarray |
         return None, None, True
     try:
         hyp = infer(ensemble, query, config.descriptor, config.factor, config.attack)
-    except (UnusableSpaceError, ValueError):
+    except UnusableSpaceError:
         return None, None, True
     return hyp.label, hyp.centroid, hyp.abstained
 
@@ -362,45 +361,24 @@ def run_experiment(config: ExperimentConfig):
     if config.preflight:
         self_query_check(ensemble, dict(sorted(spaces.items())), config)
 
-    samples = config.resolved_samples()
-    tasks = []  # (cell_sort_key, callable) -> list[TrialRecord]
-    if config.mode == "one-time":
-        for kind in config.resolved_kinds():
-            for radius in config.resolved_radii():
-                for sample in range(samples):
-                    tasks.append(
-                        (
-                            (kind, radius, None, sample),
-                            lambda k=kind, r=radius, s=sample: [
-                                _one_time_trial(ensemble, spaces_list, config, k, r, s)
-                            ],
-                        )
-                    )
-    else:
-        caps = config.resolved_caps()
-        for kind in config.resolved_kinds():
-            for radius in config.resolved_radii():
-                for sample in range(samples):
-                    tasks.append(
-                        (
-                            (kind, radius, None, sample),
-                            lambda k=kind, r=radius, s=sample:
-                                _sequence_trials(
-                                    ensemble, spaces_list, config, k, r, caps, s
-                                ),
-                        )
-                    )
+    caps = config.resolved_caps()
 
+    def run_task(kind, radius, sample) -> list[TrialRecord]:
+        if config.mode == "one-time":
+            return [_one_time_trial(ensemble, spaces_list, config, kind, radius, sample)]
+        return _sequence_trials(ensemble, spaces_list, config, kind, radius, caps, sample)
+
+    tasks = [(kind, radius, sample) for kind in config.resolved_kinds()
+             for radius in config.resolved_radii()
+             for sample in range(config.resolved_samples())]
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda t: t[1](), tasks))
+            results = list(pool.map(lambda t: run_task(*t), tasks))
     else:
-        results = [t[1]() for t in tasks]
+        results = [run_task(*t) for t in tasks]
 
     by_cell: dict[tuple, list[TrialRecord]] = {}
-    for (kind, radius, cap, _sample), trial_list in zip(
-        (t[0] for t in tasks), results
-    ):
+    for (kind, radius, _sample), trial_list in zip(tasks, results):
         for trial in trial_list:
             key = (kind, radius, trial.max_planes, trial.release_idx)
             by_cell.setdefault(key, []).append(trial)

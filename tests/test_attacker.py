@@ -1,5 +1,7 @@
 """Two-level matcher: scoring, pair uniqueness, geometric check, inference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,12 @@ from spatialprivacy.attacker import (
     match_intra,
     save_ensemble,
 )
-from spatialprivacy.descriptors import DescribedSpace, SpinParams, describe
+from spatialprivacy.descriptors import (
+    CacheFormatError,
+    DescribedSpace,
+    SpinParams,
+    describe,
+)
 from spatialprivacy.geometry import (
     PointCloud,
     apply_transform,
@@ -224,6 +231,99 @@ class TestMatchIntra:
         assert np.allclose(result.centroid, r[:10].mean(axis=0), atol=1e-12)
 
 
+def reference_similarity(q, r):
+    """The per-vertex formula the blocked kernel replaced, kept as reference.
+
+    Builds the full n x n distance matrices and, per vertex, its n - 1 edges
+    with ``np.delete``. Also returns which vertices took the degenerate
+    branch (an angle-set norm <= 0).
+    """
+    n = len(q)
+    m = n - 1
+    s_angle = np.ones(n)
+    degenerate = np.zeros(n, dtype=bool)
+    for v in range(n):
+        uq = np.delete(q, v, axis=0) - q[v]
+        ur = np.delete(r, v, axis=0) - r[v]
+        uq /= np.maximum(np.linalg.norm(uq, axis=1), 1e-300)[:, None]
+        ur /= np.maximum(np.linalg.norm(ur, axis=1), 1e-300)[:, None]
+        dot_qr = (np.linalg.norm(uq.T @ ur) ** 2 - m) / 2.0
+        norm_q = (np.linalg.norm(uq.T @ uq) ** 2 - m) / 2.0
+        norm_r = (np.linalg.norm(ur.T @ ur) ** 2 - m) / 2.0
+        if norm_q <= 0 or norm_r <= 0:
+            degenerate[v] = True
+            s_angle[v] = 1.0 if norm_q <= 0 and norm_r <= 0 else 0.0
+        else:
+            s_angle[v] = dot_qr / np.sqrt(norm_q * norm_r)
+    dq = np.linalg.norm(q[:, None, :] - q[None, :, :], axis=2)
+    dr = np.linalg.norm(r[:, None, :] - r[None, :, :], axis=2)
+    edge_sim = np.exp(-0.5 * np.abs(dq - dr))
+    np.fill_diagonal(edge_sim, 0.0)
+    return edge_sim.sum(axis=1) / m * s_angle, degenerate
+
+
+def kernel_case(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-3, 3, (n, 3))
+    if kind == "duplicates":
+        q[n // 2:] = q[: n - n // 2]
+    elif kind == "collinear":
+        q = np.outer(rng.uniform(-3, 3, n), rng.normal(size=3)) + rng.normal(size=3)
+    elif kind in ("clusters", "half-clusters"):
+        q = np.repeat(rng.uniform(-3, 3, (2, 3)), [n - 1, 1], axis=0)
+    r = q + rng.normal(scale=0.03, size=(n, 3))
+    r[rng.random(n) < 0.2] += rng.normal(scale=2.0, size=3)
+    if kind == "clusters":
+        r = q.copy()
+    return q, r
+
+
+class TestBlockedKernel:
+    """The row-blocked ``match_intra`` against the per-vertex formula.
+
+    Rows per block are max(1, 2**18 // n): n = 511 and 512 fit in one
+    block, 513 needs two, 1500 needs nine with a short last one.
+    """
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("random", 3), ("random", 4), ("random", 40), ("random", 511),
+         ("random", 512), ("random", 513), ("random", 1500),
+         ("duplicates", 3), ("duplicates", 60), ("collinear", 3),
+         ("collinear", 50), ("clusters", 7), ("half-clusters", 7),
+         ("half-clusters", 600)],
+    )
+    def test_matches_per_vertex_formula(self, kind, n):
+        for seed in range(3 if n < 600 else 1):
+            q, r = kernel_case(kind, n, seed)
+            expected, degenerate = reference_similarity(q, r)
+            result = match_intra(q, r, np.zeros(n))
+            assert np.max(np.abs(result.similarity - expected)) <= 1e-12
+            assert np.array_equal(result.survivor_mask, expected >= 0.95)
+            if kind.endswith("clusters"):
+                assert degenerate.any()
+
+    def test_gate_selects_rows_before_the_kernel(self, rng):
+        q, r = kernel_case("random", 30, 5)
+        nndr = rng.uniform(0, 1, 30)
+        gate = nndr < AttackParams().t1
+        expected, _ = reference_similarity(q[gate], r[gate])
+        result = match_intra(q, r, nndr)
+        assert np.max(np.abs(result.similarity - expected)) <= 1e-12
+
+    def test_memory_is_bounded_by_the_block(self):
+        q, r = kernel_case("random", 4000, 0)
+        nndr = np.zeros(4000)
+        tracemalloc.start()
+        try:
+            match_intra(q, r, nndr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The n x n x 3 tensors alone would take 4000**2 * 3 * 8 B = 384 MB.
+        assert peak <= 48 * 2**20
+
+
 class TestInfer:
     def test_transformed_partial_recovers_label_and_location(
         self, mini_spaces, mini_ensemble
@@ -245,6 +345,12 @@ class TestInfer:
     def test_empty_query_errors(self, mini_ensemble):
         with pytest.raises(ValueError):
             infer(mini_ensemble, PointCloud(np.zeros((0, 3)), np.zeros((0, 3))))
+
+    def test_hypothesis_holds_the_described_query(self, mini_spaces, mini_ensemble):
+        hyp = infer(mini_ensemble, mini_spaces[1])
+        fresh = describe(mini_spaces[1])
+        assert np.array_equal(hyp.query.positions, fresh.positions)
+        assert np.array_equal(hyp.query.descriptors, fresh.descriptors)
 
 
 class TestBuildReference:
@@ -283,3 +389,21 @@ class TestBuildReference:
             assert np.array_equal(
                 loaded.pool(label).descriptors, fresh.pool(label).descriptors
             )
+
+    def test_every_malformed_file_raises_cache_format_error(self, tmp_path):
+        descs = np.array([[0.0, 1.0], [1.0, 0.0], [0.6, 0.8]])
+        ensemble = ReferenceEnsemble(
+            {"a": [toy_space(descs, "a")], "b": [toy_space(descs[::-1], "b")] * 2}
+        )
+        path = tmp_path / "e.spen"
+        save_ensemble(ensemble, path)
+        data = path.read_bytes()
+        version = (2).to_bytes(4, "little")
+        bad = [data[:cut] for cut in range(len(data))]
+        bad += [data + b"\0", b"XXXX" + data[4:], data[:4] + version + data[8:]]
+        for blob in bad:
+            path.write_bytes(blob)
+            with pytest.raises(CacheFormatError):
+                load_ensemble(path)
+        path.write_bytes(data)
+        assert load_ensemble(path).labels == ["a", "b"]

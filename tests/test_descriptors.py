@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spatialprivacy.descriptors import (
+    CacheFormatError,
     DescribedSpace,
     KeyPoint,
     SpinParams,
@@ -226,3 +227,19 @@ class TestCache:
         path.write_bytes(b"nope")
         with pytest.raises(ValueError):
             load_described(path)
+
+    def test_every_malformed_file_raises_cache_format_error(self, tmp_path):
+        space = DescribedSpace(
+            "cut", np.arange(2, dtype=np.int64), np.ones((2, 3)),
+            np.tile([0.0, 0.0, 1.0], (2, 1)), np.full((2, 4), 0.5), P,
+        )
+        path = tmp_path / "space.spdc"
+        save_described(space, path)
+        data = path.read_bytes()
+        version = (2).to_bytes(4, "little")
+        bad = [data[:cut] for cut in range(len(data))]
+        bad += [data + b"\0", b"XXXX" + data[4:], data[:4] + version + data[8:]]
+        for blob in bad:
+            path.write_bytes(blob)
+            with pytest.raises(CacheFormatError):
+                load_described(path)

@@ -37,6 +37,21 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             random_cloud.positions[0, 0] = 99.0
 
+    def test_caller_buffers_stay_writable(self):
+        p, n = np.zeros((3, 3)), np.tile([0.0, 0.0, 1.0], (3, 1))
+        cloud = PointCloud(p, n)
+        p[0, 0] = 1.0
+        n[0, 0] = 1.0
+        for arr in (cloud.positions, cloud.normals):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 2.0
+        rot, shift = np.eye(3), np.zeros(3)
+        transform = RigidTransform(rot, shift)
+        rot[0, 0] = 1.0
+        shift[0] = 1.0
+        with pytest.raises(ValueError):
+            transform.translation[0] = 2.0
+
     def test_subset_keeps_order(self, random_cloud):
         sub = random_cloud.subset(np.array([5, 2, 7]))
         assert np.array_equal(sub.positions[0], random_cloud.positions[5])

@@ -5,6 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from spatialprivacy import attacker, descriptors, harness
+from spatialprivacy.attacker import AttackParams, build_reference
+from spatialprivacy.descriptors import UnusableSpaceError
+from spatialprivacy.geometry import PointCloud
 from spatialprivacy.harness import (
     CellMetrics,
     DatasetSpec,
@@ -13,6 +17,7 @@ from spatialprivacy.harness import (
     load_dataset,
     report,
     run_experiment,
+    self_query_check,
     trials_to_jsonl,
 )
 from spatialprivacy.ply_io import save_ply
@@ -170,6 +175,57 @@ class TestRunExperiment:
     def test_raw_one_time_queries_have_zero_q(self, one_time_result):
         _, trials = one_time_result
         assert all(t.q == 0.0 for t in trials if t.q is not None)
+
+
+class TestPreflight:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        spaces = load_dataset(TINY)
+        return spaces, build_reference(list(spaces.values()), seed=3)
+
+    def test_describes_each_space_once(self, setup, monkeypatch):
+        spaces, ensemble = setup
+        calls = []
+        original = descriptors.describe
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (attacker, descriptors, harness):
+            monkeypatch.setattr(module, "describe", counted, raising=False)
+        self_query_check(ensemble, spaces, tiny_config())
+        assert len(calls) == len(spaces)
+
+    def test_wrong_label_raises(self, setup):
+        spaces, ensemble = setup
+        with pytest.raises(RuntimeError, match="classified as"):
+            self_query_check(ensemble, {"space1": spaces["space0"]}, tiny_config())
+
+    def test_abstention_raises(self, setup):
+        spaces, ensemble = setup
+        config = tiny_config(attack=AttackParams(t2=1.5))
+        with pytest.raises(RuntimeError, match="abstained"):
+            self_query_check(ensemble, spaces, config)
+
+
+class TestInferOrAbstain:
+    def test_unusable_query_abstains(self, monkeypatch):
+        def unusable(*args, **kwargs):
+            raise UnusableSpaceError("no keypoints")
+
+        monkeypatch.setattr(harness, "infer", unusable)
+        query = PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+        assert harness._infer_or_abstain(None, query, tiny_config()) == (None, None, True)
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not an unusable space")
+
+        monkeypatch.setattr(harness, "infer", broken)
+        query = PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="a bug"):
+            harness._infer_or_abstain(None, query, tiny_config())
 
 
 class TestReporting:
