@@ -19,12 +19,10 @@ from .attacker import (
 from .descriptors import (
     CacheFormatError,
     DescribedSpace,
-    KeyPoint,
     SpinParams,
     UnusableSpaceError,
     describe,
     select_keypoints,
-    spin_image,
 )
 from .geometry import (
     PointCloud,

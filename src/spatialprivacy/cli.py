@@ -11,8 +11,9 @@ import numpy as np
 
 from .attacker import AttackParams, build_reference, infer, load_ensemble
 from .descriptors import SpinParams, describe, save_described
-from .geometry import estimate_normals, extract_partial
-from .harness import ExperimentConfig, cells_to_csv, report, run_experiment, trials_to_jsonl
+from .geometry import extract_partial
+from .harness import (CellMetrics, ExperimentConfig, load_cloud, report, run_experiment,
+                      trials_to_jsonl)
 from .mechanisms import (
     GeneralizationParams,
     ReleasePolicy,
@@ -21,16 +22,8 @@ from .mechanisms import (
     release_at,
     release_sequence,
 )
-from .metrics import privacy_band
-from .ply_io import load_ply, save_ply
+from .ply_io import save_ply
 from .synthetic import default_space_specs, generate_space
-
-
-def _load_cloud(path: str, normals_k: int):
-    cloud = load_ply(path)
-    if not cloud.has_normals:
-        cloud = estimate_normals(cloud, normals_k)
-    return cloud
 
 
 def _spin_params(args) -> SpinParams:
@@ -58,9 +51,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_describe(args) -> int:
-    cloud = _load_cloud(args.cloud, args.normals_k)
-    space = describe(cloud, _spin_params(args), args.factor,
-                     label=Path(args.cloud).stem)
+    cloud = load_cloud(args.cloud, args.normals_k)
+    space = describe(cloud, _spin_params(args), args.factor)
     save_described(space, args.out)
     print(f"wrote {args.out} ({len(space)} keypoint descriptors)")
     return 0
@@ -71,7 +63,7 @@ def cmd_reference(args) -> int:
     if not paths:
         print(f"no .ply files under {args.spaces}", file=sys.stderr)
         return 1
-    spaces = [_load_cloud(str(p), args.normals_k).with_label(p.stem) for p in paths]
+    spaces = [load_cloud(p, args.normals_k) for p in paths]
     build_reference(
         spaces,
         variant_params=(_gen_params(args),) * args.variants,
@@ -86,7 +78,7 @@ def cmd_reference(args) -> int:
 
 def cmd_infer(args) -> int:
     ensemble = load_ensemble(args.ensemble)
-    query = _load_cloud(args.query, args.normals_k)
+    query = load_cloud(args.query, args.normals_k)
     hyp = infer(
         ensemble, query, _spin_params(args), args.factor,
         AttackParams(strict_nndr=args.strict),
@@ -105,7 +97,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_release(args) -> int:
-    cloud = _load_cloud(args.cloud, args.normals_k)
+    cloud = load_cloud(args.cloud, args.normals_k)
     gen = _gen_params(args)
     if args.mechanism == "partial":
         rng = np.random.default_rng(args.seed)
@@ -123,7 +115,7 @@ def cmd_release(args) -> int:
                 {
                     "center": [float(v) for v in s.center],
                     "n_planes": s.n_planes,
-                    "n_accumulated": int(len(s.accumulated_indices)),
+                    "n_accumulated": s.n_accumulated,
                 }
                 for s in steps
             ],
@@ -153,29 +145,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .harness import CellMetrics
-
     with open(args.metrics) as fh:
         nested = json.load(fh)
-    cells = []
-    for mode, by_radius in nested.items():
-        # metrics.json sorts radius keys as text; the sweep orders them by value.
-        for radius, rows in sorted(by_radius.items(), key=lambda kv: float(kv[0])):
-            for row in rows:
-                cells.append(
-                    CellMetrics(
-                        mode=mode,
-                        space_count=row["space_count"],
-                        radius=float(radius),
-                        release_idx=row["release_idx"],
-                        max_planes=row["max_planes"],
-                        pi1=row["pi1"],
-                        pi2=row["pi2_m"],
-                        abstain_rate=row["abstain_rate"],
-                        q=row["q"],
-                        n_trials=row["n_trials"],
-                    )
-                )
+    # metrics.json sorts radius keys as text; the sweep orders them by value.
+    cells = [CellMetrics.from_row(mode, float(radius), row)
+             for mode, by_radius in nested.items()
+             for radius, rows in sorted(by_radius.items(), key=lambda kv: float(kv[0]))
+             for row in rows]
     paths = report(cells, args.out)
     print(f"wrote {paths['csv']}, {paths['json']}, {paths['summary']}")
     return 0

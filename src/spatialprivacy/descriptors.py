@@ -7,6 +7,14 @@ height beta = n . (x - p); the contribution is spread bilinearly over the four
 surrounding bins, which keeps descriptors continuous under resampling and
 coordinate noise. Spinning the cloud about n leaves (alpha, beta) unchanged,
 so the descriptor is invariant to rigid motion.
+
+One kernel, ``_spin_histograms``, accumulates every histogram. It takes the
+keypoints in blocks of about 2**14 (keypoint, neighbor) entries, sized from
+the neighbor count of the block before: one ball query per block, the
+(alpha, beta) and bilinear weights of the whole block at once, and one
+``np.bincount`` over (keypoint, bin) keys. Its temporaries stay at a few MB
+for any cloud; describing a 16.9k-point space peaks at about 9 MB
+(``tracemalloc``), the cloud's own copies included.
 """
 
 from __future__ import annotations
@@ -22,14 +30,12 @@ from .geometry import PointCloud, SpatialIndex, canonical_order
 __all__ = [
     "CacheFormatError",
     "DescribedSpace",
-    "KeyPoint",
     "SpinParams",
     "UnusableSpaceError",
     "describe",
     "load_described",
     "save_described",
     "select_keypoints",
-    "spin_image",
 ]
 
 
@@ -71,15 +77,6 @@ class SpinParams:
 
 
 @dataclass(frozen=True)
-class KeyPoint:
-    """A selected oriented point, remembering its index in the source cloud."""
-
-    index: int
-    position: np.ndarray
-    normal: np.ndarray
-
-
-@dataclass(frozen=True)
 class DescribedSpace:
     """Keypoint/descriptor pairs for one space, in deterministic order."""
 
@@ -94,8 +91,9 @@ class DescribedSpace:
         return len(self.indices)
 
 
-def select_keypoints(cloud: PointCloud, factor: int = 5) -> list[KeyPoint]:
-    """Every factor-th point of the canonical ordering, reliable normals only.
+def select_keypoints(cloud: PointCloud, factor: int = 5) -> np.ndarray:
+    """Indices of every factor-th point of the canonical ordering, reliable
+    normals only.
 
     Canonical order sorts by distance to the cloud centroid (ties by index),
     so the same physical points are selected from any rigidly moved or
@@ -107,56 +105,55 @@ def select_keypoints(cloud: PointCloud, factor: int = 5) -> list[KeyPoint]:
         raise ValueError("cloud has no normals; run estimate_normals first")
     if factor < 1:
         raise ValueError("factor must be a positive integer")
-    order = canonical_order(cloud.positions)
-    picked = order[::factor]
+    picked = canonical_order(cloud.positions)[::factor]
     if cloud.reliable is not None:
         picked = picked[cloud.reliable[picked]]
-    return [
-        KeyPoint(int(i), cloud.positions[i], cloud.normals[i]) for i in picked
-    ]
+    return picked
 
 
-def _spin_accumulate(rel: np.ndarray, normal: np.ndarray, params: SpinParams) -> np.ndarray:
-    """Raw (unnormalized) spin histogram for relative point offsets ``rel``."""
-    w = params.image_width
-    beta = rel @ normal
-    alpha_sq = np.einsum("ij,ij->i", rel, rel) - beta * beta
-    alpha = np.sqrt(np.maximum(alpha_sq, 0.0))
-    # Continuous bin coordinates; row w is where beta = 0 falls exactly.
-    a = alpha / params.bin_size
-    b = beta / params.bin_size + w
-    a0 = np.floor(a).astype(np.intp)
-    b0 = np.floor(b).astype(np.intp)
-    fa = a - a0
-    fb = b - b0
-    hist = np.zeros((2 * w, w), dtype=np.float64)
-    flat = hist.ravel()
-    for da, db, weight in (
-        (0, 0, (1 - fa) * (1 - fb)),
-        (1, 0, fa * (1 - fb)),
-        (0, 1, (1 - fa) * fb),
-        (1, 1, fa * fb),
-    ):
-        col = a0 + da
-        row = b0 + db
-        ok = (col >= 0) & (col < w) & (row >= 0) & (row < 2 * w) & (weight > 0)
-        if np.any(ok):
-            np.add.at(flat, row[ok] * w + col[ok], weight[ok])
+def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarray,
+                     params: SpinParams) -> np.ndarray:
+    """Raw spin histograms, shape (m, params.length), of the indexed points
+    around m centers with their unit normals (zero rows for empty supports).
+
+    Blocks start at one center and at most double. Ball queries list each
+    center's points by index and the ``np.bincount`` takes the four bilinear
+    corners in turn, so each bin sums its weights in one fixed order.
+    """
+    w, m = params.image_width, len(centers)
+    hist = np.zeros((m, params.length))
+    start, block = 0, 1
+    while start < m:
+        stop = min(start + block, m)
+        rows, cols = index.ball(centers[start:stop], params.support_radius)
+        rel = index.points[cols] - centers[start + rows]
+        rr = np.einsum("ij,ij->i", rel, rel)
+        within = rr <= params.support_radius**2
+        rows, rel, rr = rows[within], rel[within], rr[within]
+        # One (n, 3) @ (3,) product per center: a BLAS kernel's rounding can
+        # depend on where a row sits in its array, and here each center's
+        # rows form the same array they would for that center alone.
+        bounds = np.searchsorted(rows, np.arange(stop - start + 1))
+        beta = np.empty(len(rows))
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            beta[lo:hi] = rel[lo:hi] @ normals[start + k]
+        alpha = np.sqrt(np.maximum(rr - beta * beta, 0.0))
+        # Continuous bin coordinates; bin row w is where beta = 0 falls exactly.
+        a = alpha / params.bin_size
+        b = beta / params.bin_size + w
+        a0 = np.floor(a).astype(np.intp)
+        b0 = np.floor(b).astype(np.intp)
+        fa = a - a0
+        fb = b - b0
+        col = a0 + np.array([[0], [1], [0], [1]])
+        row = b0 + np.array([[0], [0], [1], [1]])
+        weight = np.stack([(1 - fa) * (1 - fb), fa * (1 - fb), (1 - fa) * fb, fa * fb])
+        ok = (col >= 0) & (col < w) & (row >= 0) & (row < 2 * w)
+        key = (rows * (2 * w) + row) * w + col
+        hist[start:stop].flat = np.bincount(key[ok], weight[ok], hist[start:stop].size)
+        start = stop
+        block = min(2 * block, max(1, block * 2**14 // max(len(cols), 1)))
     return hist
-
-
-def _spin_vector(rel: np.ndarray, normal: np.ndarray, params: SpinParams) -> np.ndarray:
-    """Unit descriptor over the offsets ``rel`` that lie in the support."""
-    within = np.einsum("ij,ij->i", rel, rel) <= params.support_radius**2
-    vec = _spin_accumulate(rel[within], normal, params).ravel()
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else vec
-
-
-def spin_image(keypoint: KeyPoint, cloud: PointCloud, params: SpinParams = SpinParams()) -> np.ndarray:
-    """Descriptor vector for one keypoint; zero vector if support is empty."""
-    return _spin_vector(cloud.positions - keypoint.position,
-                        np.asarray(keypoint.normal, float), params)
 
 
 def describe(
@@ -165,28 +162,26 @@ def describe(
     factor: int = 5,
     label: str | None = None,
 ) -> DescribedSpace:
-    """Select keypoints and compute their descriptors.
+    """Select keypoints and compute their unit descriptors.
 
-    Keypoints whose descriptor comes out all-zero are dropped; if nothing
-    survives, the space is unusable and :class:`UnusableSpaceError` is raised.
+    Each keypoint is a point of the cloud and so its own neighbor: its
+    histogram holds weight 1 in the alpha = beta = 0 bin, and no descriptor
+    is zero.
+    Raises :class:`UnusableSpaceError` if no keypoint has a reliable normal.
     """
-    keypoints = select_keypoints(cloud, factor)
-    if not keypoints:
+    keys = select_keypoints(cloud, factor)
+    if len(keys) == 0:
         raise UnusableSpaceError("no keypoints with reliable normals")
-    index = SpatialIndex(cloud)
-    descs = np.zeros((len(keypoints), params.length))
-    for row, kp in enumerate(keypoints):
-        neigh = index.ball(kp.position, params.support_radius)
-        descs[row] = _spin_vector(cloud.positions[neigh] - kp.position, kp.normal, params)
-    keep = np.flatnonzero(np.einsum("ij,ij->i", descs, descs) > 0)
-    if len(keep) == 0:
-        raise UnusableSpaceError("all descriptors are zero; cloud too sparse")
+    positions, normals = cloud.positions[keys], cloud.normals[keys]
+    hist = _spin_histograms(SpatialIndex(cloud), positions, normals, params)
+    # Each row's h @ h is the dot product np.linalg.norm takes of one vector.
+    norms = np.sqrt(hist[:, None, :] @ hist[:, :, None])[:, 0]
     return DescribedSpace(
         label=label if label is not None else (cloud.label or ""),
-        indices=np.array([keypoints[i].index for i in keep], dtype=np.int64),
-        positions=np.array([keypoints[i].position for i in keep]),
-        normals=np.array([keypoints[i].normal for i in keep]),
-        descriptors=descs[keep],
+        indices=keys.astype(np.int64),
+        positions=positions,
+        normals=normals,
+        descriptors=hist / norms,
         params=params,
     )
 

@@ -8,6 +8,7 @@ neighborhood does not define a plane.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -190,10 +191,20 @@ class SpatialIndex:
             return dist[0], idx[0]
         return dist, idx
 
-    def ball(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of points with distance <= radius, ascending by index."""
-        out = self._tree.query_ball_point(np.asarray(center, dtype=np.float64), radius)
-        return np.sort(np.asarray(out, dtype=np.intp))
+    def ball(self, centers: np.ndarray, radius: float):
+        """Points with distance <= radius of each center, ascending by index.
+
+        For one center of shape ``(3,)``, their index array. For centers of
+        shape ``(m, 3)``, the pair ``(rows, indices)`` that ``np.nonzero``
+        gives for the (m, n) mask of hits: ordered by center, then by index.
+        """
+        centers = np.asarray(centers, dtype=np.float64)
+        hits = self._tree.query_ball_point(centers, radius, return_sorted=True)
+        if centers.ndim == 1:
+            return np.asarray(hits, dtype=np.intp)
+        counts = np.fromiter(map(len, hits), np.intp, len(hits))
+        indices = np.fromiter(itertools.chain.from_iterable(hits), np.intp, counts.sum())
+        return np.repeat(np.arange(len(hits)), counts), indices
 
 
 def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int):

@@ -54,6 +54,7 @@ from .synthetic import default_space_specs, generate_space
 __all__ = [
     "CellMetrics",
     "ExperimentConfig",
+    "load_cloud",
     "load_dataset",
     "report",
     "run_experiment",
@@ -112,6 +113,16 @@ class ExperimentConfig:
             for kind in self.kinds:
                 if kind not in _KINDS:
                     raise ValueError(f"unknown release kind {kind!r}")
+        # Rejected here, not after the reference is built and a sweep task fails.
+        if self.radii is not None and not all(r > 0 for r in self.radii):
+            raise ValueError("radii must be positive")
+        if self.max_planes is not None and any(c is not None and c < 1
+                                               for c in self.max_planes):
+            raise ValueError("plane caps must be >= 1 (or null for no cap)")
+        for name in ("samples", "releases", "workers"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def resolved_radii(self) -> tuple[float, ...]:
         return tuple(self.radii) if self.radii is not None else (0.5, 1.0, 2.0)
@@ -184,6 +195,18 @@ class CellMetrics:
     q: float | None
     n_trials: int
 
+    def to_row(self) -> dict:
+        """The cell's ``metrics.json`` row, which sits under its mode and radius."""
+        row = {k: v for k, v in asdict(self).items() if k not in ("mode", "radius", "pi2")}
+        return {**row, "pi2_m": self.pi2, "privacy_band": privacy_band(self.pi1)}
+
+    @classmethod
+    def from_row(cls, mode: str, radius: float, row: dict) -> "CellMetrics":
+        """The cell that :meth:`to_row` wrote under ``mode`` and ``radius``."""
+        fields = {k: row[k] for k in ("space_count", "release_idx", "max_planes",
+                                      "pi1", "abstain_rate", "q", "n_trials")}
+        return cls(mode=mode, radius=radius, pi2=row["pi2_m"], **fields)
+
 
 def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
     """Labeled spaces, ordered by label; synthetic or a directory of PLYs."""
@@ -195,14 +218,17 @@ def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
         paths = sorted(Path(spec.path).glob("*.ply"))
         if not paths:
             raise ValueError(f"no .ply files under {spec.path}")
-        spaces = {}
-        for p in paths:
-            cloud = load_ply(p)
-            if not cloud.has_normals:
-                cloud = estimate_normals(cloud, spec.normals_k)
-            spaces[p.stem] = cloud.with_label(p.stem)
-        return spaces
+        return {p.stem: load_cloud(p, spec.normals_k) for p in paths}
     raise ValueError(f"unknown dataset type {spec.type!r}")
+
+
+def load_cloud(path, normals_k: int) -> PointCloud:
+    """A PLY file as a cloud labeled with the file's stem; normals are
+    estimated from ``normals_k`` neighbors when the file has none."""
+    cloud = load_ply(path)
+    if not cloud.has_normals:
+        cloud = estimate_normals(cloud, normals_k)
+    return cloud.with_label(Path(path).stem)
 
 
 def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
@@ -449,19 +475,7 @@ def report(cells: list[CellMetrics], out_dir) -> dict[str, Path]:
 
     nested: dict = {}
     for c in cells:
-        nested.setdefault(c.mode, {}).setdefault(_fmt(c.radius), []).append(
-            {
-                "space_count": c.space_count,
-                "release_idx": c.release_idx,
-                "max_planes": c.max_planes,
-                "pi1": c.pi1,
-                "pi2_m": c.pi2,
-                "abstain_rate": c.abstain_rate,
-                "q": c.q,
-                "n_trials": c.n_trials,
-                "privacy_band": privacy_band(c.pi1),
-            }
-        )
+        nested.setdefault(c.mode, {}).setdefault(_fmt(c.radius), []).append(c.to_row())
     paths["json"].write_text(json.dumps(nested, indent=2, sort_keys=True) + "\n")
 
     lines = []

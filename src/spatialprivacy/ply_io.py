@@ -52,12 +52,14 @@ def _parse_header(fh):
                 raise PlyFormatError(f"unsupported PLY format: {line!r}")
             fmt = tokens[1]
         elif tokens[0] == "element":
-            if len(tokens) != 3:
+            if len(tokens) != 3 or not tokens[2].isdigit():
                 raise PlyFormatError(f"bad element line: {line!r}")
             elements.append((tokens[1], int(tokens[2]), []))
         elif tokens[0] == "property":
             if not elements:
                 raise PlyFormatError("property before any element")
+            if len(tokens) != (5 if tokens[1:2] == ["list"] else 3):
+                raise PlyFormatError(f"bad property line: {line!r}")
             if tokens[1] == "list":
                 elements[-1][2].append((tokens[-1], "list", tokens[2], tokens[3]))
             else:
@@ -111,7 +113,10 @@ def load_ply(path) -> PointCloud:
                 parts = line.split()
                 if len(parts) < len(props):
                     raise PlyFormatError("ASCII vertex line has too few values")
-                rows.append([float(v) for v in parts[: len(props)]])
+                try:
+                    rows.append([float(v) for v in parts[: len(props)]])
+                except ValueError:
+                    raise PlyFormatError(f"bad ASCII vertex value in {line!r}") from None
             arr = np.asarray(rows, dtype=np.float64)
             data = {name: arr[:, i] for i, name in enumerate(names)}
 

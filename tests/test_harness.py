@@ -69,6 +69,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(mode="sideways")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_planes", (1, 0), "caps"), ("max_planes", (-3,), "caps"),
+        ("radii", (1.0, 0.0), "radii"), ("radii", (-0.5,), "radii"),
+        ("radii", (float("nan"),), "radii"), ("samples", 0, "samples"),
+        ("releases", 0, "releases"), ("workers", 0, "workers"),
+    ])
+    def test_out_of_range_values_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(mode="conservative", **{field: value})
+
+    def test_uncapped_and_unit_values_accepted(self):
+        cfg = ExperimentConfig(mode="conservative", max_planes=(1, None), radii=(0.1,),
+                               samples=1, releases=1, workers=1)
+        assert cfg.resolved_caps() == (1, None)
+
     def test_max_planes_inf_token(self):
         cfg = ExperimentConfig.from_dict(
             {"mode": "conservative", "max_planes": [1, "inf"]}
@@ -264,6 +279,12 @@ class TestReporting:
         ]
         summary = report(cells, tmp_path)["summary"].read_text()
         assert "largest max_planes with mean pi1 >= 0.5: 3" in summary
+
+    @pytest.mark.parametrize("overrides", [{}, dict(max_planes=3, pi2=None, q=None)])
+    def test_metrics_json_row_round_trip(self, overrides):
+        cell = self.make_cell(**overrides)
+        row = json.loads(json.dumps(cell.to_row()))
+        assert CellMetrics.from_row(cell.mode, cell.radius, row) == cell
 
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):

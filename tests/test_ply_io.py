@@ -88,6 +88,27 @@ def test_malformed_inputs_rejected(tmp_path, mutation):
         load_ply(write(tmp_path, mutation(ONE_VERTEX)))
 
 
+BINARY_HEADER = ONE_VERTEX.replace("ascii", "binary_little_endian").replace("0 0 0 0 0 1\n", "")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ONE_VERTEX.replace("vertex 1", "vertex -2"),
+        BINARY_HEADER.replace("vertex 1", "vertex -2") + "\0" * 24,
+        ONE_VERTEX.replace("vertex 1", "vertex abc"),
+        ONE_VERTEX.replace("property float nz", "property float"),
+        ONE_VERTEX.replace("end_header", "element face 0\nproperty list uchar\nend_header"),
+        ONE_VERTEX.replace("0 0 0 0 0 1", "1 2 zz 0 0 1"),
+    ],
+    ids=["ascii-negative-count", "binary-negative-count", "count-not-a-number",
+         "property-without-name", "list-property-cut-short", "unparsable-value"],
+)
+def test_malformed_header_or_value_raises_ply_format_error(tmp_path, text):
+    with pytest.raises(PlyFormatError):
+        load_ply(write(tmp_path, text))
+
+
 def test_empty_vertex_list_rejected(tmp_path):
     text = (
         "ply\nformat ascii 1.0\nelement vertex 0\n"
