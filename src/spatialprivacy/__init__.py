@@ -55,7 +55,6 @@ from .mechanisms import (
 )
 from .metrics import (
     TrialRecord,
-    check_gamma,
     inter_privacy,
     intra_privacy,
     privacy_band,

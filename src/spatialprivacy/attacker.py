@@ -14,7 +14,7 @@ hypothesis.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,11 +58,17 @@ class AttackParams:
 class _LabelPool:
     descriptors: np.ndarray
     positions: np.ndarray
+    sq_norms: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.sq_norms = np.einsum("ij,ij->i", self.descriptors, self.descriptors)
 
 
 class ReferenceEnsemble:
     """Per-label descriptor databases over raw + generalized variants.
 
+    Each label's pool caches its descriptors' squared norms, which every
+    query's ``knn_bruteforce`` against that pool would otherwise recompute.
     Immutable after construction; concurrent matching against it is safe.
     """
 
@@ -128,7 +134,8 @@ def _match_label(pool: _LabelPool, query: DescribedSpace, params: AttackParams):
     )
     if len(pool.descriptors) < 2:
         return 0.0, empty
-    dist, idx = knn_bruteforce(pool.descriptors, query.descriptors, k=2)
+    dist, idx = knn_bruteforce(pool.descriptors, query.descriptors, k=2,
+                               sq_norms=pool.sq_norms)
     second = dist[:, 1]
     # Exact duplicates give 0/0; closer is better, so define that as 0.
     nndr = np.divide(dist[:, 0], second, out=np.zeros(n_query), where=second > 0)

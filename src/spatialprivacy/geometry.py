@@ -147,7 +147,10 @@ class SpatialIndex:
     """Exact k-nearest-neighbor index over a cloud's positions.
 
     Queries return exactly what a linear scan would: neighbors ordered by
-    Euclidean distance, ties broken by lower point index. Read-only after
+    Euclidean distance, ties broken by lower point index. A tree query for
+    k + 1 neighbors settles a row when its (k+1)-th distance exceeds its k-th
+    by a 1e-12 relative margin; only a row where a tie may straddle the k-th
+    place falls back to a ball query over every tied point. Read-only after
     construction, safe for concurrent queries.
     """
 
@@ -174,15 +177,19 @@ class SpatialIndex:
         n = len(self.points)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range for index of size {n}")
-        dist, idx = self._tree.query(q, k=k)
-        dist = dist.reshape(len(q), k)
-        idx = idx.reshape(len(q), k)
-        # Re-resolve the boundary of each answer set so that equal distances
-        # come out in index order, exactly as a linear scan would.
-        for row in range(len(q)):
-            dk = dist[row, -1]
-            cand = self._tree.query_ball_point(q[row], dk * (1.0 + 1e-12) + 1e-300)
-            cand = np.asarray(cand, dtype=np.intp)
+        m = min(k + 1, n)
+        tree_dist, idx = self._tree.query(q, k=m)
+        tree_dist, idx = tree_dist.reshape(len(q), m), idx.reshape(len(q), m)
+        # Scan distances, ordered by (distance, index); a row whose (k+1)-th
+        # neighbor could tie its k-th is re-resolved over a ball.
+        dist = np.linalg.norm(self.points[idx] - q[:, None], axis=2)
+        order = np.lexsort((idx, dist), axis=1)[:, :k]
+        dist = np.take_along_axis(dist, order, axis=1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        bound = tree_dist[:, k - 1] * (1.0 + 1e-12) + 1e-300
+        tied = np.flatnonzero(tree_dist[:, -1] <= bound) if m > k else []
+        for row in tied:
+            cand = self.ball(q[row], bound[row])
             d = np.linalg.norm(self.points[cand] - q[row], axis=1)
             order = np.lexsort((cand, d))[:k]
             dist[row] = d[order]
@@ -207,7 +214,8 @@ class SpatialIndex:
         return np.repeat(np.arange(len(hits)), counts), indices
 
 
-def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int):
+def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
+                   sq_norms: np.ndarray | None = None):
     """Exact k-nn in arbitrary dimension, e.g. descriptor space.
 
     Exact means equal, bitwise in both indices and distances, to the direct
@@ -215,12 +223,15 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int):
     ``np.linalg.norm(references - q, axis=1)`` and the neighbors are the first
     ``k`` of their ascending order, ties by lower reference index (the contract
     of :meth:`SpatialIndex.query`). Returns ``(distances, indices)`` of shape
-    ``(q, k)``. Memory is O(q·n).
+    ``(q, k)``. ``sq_norms``, if given, is ``einsum("ij,ij->i", references,
+    references)``, for callers that query one reference set many times.
 
-    One GEMM ranks each row on ``||r||^2 - 2 q.r``; a rounding bound around
-    the row's k-th value keeps every reference that the linear scan could
-    place in its top k, and only those survivors get their distance computed
-    directly and sorted.
+    Queries run in row tiles of about 2**18 keys (one row if a row alone has
+    more), so beyond the inputs and outputs memory is O(2**18 + survivors).
+    One GEMM per tile ranks each row on ``||r||^2 - 2 q.r``; a rounding bound
+    around the row's k-th value keeps every reference that the linear scan
+    could place in its top k, and only those survivors get their distance
+    computed directly and sorted.
     """
     references = np.asarray(references, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -229,10 +240,7 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int):
     n, dim = references.shape
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for reference set of size {n}")
-    sr = np.einsum("ij,ij->i", references, references)
-    key = queries @ references.T
-    key *= -2.0
-    key += sr
+    sr = np.einsum("ij,ij->i", references, references) if sq_norms is None else sq_norms
     # Both the expansion and the linear scan's ||q - r||^2 are within
     # (dim + 5) * eps/2 * (||q|| + ||r||)^2 of the true value (plus underflow);
     # twice their sum, and the rounding of kth + slack, fit in this slack.
@@ -241,14 +249,17 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int):
     slack = (2 * dim + 10) * (finfo.eps * scale**2 + finfo.smallest_subnormal)
     dist = np.empty((len(queries), k))
     idx = np.empty((len(queries), k), dtype=np.intp)
-    # Small row blocks keep every temporary below 1 MB unless references
-    # tie, so the allocator hands the memory back instead of keeping it.
-    block = max(1, (1 << 16) // max(n, k * dim))
+    # Tiles of 2**18 keys keep the GEMM efficient while no q x n matrix
+    # exists; the k * dim term bounds the survivors' difference vectors.
+    block = max(1, (1 << 18) // max(n, k * dim))
     for s in range(0, len(queries), block):
-        kb = key[s:s + block]
+        qb = queries[s:s + block]
+        kb = qb @ references.T
+        kb *= -2.0
+        kb += sr
         kth = np.partition(kb, k - 1, axis=1)[:, k - 1]
         rows, cols = np.nonzero(kb <= (kth + slack[s:s + block])[:, None])
-        d = np.linalg.norm(queries[s + rows] - references[cols], axis=1)
+        d = np.linalg.norm(qb[rows] - references[cols], axis=1)
         order = np.lexsort((cols, d, rows))
         # Every row keeps at least k survivors; take the first k of each.
         counts = np.bincount(rows, minlength=len(kb))

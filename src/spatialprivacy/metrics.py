@@ -17,7 +17,6 @@ from .geometry import PointCloud, SpatialIndex
 __all__ = [
     "TrialRecord",
     "abstention_rate",
-    "check_gamma",
     "distance_error",
     "inter_privacy",
     "intra_privacy",
@@ -111,13 +110,6 @@ def _one_sided_qos(src: PointCloud, dst: PointCloud, alpha: float, beta: float) 
         "ij,ij->i", src.normals - paired, src.normals - paired
     )
     return float(np.mean(alpha * dist + beta * normal_dev))
-
-
-def check_gamma(q_value: float, gamma: float) -> bool:
-    """Does the utility cost stay within the permissible error (inclusive)?"""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    return q_value <= gamma
 
 
 def privacy_band(pi1: float) -> str:

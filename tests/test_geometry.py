@@ -1,5 +1,7 @@
 """Geometry core: cloud model, transforms, exact knn, partial extraction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -131,6 +133,20 @@ class TestRandomRigidTransform:
             assert np.all(np.abs(t.translation) <= 10.0)
 
 
+class _CountingTree:
+    """A cKDTree stand-in that counts the ball queries made through it."""
+
+    def __init__(self, tree):
+        self.tree, self.balls = tree, 0
+
+    def query(self, *args, **kwargs):
+        return self.tree.query(*args, **kwargs)
+
+    def query_ball_point(self, *args, **kwargs):
+        self.balls += 1
+        return self.tree.query_ball_point(*args, **kwargs)
+
+
 class TestKnn:
     def test_query_on_cloud_point(self, random_cloud):
         index = SpatialIndex(random_cloud)
@@ -154,7 +170,47 @@ class TestKnn:
             d = np.linalg.norm(pts - q, axis=1)
             order = np.lexsort((np.arange(len(pts)), d))[:2]
             assert np.array_equal(idx[qi], order)
-            assert np.allclose(dist[qi], d[order], rtol=0, atol=1e-12)
+            assert np.array_equal(dist[qi], d[order])
+
+    def test_query_is_the_linear_scan(self):
+        """Bitwise equal indices and distances on tie-heavy and tie-free clouds.
+
+        Tie-heavy cases draw points with replacement from few grid-rounded
+        rows and put queries on the grid, so the k-th and (k+1)-th neighbors
+        often tie; tie-free cases are uniform random clouds. Queries are
+        copied from the cloud or drawn off it, k is 1, a random value and n,
+        and the first query is also asked alone as a ``(3,)`` point. The
+        ball fallback must run on tie-heavy cases and never on tie-free ones.
+        """
+        r = np.random.default_rng(2008)
+        balls = {True: 0, False: 0}
+        for case in range(120):
+            ties = case % 2 == 0
+            n, nq = int(r.integers(1, 300)), int(r.integers(1, 40))
+            if ties:
+                distinct = np.round(4 * r.uniform(-1, 1, (r.integers(1, n + 1), 3))) / 4
+                pts = distinct[r.integers(0, len(distinct), n)]
+                queries = np.round(8 * r.uniform(-1.2, 1.2, (nq, 3))) / 8
+            else:
+                pts = r.uniform(-1, 1, (n, 3))
+                queries = r.uniform(-1.2, 1.2, (nq, 3))
+            copied = r.random(nq) < 0.5
+            queries[copied] = pts[r.integers(0, n, copied.sum())]
+            index = SpatialIndex(pts)
+            index._tree = _CountingTree(index._tree)
+            for k in sorted({1, int(r.integers(1, n + 1)), n}):
+                dist, idx = index.query(queries, k)
+                for qi, q in enumerate(queries):
+                    d = np.linalg.norm(pts - q, axis=1)
+                    order = np.lexsort((np.arange(n), d))[:k]
+                    assert np.array_equal(idx[qi], order), (case, k, qi)
+                    assert np.array_equal(dist[qi], d[order]), (case, k, qi)
+                one_dist, one_idx = index.query(queries[0], k)
+                assert one_idx.shape == (k,)
+                assert np.array_equal(one_idx, idx[0]) and np.array_equal(one_dist, dist[0])
+            balls[ties] += index._tree.balls
+        assert balls[True] > 0
+        assert balls[False] == 0
 
     def test_k_out_of_range(self, random_cloud):
         index = SpatialIndex(random_cloud)
@@ -177,14 +233,20 @@ class TestKnn:
         Cases mix random shapes and dimensions, references drawn with
         replacement from few distinct (sometimes grid-rounded) rows, queries
         copied from the references, coordinates scaled from 1e-3 to 1e3 and
-        every k from 1 to n. Every fifth case is large enough that the kernel
-        splits its queries into several blocks.
+        every k from 1 to n. Every fifth case has more query rows than two
+        GEMM tiles hold, so the kernel runs several tiles. Each case runs with
+        and without precomputed norms.
         """
         r = np.random.default_rng(2004)
         for case in range(200):
             n, dim, nq = r.integers(1, 60), r.integers(1, 140), r.integers(1, 30)
-            if case % 10 in (0, 5):
-                n, nq = r.integers(1000, 2500), r.integers(70, 100)
+            big = case % 10 in (0, 5)
+            if big:
+                n = r.integers(1000, 2500)
+            k = int(r.integers(1, n + 1))
+            if big:
+                # A tile holds 2**18 keys, or one row when a row needs more.
+                nq = 2 * max(1, 2**18 // max(n, k * dim)) + r.integers(1, 30)
             scale = 10.0 ** r.uniform(-3, 3)
             distinct = r.normal(size=(r.integers(1, n + 1), dim))
             if case % 2:
@@ -193,13 +255,28 @@ class TestKnn:
             queries = scale * r.normal(size=(nq, dim))
             copied = r.random(nq) < 0.5
             queries[copied] = refs[r.integers(0, n, copied.sum())]
-            k = int(r.integers(1, n + 1))
-            dist, idx = knn_bruteforce(refs, queries, k=k)
+            sq_norms = np.einsum("ij,ij->i", refs, refs)
+            results = [knn_bruteforce(refs, queries, k=k),
+                       knn_bruteforce(refs, queries, k=k, sq_norms=sq_norms)]
             for qi, q in enumerate(queries):
                 d = np.linalg.norm(refs - q, axis=1)
                 order = np.lexsort((np.arange(n), d))[:k]
-                assert np.array_equal(idx[qi], order), (case, qi)
-                assert np.array_equal(dist[qi], d[order]), (case, qi)
+                for dist, idx in results:
+                    assert np.array_equal(idx[qi], order), (case, qi)
+                    assert np.array_equal(dist[qi], d[order]), (case, qi)
+
+    def test_bruteforce_memory_is_bounded_by_the_tile(self):
+        r = np.random.default_rng(6500)
+        refs = np.abs(r.normal(size=(6500, 128)))
+        queries = np.abs(r.normal(size=(3387, 128)))
+        tracemalloc.start()
+        try:
+            knn_bruteforce(refs, queries, k=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 3387 x 6500 key matrix alone would take 176 MB.
+        assert peak <= 32 * 2**20
 
     def test_bruteforce_duplicate_reference_tie(self):
         refs = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])

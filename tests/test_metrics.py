@@ -7,7 +7,6 @@ from spatialprivacy.geometry import PointCloud, apply_transform, random_rigid_tr
 from spatialprivacy.metrics import (
     TrialRecord,
     abstention_rate,
-    check_gamma,
     distance_error,
     inter_privacy,
     intra_privacy,
@@ -152,21 +151,6 @@ class TestQos:
         empty = PointCloud(np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
             qos(empty, cloud)
-
-
-class TestCheckGamma:
-    def test_below_passes(self):
-        assert check_gamma(0.05, 0.2)
-
-    def test_boundary_inclusive(self):
-        assert check_gamma(0.2, 0.2)
-
-    def test_above_fails(self):
-        assert not check_gamma(0.21, 0.2)
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            check_gamma(0.1, -0.1)
 
 
 class TestPrivacyBand:
