@@ -300,9 +300,15 @@ def load_ensemble(path) -> ReferenceEnsemble:
         version, n_labels = struct.unpack("<II", _read(fh, 8))
         if version != _ENSEMBLE_VERSION:
             raise CacheFormatError(f"unsupported ensemble cache version {version}")
+        if n_labels == 0:
+            raise CacheFormatError("ensemble cache holds no labels")
         variants_by_label: dict[str, list[DescribedSpace]] = {}
         for _ in range(n_labels):
             (n_variants,) = struct.unpack("<I", _read(fh, 4))
+            if n_variants == 0:
+                raise CacheFormatError("ensemble cache has a label with no variants")
             variants = [_load_described(fh) for _ in range(n_variants)]
+            if variants[0].label in variants_by_label:
+                raise CacheFormatError(f"ensemble cache repeats label {variants[0].label!r}")
             variants_by_label[variants[0].label] = variants
     return ReferenceEnsemble(variants_by_label)

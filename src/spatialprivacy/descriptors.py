@@ -19,6 +19,7 @@ for any cloud; describing a 16.9k-point space peaks at about 9 MB
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -106,9 +107,7 @@ def select_keypoints(cloud: PointCloud, factor: int = 5) -> np.ndarray:
     if factor < 1:
         raise ValueError("factor must be a positive integer")
     picked = canonical_order(cloud.positions)[::factor]
-    if cloud.reliable is not None:
-        picked = picked[cloud.reliable[picked]]
-    return picked
+    return picked[cloud.reliable[picked]]
 
 
 def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarray,
@@ -208,6 +207,8 @@ def _read_array(fh, dtype: str) -> np.ndarray:
     ndim, size = struct.unpack("<BI", _read(fh, 5))
     shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
     itemsize = np.dtype(dtype).itemsize
+    if size != math.prod(shape):
+        raise CacheFormatError(f"cache array of shape {shape} holds {size} values")
     data = np.frombuffer(_read(fh, size * itemsize), dtype=dtype, count=size)
     return data.reshape(shape).copy()
 

@@ -1,12 +1,13 @@
 """Experiment orchestration: seeded Monte-Carlo sweeps over release settings.
 
-Three modes mirror how a space can be handed to an application: ``one-time``
-(a single partial ball, raw or generalized), ``successive`` (a random-walk
-sequence of accumulating releases), and ``conservative`` (successive releasing
-swept over a cap on the number of released planes). Every trial derives its
-RNG stream from the master seed and stable cell coordinates, never from sweep
-position or scheduling, so runs are reproducible byte-for-byte at any worker
-count and removing one sweep cell leaves the others unchanged.
+A ``one-time`` trial releases a single partial ball, raw or generalized. A
+``successive`` or ``conservative`` trial is a random walk of accumulating
+releases, each derived under every plane cap of the sweep. The mode only
+presets the fields a config leaves unset (see :class:`ExperimentConfig`) and
+labels the ``mode`` column. Every trial derives its RNG stream from the
+master seed and stable cell coordinates, never from sweep position or
+scheduling, so runs are reproducible byte-for-byte at any worker count and
+removing one sweep cell leaves the others unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -61,11 +61,14 @@ __all__ = [
     "self_query_check",
 ]
 
-log = logging.getLogger(__name__)
-
-_MODES = ("one-time", "successive", "conservative")
 _KINDS = ("raw", "generalized")
 _WALK_FAMILY = 2  # spawn-key family shared by successive and conservative walks
+_PRESETS = {  # mode -> the values of the sweep fields a config leaves unset
+    "one-time": dict(samples=1000, releases=1, max_planes=(None,), kinds=_KINDS),
+    "successive": dict(samples=100, releases=100, max_planes=(None,), kinds=("generalized",)),
+    "conservative": dict(samples=100, releases=100, max_planes=tuple(range(1, 30, 2)),
+                         kinds=("generalized",)),
+}
 
 
 @dataclass(frozen=True)
@@ -81,9 +84,17 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A full experiment description; unset counts fall back to paper-scale
-    defaults (1000 one-time samples; 100 samples x 100 releases for the
-    successive modes; radii 0.5/1.0/2.0; plane caps 1, 3, ..., 29)."""
+    """A full experiment description. A sweep field left unset takes its
+    mode's paper-scale preset, and unset radii are 0.5/1.0/2.0; a set field
+    always wins. Fields that contradict each other are rejected: bounded
+    plane caps on raw or one-time releases, or a one-time config with more
+    than one release.
+
+        mode          samples  releases  max_planes      kinds
+        one-time      1000     1         inf             raw, generalized
+        successive    100      100       inf             generalized
+        conservative  100      100       1, 3, ..., 29   generalized
+    """
 
     mode: str = "one-time"
     radii: tuple[float, ...] | None = None
@@ -95,7 +106,6 @@ class ExperimentConfig:
     workers: int = 1
     variants: int = 1
     preflight: bool = True
-    walk_step_max: float | None = None   # None: one ball radius per step
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     descriptor: SpinParams = field(default_factory=SpinParams)
     factor: int = 5
@@ -104,11 +114,10 @@ class ExperimentConfig:
     qos_alpha: float = 0.5
     qos_beta: float = 0.5
     qos_symmetric: bool = False
-    translation_extent: float = 10.0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if self.mode not in _PRESETS:
+            raise ValueError(f"mode must be one of {tuple(_PRESETS)}")
         if self.kinds is not None:
             for kind in self.kinds:
                 if kind not in _KINDS:
@@ -123,33 +132,30 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.mode == "one-time" and self.resolved_releases() != 1:
+            raise ValueError("a one-time config has exactly 1 release")
+        if (any(c is not None for c in self.resolved_caps())
+                and (self.mode == "one-time" or "raw" in self.resolved_kinds())):
+            raise ValueError("bounded plane caps apply only to generalized walks")
+
+    def _resolved(self, name: str):
+        value = getattr(self, name)
+        return _PRESETS[self.mode][name] if value is None else value
 
     def resolved_radii(self) -> tuple[float, ...]:
         return tuple(self.radii) if self.radii is not None else (0.5, 1.0, 2.0)
 
     def resolved_samples(self) -> int:
-        if self.samples is not None:
-            return self.samples
-        return 1000 if self.mode == "one-time" else 100
+        return self._resolved("samples")
 
     def resolved_releases(self) -> int:
-        if self.mode == "one-time":
-            return 1
-        return self.releases if self.releases is not None else 100
+        return self._resolved("releases")
 
     def resolved_caps(self) -> tuple[int | None, ...]:
-        if self.mode == "conservative":
-            if self.max_planes is not None:
-                return tuple(self.max_planes)
-            return tuple(range(1, 30, 2))
-        return (None,)
+        return tuple(self._resolved("max_planes"))
 
     def resolved_kinds(self) -> tuple[str, ...]:
-        if self.mode == "conservative":
-            return ("generalized",)
-        if self.kinds is not None:
-            return tuple(self.kinds)
-        return ("raw", "generalized") if self.mode == "one-time" else ("generalized",)
+        return tuple(self._resolved("kinds"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -282,6 +288,20 @@ def _cell_q(trials: list[TrialRecord]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
+def _outcome(ensemble, config, released, truth, transform):
+    """``(hyp_label, hyp_centroid, abstained, q)`` of one released cloud.
+
+    ``truth`` is the raw cloud the release stands for, which Q compares it
+    with; the attacker sees the release moved by ``transform``.
+    """
+    q_value = None
+    if len(released) and len(truth):
+        q_value = qos(released, truth, config.qos_alpha, config.qos_beta,
+                      config.qos_symmetric)
+    query = apply_transform(released, transform) if len(released) else released
+    return (*_infer_or_abstain(ensemble, query, config), q_value)
+
+
 def _one_time_trial(ensemble, spaces_list, config, kind, radius, sample) -> TrialRecord:
     rng = _trial_rng(config.seed, (1, _KINDS.index(kind), _radius_key(radius), sample))
     space = spaces_list[int(rng.integers(len(spaces_list)))]
@@ -292,13 +312,8 @@ def _one_time_trial(ensemble, spaces_list, config, kind, radius, sample) -> Tria
         released = project_to_planes(partial, planes)
     else:
         released = partial
-    transform = random_rigid_transform(rng, config.translation_extent)
-    q_value = None
-    if len(released) and len(partial):
-        q_value = qos(released, partial, config.qos_alpha, config.qos_beta,
-                      config.qos_symmetric)
-    query = apply_transform(released, transform) if len(released) else released
-    hyp_label, hyp_centroid, abstained = _infer_or_abstain(ensemble, query, config)
+    hyp_label, hyp_centroid, abstained, q_value = _outcome(
+        ensemble, config, released, partial, random_rigid_transform(rng))
     return TrialRecord(
         true_label=space.label,
         true_centroid=centroid(partial),
@@ -325,8 +340,7 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, caps, sample):
         config.seed, (_WALK_FAMILY, _KINDS.index(kind), _radius_key(radius), sample)
     )
     space = spaces_list[int(rng.integers(len(spaces_list)))]
-    policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases(),
-                           walk_step_max=config.walk_step_max)
+    policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases())
     generalize = kind == "generalized"
     steps, state = release_sequence(space, policy, rng, config.generalization,
                                     generalize=generalize)
@@ -336,20 +350,13 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, caps, sample):
         true_centroid = centroid(accumulated)
         shared: dict[int, tuple] = {}
         for cap in caps:
-            effective = -1
-            if generalize:
-                effective = step.n_planes if cap is None else min(cap, step.n_planes)
+            # Raw walks have no planes and no bounded cap: one key per release.
+            effective = step.n_planes if cap is None else min(cap, step.n_planes)
             if effective not in shared:
                 released = (release_at(state, step, cap) if generalize
                             else state.prefix(step.n_accumulated))
-                query = (apply_transform(released, step.transform)
-                         if len(released) else released)
-                q_value = None
-                if len(released) and len(accumulated):
-                    q_value = qos(released, accumulated, config.qos_alpha,
-                                  config.qos_beta, config.qos_symmetric)
-                shared[effective] = (*_infer_or_abstain(ensemble, query, config),
-                                     q_value)
+                shared[effective] = _outcome(ensemble, config, released, accumulated,
+                                             step.transform)
             hyp_label, hyp_centroid, abstained, q_value = shared[effective]
             trials.append(
                 TrialRecord(
@@ -397,11 +404,8 @@ def run_experiment(config: ExperimentConfig):
     tasks = [(kind, radius, sample) for kind in config.resolved_kinds()
              for radius in config.resolved_radii()
              for sample in range(config.resolved_samples())]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda t: run_task(*t), tasks))
-    else:
-        results = [run_task(*t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        results = list(pool.map(lambda t: run_task(*t), tasks))
 
     by_cell: dict[tuple, list[TrialRecord]] = {}
     for (kind, radius, _sample), trial_list in zip(tasks, results):

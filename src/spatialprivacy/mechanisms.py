@@ -17,7 +17,6 @@ release emitted under any plane cap.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +41,6 @@ __all__ = [
     "release_sequence",
     "subsume",
 ]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -85,21 +82,17 @@ class Plane:
 
 @dataclass(frozen=True)
 class ReleasePolicy:
-    """How a space is revealed: ball radius, release count, walk step."""
+    """How a space is revealed: the ball radius and the release count. The
+    walk's next center is a point within one radius of the current one."""
 
     radius: float
     num_releases: int = 1
-    walk_step_max: float | None = None
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.num_releases < 1:
             raise ValueError("num_releases must be >= 1")
-
-    @property
-    def step(self) -> float:
-        return self.walk_step_max if self.walk_step_max is not None else self.radius
 
 
 def _fit_plane_lsq(positions: np.ndarray, guide_normal: np.ndarray):
@@ -164,14 +157,6 @@ def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
     return planes, pool
 
 
-def _eligible_mask(cloud: PointCloud) -> np.ndarray:
-    if not cloud.has_normals:
-        raise ValueError("cloud has no normals; run estimate_normals first")
-    if cloud.reliable is None:
-        return np.ones(len(cloud), dtype=bool)
-    return cloud.reliable.copy()
-
-
 def ransac_planes(cloud: PointCloud, params: GeneralizationParams = GeneralizationParams(),
                   seed=0) -> list[Plane]:
     """Greedy plane extraction over the whole cloud; deterministic per seed.
@@ -180,10 +165,11 @@ def ransac_planes(cloud: PointCloud, params: GeneralizationParams = Generalizati
     """
     if len(cloud) == 0:
         return []
+    if not cloud.has_normals:
+        raise ValueError("cloud has no normals; run estimate_normals first")
     rng = np.random.default_rng(seed)
-    eligible = _eligible_mask(cloud)
     planes, _ = _greedy_extract(
-        cloud.positions, cloud.normals, eligible,
+        cloud.positions, cloud.normals, cloud.reliable,
         np.arange(len(cloud)), params, rng, start_seq=0,
     )
     return planes
@@ -251,9 +237,7 @@ class ReleaseState:
             raise ValueError("new points need normals")
         self.positions = np.vstack([self.positions, points.positions])
         self.normals = np.vstack([self.normals, points.normals])
-        reliable = (points.reliable if points.reliable is not None
-                    else np.ones(len(points), dtype=bool))
-        self.reliable = np.concatenate([self.reliable, reliable])
+        self.reliable = np.concatenate([self.reliable, points.reliable])
         self.assignment = np.concatenate(
             [self.assignment, np.full(len(points), -1, dtype=np.intp)]
         )
@@ -377,11 +361,7 @@ def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
                 n_accumulated=len(state),
             )
         )
-        # Random-walk user movement: next center uniform over nearby points.
-        nearby = index.ball(center, policy.step)
-        if len(nearby) == 0:
-            log.warning("no points within walk step of current center; restarting walk")
-            center_idx = int(rng.integers(len(space)))
-        else:
-            center_idx = int(nearby[rng.integers(len(nearby))])
+        # Random-walk user movement: the next center is uniform over the ball,
+        # which always holds the current center itself.
+        center_idx = int(ball[rng.integers(len(ball))])
     return steps, state

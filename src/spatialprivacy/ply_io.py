@@ -160,9 +160,7 @@ def save_ply(cloud: PointCloud, path, format: str = "binary_little_endian") -> N
     pos = cloud.positions.astype("<f4")
     has_normals = cloud.normals is not None
     if has_normals:
-        nrm = cloud.normals.astype("<f4")
-        if cloud.reliable is not None:
-            nrm = np.where(cloud.reliable[:, None], nrm, np.float32(0.0))
+        nrm = np.where(cloud.reliable[:, None], cloud.normals.astype("<f4"), np.float32(0.0))
     header = ["ply", f"format {format} 1.0", f"element vertex {len(cloud)}"]
     header += [f"property float {n}" for n in ("x", "y", "z")]
     if has_normals:

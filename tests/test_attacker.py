@@ -401,6 +401,11 @@ class TestBuildReference:
         version = (2).to_bytes(4, "little")
         bad = [data[:cut] for cut in range(len(data))]
         bad += [data + b"\0", b"XXXX" + data[4:], data[:4] + version + data[8:]]
+        # No labels; a label with no variants; the entry of label "a" twice.
+        zero, one, two = (n.to_bytes(4, "little") for n in (0, 1, 2))
+        save_ensemble(ReferenceEnsemble({"a": [toy_space(descs, "a")]}), path)
+        entry_a = path.read_bytes()[12:]
+        bad += [data[:8] + zero, data[:8] + one + zero, data[:8] + two + entry_a + entry_a]
         for blob in bad:
             path.write_bytes(blob)
             with pytest.raises(CacheFormatError):

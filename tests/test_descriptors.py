@@ -366,6 +366,10 @@ class TestCache:
         version = (2).to_bytes(4, "little")
         bad = [data[:cut] for cut in range(len(data))]
         bad += [data + b"\0", b"XXXX" + data[4:], data[:4] + version + data[8:]]
+        # The indices array stores shape (3,) for its 2 values: magic, version,
+        # label length, "cut", bin size and width, then ndim and size.
+        shape_at = 4 + 4 + 4 + 3 + 12 + 5
+        bad.append(data[:shape_at] + (3).to_bytes(4, "little") + data[shape_at + 4:])
         for blob in bad:
             path.write_bytes(blob)
             with pytest.raises(CacheFormatError):

@@ -1,6 +1,7 @@
 """Experiment harness: configs, determinism, cells, reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,8 +59,26 @@ class TestConfig:
         assert cons.resolved_caps() == tuple(range(1, 30, 2))
         assert cons.resolved_kinds() == ("generalized",)
 
+    def test_set_fields_win_over_the_preset(self):
+        succ = ExperimentConfig(mode="successive", max_planes=(1, 3), samples=2)
+        assert succ.resolved_caps() == (1, 3)
+        assert succ.resolved_samples() == 2
+        cons = ExperimentConfig(mode="conservative", kinds=("raw",), max_planes=(None,))
+        assert cons.resolved_kinds() == ("raw",)
+        assert ExperimentConfig(mode="one-time", releases=1).resolved_releases() == 1
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(mode="conservative", kinds=("raw",)), "caps"),
+        (dict(mode="successive", kinds=("raw", "generalized"), max_planes=(1, 3)), "caps"),
+        (dict(mode="one-time", kinds=("generalized",), max_planes=(2,)), "caps"),
+        (dict(mode="one-time", releases=5), "1 release"),
+    ], ids=["conservative-raw", "successive-raw-caps", "one-time-caps", "one-time-releases"])
+    def test_contradictory_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**fields)
+
     def test_json_round_trip(self, tmp_path):
-        cfg = tiny_config(mode="conservative", max_planes=(1, 3), releases=4)
+        cfg = tiny_config(mode="conservative", max_planes=(1, 3), releases=4, kinds=None)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg.to_dict()))
         loaded = ExperimentConfig.from_json(path)
@@ -161,6 +180,14 @@ class TestRunExperiment:
             (c.radius, c.release_idx, c.pi1, c.pi2, c.q, c.n_trials)
             for c in only3
         ]
+
+    def test_successive_with_caps_is_conservative(self):
+        sweep = dict(radii=(0.8,), samples=2, releases=3, max_planes=(1, 3), kinds=None)
+        succ = run_experiment(tiny_config(mode="successive", **sweep))[0]
+        cons = run_experiment(tiny_config(mode="conservative", **sweep))[0]
+        assert {c.mode for c in succ} == {"successive-gen"}
+        assert {c.max_planes for c in succ} == {1, 3}
+        assert [replace(c, mode="conservative-gen") for c in succ] == cons
 
     def test_conservative_q_monotone_in_cap_per_release(self):
         cells, trials = run_experiment(
