@@ -1,14 +1,14 @@
 """Two-level spatial inference from descriptor matching.
 
-The adversary holds a reference ensemble: per known space, the descriptor
-sets of the raw capture plus one or more plane-generalized variants, pooled
-per label. Inference runs in two stages. Inter-space matching 2-nn matches
-every query descriptor against each label's pool, scores the label by
-``(1 - mean kept NNDR) * kept_fraction``, and picks the argmax. Intra-space
-matching then keeps only geometrically consistent keypoint pairs (pairwise
-distances and internal angles of the matched complete graphs must agree) and
-reports the centroid of the surviving reference keypoints as the location
-hypothesis.
+The adversary holds a reference ensemble: per known space, one pool stacking
+the descriptors of the raw capture and one or more plane-generalized variants,
+and the spin-image settings that built them, which describe every query too.
+Inference runs in two stages. Inter-space matching 2-nn matches every query
+descriptor against each label's pool, scores the label by ``(1 - mean kept
+NNDR) * kept_fraction``, and picks the argmax. Intra-space matching then keeps
+only geometrically consistent keypoint pairs (pairwise distances and internal
+angles of the matched complete graphs must agree) and reports the centroid of
+the surviving reference keypoints as the location hypothesis.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ from .descriptors import (
     DescribedSpace,
     SpinParams,
     _cache_reader,
-    _dump_described,
-    _load_described,
     _read,
+    _read_array,
+    _read_text,
+    _write_array,
+    _write_text,
     describe,
 )
 from .geometry import PointCloud, knn_bruteforce
@@ -65,28 +67,28 @@ class _LabelPool:
 
 
 class ReferenceEnsemble:
-    """Per-label descriptor databases over raw + generalized variants.
+    """Per-label descriptor pools and the spin-image settings that built them.
 
-    Each label's pool caches its descriptors' squared norms, which every
-    query's ``knn_bruteforce`` against that pool would otherwise recompute.
+    Each label's pool stacks the descriptors and keypoint positions of its
+    raw and generalized variants and caches the descriptors' squared norms,
+    which every query's ``knn_bruteforce`` would otherwise recompute.
+    :func:`infer` describes queries with ``params`` and ``factor``.
     Immutable after construction; concurrent matching against it is safe.
     """
 
-    def __init__(self, variants_by_label: dict[str, list[DescribedSpace]]):
-        if not variants_by_label:
-            raise ValueError("ensemble needs at least one label")
-        for label, variants in variants_by_label.items():
-            if not variants:
-                raise ValueError(f"label {label!r} has no variants")
-        self.variants_by_label = dict(variants_by_label)
-        self.labels = list(variants_by_label.keys())
-        self._pools = {
-            label: _LabelPool(
-                np.vstack([v.descriptors for v in variants]),
-                np.vstack([v.positions for v in variants]),
-            )
-            for label, variants in variants_by_label.items()
-        }
+    def __init__(self, pools: dict[str, tuple[np.ndarray, np.ndarray]],
+                 params: SpinParams, factor: int):
+        if not pools or factor < 1:
+            raise ValueError("ensemble needs at least one label and a factor >= 1")
+        for label, (descriptors, positions) in pools.items():
+            if (descriptors.shape[1:] != (params.length,) or len(descriptors) == 0
+                    or positions.shape != (len(descriptors), 3)):
+                raise ValueError(f"label {label!r} has {descriptors.shape} descriptors and "
+                                 f"{positions.shape} positions for width {params.length}")
+        self.labels = list(pools)
+        self.params = params
+        self.factor = factor
+        self._pools = {label: _LabelPool(*arrays) for label, arrays in pools.items()}
 
     def pool(self, label: str) -> _LabelPool:
         return self._pools[label]
@@ -161,10 +163,14 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     """Score every reference label against the query; argmax wins.
 
     Ties go to the label that comes first in ensemble order. A label whose
-    pool has fewer than two descriptors scores zero.
+    pool has fewer than two descriptors scores zero. The query must be
+    described with the ensemble's spin-image settings.
     """
     if len(query) == 0:
         raise ValueError("query has no descriptors")
+    if query.params != ensemble.params:
+        raise ValueError(f"query described with {query.params}, "
+                         f"ensemble with {ensemble.params}")
     scores: dict[str, float] = {}
     pairs: dict[str, MatchedPairs] = {}
     for label in ensemble.labels:
@@ -225,10 +231,10 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
 
 
 def infer(ensemble: ReferenceEnsemble, query: PointCloud,
-          desc_params: SpinParams = SpinParams(), factor: int = 5,
           params: AttackParams = AttackParams()) -> Hypothesis:
-    """Full two-level inference for one query cloud."""
-    described = describe(query, desc_params, factor)
+    """Full two-level inference for one query cloud, described with the
+    ensemble's spin-image settings and keypoint factor."""
+    described = describe(query, ensemble.params, ensemble.factor)
     inter = match_inter(ensemble, described, params)
     matched = inter.pairs[inter.winner]
     pool = ensemble.pool(inter.winner)
@@ -256,59 +262,59 @@ def build_reference(
     position in the list, and the variant index, so rebuilding yields an
     identical ensemble. Optionally writes the cache file.
     """
-    variants_by_label: dict[str, list[DescribedSpace]] = {}
+    pools: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for space_idx, space in enumerate(spaces):
         label = space.label
         if label is None:
             raise ValueError("every reference space needs a label")
-        if label in variants_by_label:
+        if label in pools:
             raise ValueError(f"duplicate space label {label!r}")
-        variants = [describe(space, desc_params, factor, label=label)]
+        variants = [describe(space, desc_params, factor)]
         for v_idx, gen in enumerate(variant_params):
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(space_idx, v_idx))
             )
             planes = ransac_planes(space, gen, rng)
             generalized = project_to_planes(space, planes)
-            variants.append(describe(generalized, desc_params, factor, label=label))
-        variants_by_label[label] = variants
-    ensemble = ReferenceEnsemble(variants_by_label)
+            variants.append(describe(generalized, desc_params, factor))
+        pools[label] = (np.vstack([v.descriptors for v in variants]),
+                        np.vstack([v.positions for v in variants]))
+    ensemble = ReferenceEnsemble(pools, desc_params, factor)
     if cache_path is not None:
         save_ensemble(ensemble, cache_path)
     return ensemble
 
 
 _ENSEMBLE_MAGIC = b"SPEN"
-_ENSEMBLE_VERSION = 1
+_ENSEMBLE_VERSION = 2
 
 
 def save_ensemble(ensemble: ReferenceEnsemble, path) -> None:
+    """Write the magic, version, bin size, image width, factor and label
+    count, then per label its name, descriptors and positions."""
+    params = ensemble.params
     with open(path, "wb") as fh:
         fh.write(_ENSEMBLE_MAGIC)
-        fh.write(struct.pack("<II", _ENSEMBLE_VERSION, len(ensemble.labels)))
+        fh.write(struct.pack("<IdIII", _ENSEMBLE_VERSION, params.bin_size,
+                             params.image_width, ensemble.factor, len(ensemble.labels)))
         for label in ensemble.labels:
-            variants = ensemble.variants_by_label[label]
-            fh.write(struct.pack("<I", len(variants)))
-            for variant in variants:
-                _dump_described(variant, fh)
+            _write_text(fh, label)
+            _write_array(fh, ensemble.pool(label).descriptors, "<f8")
+            _write_array(fh, ensemble.pool(label).positions, "<f8")
 
 
 def load_ensemble(path) -> ReferenceEnsemble:
-    with _cache_reader(path) as fh:
-        if _read(fh, 4) != _ENSEMBLE_MAGIC:
-            raise CacheFormatError("not an ensemble cache file")
-        version, n_labels = struct.unpack("<II", _read(fh, 8))
-        if version != _ENSEMBLE_VERSION:
-            raise CacheFormatError(f"unsupported ensemble cache version {version}")
-        if n_labels == 0:
-            raise CacheFormatError("ensemble cache holds no labels")
-        variants_by_label: dict[str, list[DescribedSpace]] = {}
-        for _ in range(n_labels):
-            (n_variants,) = struct.unpack("<I", _read(fh, 4))
-            if n_variants == 0:
-                raise CacheFormatError("ensemble cache has a label with no variants")
-            variants = [_load_described(fh) for _ in range(n_variants)]
-            if variants[0].label in variants_by_label:
-                raise CacheFormatError(f"ensemble cache repeats label {variants[0].label!r}")
-            variants_by_label[variants[0].label] = variants
-    return ReferenceEnsemble(variants_by_label)
+    """The ensemble :func:`save_ensemble` wrote; a malformed or inconsistent
+    file raises :class:`CacheFormatError`."""
+    try:
+        with _cache_reader(path, _ENSEMBLE_MAGIC, _ENSEMBLE_VERSION) as fh:
+            bin_size, width, factor, n_labels = struct.unpack("<dIII", _read(fh, 20))
+            pools: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+            for _ in range(n_labels):
+                label = _read_text(fh)
+                if label in pools:
+                    raise CacheFormatError(f"repeated label {label!r}")
+                pools[label] = (_read_array(fh, "<f8"), _read_array(fh, "<f8"))
+            return ReferenceEnsemble(pools, SpinParams(bin_size, width), factor)
+    except ValueError as err:
+        raise CacheFormatError(f"ensemble cache: {err}") from err

@@ -26,10 +26,6 @@ from .ply_io import save_ply
 from .synthetic import default_space_specs, generate_space
 
 
-def _spin_params(args) -> SpinParams:
-    return SpinParams(bin_size=args.bin_size, image_width=args.image_width)
-
-
 def _gen_params(args) -> GeneralizationParams:
     return GeneralizationParams(
         dist_eps=args.dist_eps,
@@ -52,7 +48,7 @@ def cmd_gen(args) -> int:
 
 def cmd_describe(args) -> int:
     cloud = load_cloud(args.cloud, args.normals_k)
-    space = describe(cloud, _spin_params(args), args.factor)
+    space = describe(cloud, SpinParams(args.bin_size, args.image_width), args.factor)
     save_described(space, args.out)
     print(f"wrote {args.out} ({len(space)} keypoint descriptors)")
     return 0
@@ -67,7 +63,7 @@ def cmd_reference(args) -> int:
     build_reference(
         spaces,
         variant_params=(_gen_params(args),) * args.variants,
-        desc_params=_spin_params(args),
+        desc_params=SpinParams(args.bin_size, args.image_width),
         factor=args.factor,
         seed=args.seed,
         cache_path=args.out,
@@ -79,10 +75,7 @@ def cmd_reference(args) -> int:
 def cmd_infer(args) -> int:
     ensemble = load_ensemble(args.ensemble)
     query = load_cloud(args.query, args.normals_k)
-    hyp = infer(
-        ensemble, query, _spin_params(args), args.factor,
-        AttackParams(strict_nndr=args.strict),
-    )
+    hyp = infer(ensemble, query, AttackParams(strict_nndr=args.strict))
     payload = {
         "label": hyp.label,
         "centroid": None if hyp.centroid is None else [float(v) for v in hyp.centroid],
@@ -135,7 +128,11 @@ def cmd_release(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = ExperimentConfig.from_json(args.config)
+    try:
+        config = ExperimentConfig.from_json(args.config)
+    except ValueError as err:
+        print(f"spatialprivacy run: {err}", file=sys.stderr)
+        return 2
     cells, trials = run_experiment(config)
     out = Path(args.out)
     paths = report(cells, out)
@@ -161,6 +158,10 @@ def _add_descriptor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bin-size", type=float, default=0.10, dest="bin_size")
     p.add_argument("--image-width", type=int, default=8, dest="image_width")
     p.add_argument("--factor", type=int, default=5)
+    _add_normals_arg(p)
+
+
+def _add_normals_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--normals-k", type=int, default=12, dest="normals_k")
 
 
@@ -206,13 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generalization_args(p)
     p.set_defaults(func=cmd_reference)
 
-    p = sub.add_parser("infer", help="run two-level inference for one query")
+    p = sub.add_parser("infer", help="run two-level inference for one query, "
+                       "described with the ensemble's spin-image settings and factor")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--out")
     p.add_argument("--strict", action="store_true",
                    help="apply the strict NNDR pre-filter")
-    _add_descriptor_args(p)
+    _add_normals_arg(p)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("release", help="apply a privacy mechanism to a cloud")
@@ -225,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-planes", type=int, default=None, dest="max_planes")
     p.add_argument("--manifest", help="write a JSON manifest of the release sequence")
     p.add_argument("--seed", type=int, default=0)
-    _add_descriptor_args(p)
+    _add_normals_arg(p)
     _add_generalization_args(p)
     p.set_defaults(func=cmd_release)
 

@@ -45,8 +45,8 @@ class UnusableSpaceError(ValueError):
 
 
 class CacheFormatError(ValueError):
-    """A cache file has the wrong magic or version, is cut short, or has
-    bytes after its end."""
+    """A cache file has the wrong magic or version, is cut short, has bytes
+    after its end, or holds values that do not fit together."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,6 @@ def describe(
     cloud: PointCloud,
     params: SpinParams = SpinParams(),
     factor: int = 5,
-    label: str | None = None,
 ) -> DescribedSpace:
     """Select keypoints and compute their unit descriptors.
 
@@ -176,7 +175,7 @@ def describe(
     # Each row's h @ h is the dot product np.linalg.norm takes of one vector.
     norms = np.sqrt(hist[:, None, :] @ hist[:, :, None])[:, 0]
     return DescribedSpace(
-        label=label if label is not None else (cloud.label or ""),
+        label=cloud.label or "",
         indices=keys.astype(np.int64),
         positions=positions,
         normals=normals,
@@ -214,52 +213,53 @@ def _read_array(fh, dtype: str) -> np.ndarray:
 
 
 @contextmanager
-def _cache_reader(path):
-    """The open cache file; it must end where the reading ends."""
+def _cache_reader(path, magic: bytes, version: int):
+    """The open cache file past its magic and version, which must be the
+    given ones; it must end where the reading ends."""
     with open(path, "rb") as fh:
+        if _read(fh, 4) != magic:
+            raise CacheFormatError(f"cache file does not start with {magic!r}")
+        (found,) = struct.unpack("<I", _read(fh, 4))
+        if found != version:
+            raise CacheFormatError(f"unsupported {magic!r} cache version {found}")
         yield fh
         if fh.read(1):
             raise CacheFormatError("cache file has bytes after its end")
 
 
+def _write_text(fh, text: str) -> None:
+    data = text.encode("utf-8")
+    fh.write(struct.pack("<I", len(data)))
+    fh.write(data)
+
+
+def _read_text(fh) -> str:
+    (size,) = struct.unpack("<I", _read(fh, 4))
+    return _read(fh, size).decode("utf-8")
+
+
 def save_described(space: DescribedSpace, path) -> None:
     """Write a described space to a little-endian binary cache file."""
     with open(path, "wb") as fh:
-        _dump_described(space, fh)
-
-
-def _dump_described(space: DescribedSpace, fh) -> None:
-    fh.write(_CACHE_MAGIC)
-    fh.write(struct.pack("<I", _CACHE_VERSION))
-    label = space.label.encode("utf-8")
-    fh.write(struct.pack("<I", len(label)))
-    fh.write(label)
-    fh.write(struct.pack("<dI", space.params.bin_size, space.params.image_width))
-    _write_array(fh, space.indices, "<i8")
-    _write_array(fh, space.positions, "<f8")
-    _write_array(fh, space.normals, "<f8")
-    _write_array(fh, space.descriptors, "<f8")
+        fh.write(_CACHE_MAGIC)
+        fh.write(struct.pack("<I", _CACHE_VERSION))
+        _write_text(fh, space.label)
+        fh.write(struct.pack("<dI", space.params.bin_size, space.params.image_width))
+        _write_array(fh, space.indices, "<i8")
+        _write_array(fh, space.positions, "<f8")
+        _write_array(fh, space.normals, "<f8")
+        _write_array(fh, space.descriptors, "<f8")
 
 
 def load_described(path) -> DescribedSpace:
-    with _cache_reader(path) as fh:
-        return _load_described(fh)
-
-
-def _load_described(fh) -> DescribedSpace:
-    if _read(fh, 4) != _CACHE_MAGIC:
-        raise CacheFormatError("not a descriptor cache file")
-    (version,) = struct.unpack("<I", _read(fh, 4))
-    if version != _CACHE_VERSION:
-        raise CacheFormatError(f"unsupported descriptor cache version {version}")
-    (label_len,) = struct.unpack("<I", _read(fh, 4))
-    label = _read(fh, label_len).decode("utf-8")
-    bin_size, image_width = struct.unpack("<dI", _read(fh, 12))
-    return DescribedSpace(
-        label=label,
-        indices=_read_array(fh, "<i8"),
-        positions=_read_array(fh, "<f8"),
-        normals=_read_array(fh, "<f8"),
-        descriptors=_read_array(fh, "<f8"),
-        params=SpinParams(bin_size, image_width),
-    )
+    with _cache_reader(path, _CACHE_MAGIC, _CACHE_VERSION) as fh:
+        label = _read_text(fh)
+        bin_size, image_width = struct.unpack("<dI", _read(fh, 12))
+        return DescribedSpace(
+            label=label,
+            indices=_read_array(fh, "<i8"),
+            positions=_read_array(fh, "<f8"),
+            normals=_read_array(fh, "<f8"),
+            descriptors=_read_array(fh, "<f8"),
+            params=SpinParams(bin_size, image_width),
+        )

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,13 @@ class DatasetSpec:
     noise_sigma: float = 0.0
     seed: int = 0
     normals_k: int = 12          # for PLY files lacking normals
+
+
+def _known_fields(klass, data: dict, where: str) -> dict:
+    unknown = set(data) - {f.name for f in fields(klass)}
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
+        """The config a JSON object describes; unknown keys raise ``ValueError``."""
+        data = _known_fields(cls, data, "config")
         for key, klass in (
             ("dataset", DatasetSpec),
             ("descriptor", SpinParams),
@@ -167,7 +175,7 @@ class ExperimentConfig:
             ("attack", AttackParams),
         ):
             if key in data and isinstance(data[key], dict):
-                data[key] = klass(**data[key])
+                data[key] = klass(**_known_fields(klass, data[key], key))
         for key in ("radii", "kinds"):
             if data.get(key) is not None:
                 data[key] = tuple(data[key])
@@ -246,7 +254,7 @@ def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
     hypothesis must sit on their centroid to within 1e-6.
     """
     for label, space in spaces.items():
-        hyp = infer(ensemble, space, config.descriptor, config.factor, config.attack)
+        hyp = infer(ensemble, space, config.attack)
         if hyp.label != label:
             raise RuntimeError(
                 f"self-query check failed: {label!r} classified as {hyp.label!r}"
@@ -277,7 +285,7 @@ def _infer_or_abstain(ensemble, query, config) -> tuple[str | None, np.ndarray |
     if len(query) == 0:
         return None, None, True
     try:
-        hyp = infer(ensemble, query, config.descriptor, config.factor, config.attack)
+        hyp = infer(ensemble, query, config.attack)
     except UnusableSpaceError:
         return None, None, True
     return hyp.label, hyp.centroid, hyp.abstained

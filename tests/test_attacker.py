@@ -1,5 +1,7 @@
 """Two-level matcher: scoring, pair uniqueness, geometric check, inference."""
 
+import io
+import struct
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,8 @@ from spatialprivacy.descriptors import (
     CacheFormatError,
     DescribedSpace,
     SpinParams,
+    _write_array,
+    _write_text,
     describe,
 )
 from spatialprivacy.geometry import (
@@ -29,6 +33,7 @@ from spatialprivacy.geometry import (
     extract_partial,
     random_rigid_transform,
 )
+from spatialprivacy.mechanisms import GeneralizationParams, project_to_planes, ransac_planes
 from spatialprivacy.synthetic import SyntheticSpaceSpec, generate_space
 
 
@@ -133,10 +138,10 @@ class TestMatchInter:
             assert 0.0 <= s <= 1.0
 
     def test_tie_goes_to_first_label(self):
-        descs = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
-        a = toy_space(descs, "a")
-        b = toy_space(descs, "b")
-        ensemble = ReferenceEnsemble({"a": [a], "b": [b]})
+        descs = np.zeros((3, SpinParams().length))
+        descs[:, :2] = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
+        pool = (descs, np.zeros((3, 3)))
+        ensemble = ReferenceEnsemble({"a": pool, "b": pool}, SpinParams(), 5)
         result = match_inter(ensemble, toy_space(descs[:2], "q"))
         assert result.scores["a"] == result.scores["b"]
         assert result.winner == "a"
@@ -144,6 +149,11 @@ class TestMatchInter:
     def test_empty_query_rejected(self, mini_ensemble):
         with pytest.raises(ValueError):
             match_inter(mini_ensemble, toy_space(np.zeros((0, 2))))
+
+    def test_query_with_other_binning_rejected(self, mini_spaces, mini_ensemble):
+        query = describe(mini_spaces[1], SpinParams(bin_size=0.3))
+        with pytest.raises(ValueError, match="ensemble with"):
+            match_inter(mini_ensemble, query)
 
     def test_rigid_invariance_of_scores(self, mini_spaces, mini_ensemble, rng):
         part = extract_partial(mini_spaces[0], mini_spaces[0].positions[100], 1.5)
@@ -352,24 +362,60 @@ class TestInfer:
         assert np.array_equal(hyp.query.positions, fresh.positions)
         assert np.array_equal(hyp.query.descriptors, fresh.descriptors)
 
+    def test_query_described_with_the_ensemble_settings(self, mini_spaces):
+        params = SpinParams(bin_size=0.3, image_width=6)
+        ensemble = build_reference(mini_spaces[:2], variant_params=(),
+                                   desc_params=params, factor=7)
+        hyp = infer(ensemble, mini_spaces[1])
+        assert np.array_equal(hyp.query.indices,
+                              describe(mini_spaces[1], params, 7).indices)
+        assert hyp.query.params == params
+        assert hyp.inter.scores["mini1"] == pytest.approx(1.0, abs=1e-9)
+
+
+def described_variants(space, space_idx, seed=0):
+    """The raw and default-generalized descriptions ``build_reference`` stacks."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(space_idx, 0)))
+    generalized = project_to_planes(space, ransac_planes(space, GeneralizationParams(), rng))
+    return describe(space), describe(generalized)
+
+
+def ensemble_file(labels, entries, bin_size=0.1, image_width=2, factor=5, version=2):
+    """A version-2 ensemble file written field by field."""
+    fh = io.BytesIO()
+    fh.write(b"SPEN" + struct.pack("<IdIII", version, bin_size, image_width, factor, labels))
+    for label, descriptors, positions in entries:
+        _write_text(fh, label)
+        _write_array(fh, descriptors, "<f8")
+        _write_array(fh, positions, "<f8")
+    return fh.getvalue()
+
 
 class TestBuildReference:
     def test_variant_bookkeeping(self, mini_spaces, mini_ensemble):
         assert mini_ensemble.labels == ["mini0", "mini1", "mini2"]
-        for label in mini_ensemble.labels:
-            assert len(mini_ensemble.variants_by_label[label]) == 2  # raw + gen
+        assert mini_ensemble.params == SpinParams()
+        assert mini_ensemble.factor == 5
+        for idx, label in enumerate(mini_ensemble.labels):
+            raw, generalized = described_variants(mini_spaces[idx], idx)
+            pool = mini_ensemble.pool(label)
+            assert len(pool.descriptors) == len(raw) + len(generalized)
+            assert len(pool.positions) == len(pool.descriptors)
 
     def test_no_generalized_variants(self, mini_spaces):
-        ensemble = build_reference(mini_spaces[:1] + mini_spaces[1:2],
-                                   variant_params=(), seed=0)
-        for label in ensemble.labels:
-            assert len(ensemble.variants_by_label[label]) == 1
+        ensemble = build_reference(mini_spaces[:2], variant_params=(), seed=0)
+        for space, label in zip(mini_spaces, ensemble.labels):
+            raw = describe(space)
+            assert np.array_equal(ensemble.pool(label).descriptors, raw.descriptors)
+            assert np.array_equal(ensemble.pool(label).positions, raw.positions)
 
-    def test_pool_concatenates_variants(self, mini_ensemble):
-        label = "mini0"
-        variants = mini_ensemble.variants_by_label[label]
-        pool = mini_ensemble.pool(label)
-        assert len(pool.descriptors) == sum(len(v) for v in variants)
+    def test_pool_concatenates_variants(self, mini_spaces, mini_ensemble):
+        raw, generalized = described_variants(mini_spaces[0], 0)
+        pool = mini_ensemble.pool("mini0")
+        assert np.array_equal(pool.descriptors,
+                              np.vstack([raw.descriptors, generalized.descriptors]))
+        assert np.array_equal(pool.positions,
+                              np.vstack([raw.positions, generalized.positions]))
 
     def test_duplicate_labels_rejected(self, mini_spaces):
         with pytest.raises(ValueError):
@@ -378,34 +424,45 @@ class TestBuildReference:
     def test_cache_round_trip_and_rebuild_identical(
         self, tmp_path, mini_spaces
     ):
-        p1, p2 = tmp_path / "e1.spen", tmp_path / "e2.spen"
-        build_reference(mini_spaces, seed=0, cache_path=p1)
-        build_reference(mini_spaces, seed=0, cache_path=p2)
+        params = SpinParams(bin_size=0.15, image_width=6)
+        p1, p2, p3 = (tmp_path / f"e{i}.spen" for i in (1, 2, 3))
+        fresh = build_reference(mini_spaces, desc_params=params, factor=7, seed=0,
+                                cache_path=p1)
+        build_reference(mini_spaces, desc_params=params, factor=7, seed=0, cache_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
         loaded = load_ensemble(p1)
         assert loaded.labels == ["mini0", "mini1", "mini2"]
-        fresh = build_reference(mini_spaces, seed=0)
+        assert loaded.params == params
+        assert loaded.factor == 7
         for label in fresh.labels:
-            assert np.array_equal(
-                loaded.pool(label).descriptors, fresh.pool(label).descriptors
-            )
+            for name in ("descriptors", "positions", "sq_norms"):
+                assert np.array_equal(getattr(loaded.pool(label), name),
+                                      getattr(fresh.pool(label), name))
+        save_ensemble(loaded, p3)
+        assert p3.read_bytes() == p1.read_bytes()
 
     def test_every_malformed_file_raises_cache_format_error(self, tmp_path):
-        descs = np.array([[0.0, 1.0], [1.0, 0.0], [0.6, 0.8]])
-        ensemble = ReferenceEnsemble(
-            {"a": [toy_space(descs, "a")], "b": [toy_space(descs[::-1], "b")] * 2}
-        )
+        d8 = np.arange(24, dtype=float).reshape(3, 8)
+        pos = np.ones((3, 3))
+        entries = [("a", d8, pos), ("b", d8[:2], pos[:2])]
         path = tmp_path / "e.spen"
-        save_ensemble(ensemble, path)
-        data = path.read_bytes()
-        version = (2).to_bytes(4, "little")
+        data = ensemble_file(2, entries)
+        save_ensemble(ReferenceEnsemble({"a": (d8, pos), "b": (d8[:2], pos[:2])},
+                                        SpinParams(image_width=2), 5), path)
+        assert path.read_bytes() == data
         bad = [data[:cut] for cut in range(len(data))]
-        bad += [data + b"\0", b"XXXX" + data[4:], data[:4] + version + data[8:]]
-        # No labels; a label with no variants; the entry of label "a" twice.
-        zero, one, two = (n.to_bytes(4, "little") for n in (0, 1, 2))
-        save_ensemble(ReferenceEnsemble({"a": [toy_space(descs, "a")]}), path)
-        entry_a = path.read_bytes()[12:]
-        bad += [data[:8] + zero, data[:8] + one + zero, data[:8] + two + entry_a + entry_a]
+        bad += [data + b"\0", b"XXXX" + data[4:],
+                ensemble_file(2, entries, version=1), ensemble_file(2, entries, version=3)]
+        bad += [
+            ensemble_file(0, []),
+            ensemble_file(2, [entries[0], entries[0]]),
+            ensemble_file(1, [("a", d8[:0], pos[:0])]),
+            ensemble_file(1, [("a", d8[:, :4], pos)]),
+            ensemble_file(1, [("a", d8, pos[:2])]),
+            ensemble_file(1, [("abc", d8, pos)]).replace(b"abc", b"\xff\xfe\xfd", 1),
+            ensemble_file(2, entries, bin_size=0.0),
+            ensemble_file(2, entries, bin_size=-0.1),
+        ]
         for blob in bad:
             path.write_bytes(blob)
             with pytest.raises(CacheFormatError):

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from spatialprivacy.attacker import build_reference, load_ensemble
 from spatialprivacy.cli import main
-from spatialprivacy.descriptors import load_described
-from spatialprivacy.attacker import load_ensemble
+from spatialprivacy.descriptors import SpinParams, load_described
+from spatialprivacy.harness import load_cloud
 from spatialprivacy.ply_io import load_ply
 
 
@@ -51,10 +52,17 @@ def ensemble_path(space_dir, tmp_path_factory):
     return path
 
 
-def test_reference_builds_ensemble(ensemble_path):
+def test_reference_builds_ensemble(space_dir, ensemble_path):
     ensemble = load_ensemble(ensemble_path)
     assert ensemble.labels == ["space0", "space1"]
-    assert all(len(v) == 2 for v in ensemble.variants_by_label.values())
+    assert ensemble.params == SpinParams()
+    assert ensemble.factor == 5
+    spaces = [load_cloud(p, 12) for p in sorted(space_dir.glob("*.ply"))]
+    built = build_reference(spaces, seed=0)
+    for label in built.labels:
+        assert np.array_equal(ensemble.pool(label).descriptors,
+                              built.pool(label).descriptors)
+        assert np.array_equal(ensemble.pool(label).positions, built.pool(label).positions)
 
 
 def test_infer_self_query(space_dir, ensemble_path, tmp_path):
@@ -67,6 +75,17 @@ def test_infer_self_query(space_dir, ensemble_path, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["label"] == "space1"
     assert set(payload["scores"]) == {"space0", "space1"}
+
+
+@pytest.mark.parametrize("command", [
+    ["infer", "--ensemble", "e", "--query", "q"],
+    ["release", "--cloud", "c", "--out", "o"],
+], ids=["infer", "release"])
+@pytest.mark.parametrize("flag", ["--bin-size", "--image-width", "--factor"])
+def test_descriptor_settings_not_accepted(command, flag, capsys):
+    with pytest.raises(SystemExit):
+        main([*command, flag, "4"])
+    assert capsys.readouterr().err.endswith(f"unrecognized arguments: {flag} 4\n")
 
 
 def test_release_generalize(space_dir, tmp_path):
@@ -119,3 +138,19 @@ def test_run_and_report(space_dir, tmp_path):
     assert rc == 0
     assert (rerun / "summary.txt").exists()
     assert (rerun / "metrics.csv").read_bytes() == (out_dir / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("config", [
+    {"mode": "one-time", "walk_step_max": 0.5},
+    {"mode": "one-time", "releases": 2},
+], ids=["unknown-key", "rejected-combination"])
+def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("spatialprivacy run: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

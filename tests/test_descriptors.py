@@ -332,7 +332,7 @@ class TestDescribe:
 
 class TestCache:
     def test_round_trip_bit_identical(self, tmp_path, random_cloud):
-        space = describe(random_cloud, P, 5, label="roundtrip")
+        space = describe(random_cloud.with_label("roundtrip"), P, 5)
         path = tmp_path / "space.spdc"
         save_described(space, path)
         loaded = load_described(path)

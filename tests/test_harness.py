@@ -109,6 +109,17 @@ class TestConfig:
         )
         assert cfg.resolved_caps() == (1, None)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"walk_step_max": 0.5}, "unknown config key.*walk_step_max"),
+        ({"dataset": {"count": 2, "denisty": 9}}, "unknown dataset key.*denisty"),
+        ({"descriptor": {"width": 4}}, "unknown descriptor key.*width"),
+        ({"generalization": {"eps": 0.1}}, "unknown generalization key.*eps"),
+        ({"attack": {"t3": 0.5, "t0": 1}}, "unknown attack key.*t0, t3"),
+    ], ids=["top-level", "dataset", "descriptor", "generalization", "attack"])
+    def test_unknown_keys_rejected_by_name(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
+
 
 class TestDatasets:
     def test_synthetic_dataset_labels(self):
