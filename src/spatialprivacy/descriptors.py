@@ -63,7 +63,7 @@ class SpinParams:
     image_width: int = 8
 
     def __post_init__(self):
-        if self.bin_size <= 0:
+        if not self.bin_size > 0:
             raise ValueError("bin_size must be positive")
         if self.image_width < 2:
             raise ValueError("image_width must be >= 2")
@@ -252,14 +252,26 @@ def save_described(space: DescribedSpace, path) -> None:
 
 
 def load_described(path) -> DescribedSpace:
-    with _cache_reader(path, _CACHE_MAGIC, _CACHE_VERSION) as fh:
-        label = _read_text(fh)
-        bin_size, image_width = struct.unpack("<dI", _read(fh, 12))
-        return DescribedSpace(
-            label=label,
-            indices=_read_array(fh, "<i8"),
-            positions=_read_array(fh, "<f8"),
-            normals=_read_array(fh, "<f8"),
-            descriptors=_read_array(fh, "<f8"),
-            params=SpinParams(bin_size, image_width),
-        )
+    """The space :func:`save_described` wrote; a malformed or inconsistent
+    file raises :class:`CacheFormatError`."""
+    try:
+        with _cache_reader(path, _CACHE_MAGIC, _CACHE_VERSION) as fh:
+            label = _read_text(fh)
+            params = SpinParams(*struct.unpack("<dI", _read(fh, 12)))
+            space = DescribedSpace(
+                label=label,
+                indices=_read_array(fh, "<i8"),
+                positions=_read_array(fh, "<f8"),
+                normals=_read_array(fh, "<f8"),
+                descriptors=_read_array(fh, "<f8"),
+                params=params,
+            )
+        m = len(space.indices)
+        shapes = (space.indices.shape, space.positions.shape, space.normals.shape,
+                  space.descriptors.shape)
+        if shapes != ((m,), (m, 3), (m, 3), (m, params.length)):
+            raise CacheFormatError(
+                f"array shapes {shapes} do not fit {m} keypoints of width {params.length}")
+        return space
+    except ValueError as err:
+        raise CacheFormatError(f"descriptor cache: {err}") from err

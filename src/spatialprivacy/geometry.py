@@ -231,7 +231,10 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
     One GEMM per tile ranks each row on ``||r||^2 - 2 q.r``; a rounding bound
     around the row's k-th value keeps every reference that the linear scan
     could place in its top k, and only those survivors get their distance
-    computed directly and sorted.
+    computed directly and sorted. The k smallest keys of a row come from
+    k + 1 min passes over the tile, O((k + 1) * tile) beyond the GEMM; only a
+    row whose (k+1)-th key falls within the bound (a tie may straddle the
+    k-th place) is masked in full to find its survivors.
     """
     references = np.asarray(references, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -254,11 +257,26 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
     block = max(1, (1 << 18) // max(n, k * dim))
     for s in range(0, len(queries), block):
         qb = queries[s:s + block]
-        kb = qb @ references.T
-        kb *= -2.0
+        kb = (-2.0 * qb) @ references.T  # scaling by -2 is exact
         kb += sr
-        kth = np.partition(kb, k - 1, axis=1)[:, k - 1]
-        rows, cols = np.nonzero(kb <= (kth + slack[s:s + block])[:, None])
+        # k argmin passes pick each row's k smallest keys, each pick masked
+        # with +inf; one more min pass gives the (k+1)-th key (+inf if k = n).
+        rows = np.arange(len(kb))
+        picks = np.empty((len(kb), k), dtype=np.intp)
+        keys = np.empty((len(kb), k))
+        for j in range(k):
+            picks[:, j] = kb.argmin(axis=1)
+            keys[:, j] = kb[rows, picks[:, j]]
+            kb[rows, picks[:, j]] = np.inf
+        thr = keys[:, -1] + slack[s:s + block]
+        # A row whose (k+1)-th key exceeds thr keeps exactly its k picks. A
+        # tied row gets its picks back and keeps every key within thr, as
+        # SpatialIndex.query re-resolves a tied row over a ball.
+        tied = kb.min(axis=1) <= thr
+        kb[rows[tied, None], picks[tied]] = keys[tied]
+        tied_rows, tied_cols = np.nonzero(kb[tied] <= thr[tied, None])
+        rows = np.concatenate([np.repeat(rows[~tied], k), rows[tied][tied_rows]])
+        cols = np.concatenate([picks[~tied].ravel(), tied_cols])
         d = np.linalg.norm(qb[rows] - references[cols], axis=1)
         order = np.lexsort((cols, d, rows))
         # Every row keeps at least k survivors; take the first k of each.

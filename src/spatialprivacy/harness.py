@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -82,6 +83,14 @@ class DatasetSpec:
     normals_k: int = 12          # for PLY files lacking normals
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _known_fields(klass, data: dict, where: str) -> dict:
     unknown = set(data) - {f.name for f in fields(klass)}
     if unknown:
@@ -125,20 +134,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in _PRESETS:
             raise ValueError(f"mode must be one of {tuple(_PRESETS)}")
-        if self.kinds is not None:
-            for kind in self.kinds:
-                if kind not in _KINDS:
-                    raise ValueError(f"unknown release kind {kind!r}")
-        # Rejected here, not after the reference is built and a sweep task fails.
-        if self.radii is not None and not all(r > 0 for r in self.radii):
-            raise ValueError("radii must be positive")
-        if self.max_planes is not None and any(c is not None and c < 1
-                                               for c in self.max_planes):
-            raise ValueError("plane caps must be >= 1 (or null for no cap)")
-        for name in ("samples", "releases", "workers"):
+        # Rejected here by name, not as a TypeError from a comparison, and not
+        # after the reference is built and a sweep task fails.
+        for name, least in (("samples", 1), ("releases", 1), ("workers", 1),
+                            ("factor", 1), ("seed", 0), ("variants", 0)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1")
+            if value is None and name in ("samples", "releases"):
+                continue
+            if not _is_int(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, ok, entries in (
+            ("radii", lambda v: _is_real(v) and v > 0, "positive numbers"),
+            ("max_planes", lambda v: v is None or (_is_int(v) and v >= 1),
+             "plane caps >= 1 (integers, or null for no cap)"),
+            ("kinds", lambda v: v in _KINDS, f"release kinds {_KINDS}"),
+        ):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (tuple, list))
+                                          and all(map(ok, value))):
+                raise ValueError(f"{name} must be a list of {entries}, got {value!r}")
         if self.mode == "one-time" and self.resolved_releases() != 1:
             raise ValueError("a one-time config has exactly 1 release")
         if (any(c is not None for c in self.resolved_caps())
@@ -177,11 +191,11 @@ class ExperimentConfig:
             if key in data and isinstance(data[key], dict):
                 data[key] = klass(**_known_fields(klass, data[key], key))
         for key in ("radii", "kinds"):
-            if data.get(key) is not None:
+            if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
-        if data.get("max_planes") is not None:
+        if isinstance(data.get("max_planes"), list):
             data["max_planes"] = tuple(
-                None if v in (None, "inf") else int(v) for v in data["max_planes"]
+                None if v in (None, "inf") else v for v in data["max_planes"]
             )
         return cls(**data)
 

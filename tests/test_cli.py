@@ -143,7 +143,8 @@ def test_run_and_report(space_dir, tmp_path):
 @pytest.mark.parametrize("config", [
     {"mode": "one-time", "walk_step_max": 0.5},
     {"mode": "one-time", "releases": 2},
-], ids=["unknown-key", "rejected-combination"])
+    {"mode": "one-time", "samples": "3"},
+], ids=["unknown-key", "rejected-combination", "wrong-type"])
 def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

@@ -1,6 +1,8 @@
 """Spin-image descriptors: binning, invariance, selection, caching."""
 
+import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -358,18 +360,37 @@ class TestCache:
     def test_every_malformed_file_raises_cache_format_error(self, tmp_path):
         space = DescribedSpace(
             "cut", np.arange(2, dtype=np.int64), np.ones((2, 3)),
-            np.tile([0.0, 0.0, 1.0], (2, 1)), np.full((2, 4), 0.5), P,
+            np.tile([0.0, 0.0, 1.0], (2, 1)), np.full((2, P.length), 0.5), P,
         )
         path = tmp_path / "space.spdc"
         save_described(space, path)
         data = path.read_bytes()
+        assert load_described(path).params == P
         version = (2).to_bytes(4, "little")
         bad = [data[:cut] for cut in range(len(data))]
         bad += [data + b"\0", b"XXXX" + data[4:], data[:4] + version + data[8:]]
         # The indices array stores shape (3,) for its 2 values: magic, version,
         # label length, "cut", bin size and width, then ndim and size.
-        shape_at = 4 + 4 + 4 + 3 + 12 + 5
+        label_at = 4 + 4 + 4
+        params_at = label_at + 3
+        shape_at = params_at + 12 + 5
         bad.append(data[:shape_at] + (3).to_bytes(4, "little") + data[shape_at + 4:])
+        bad.append(data[:label_at] + b"\xffut" + data[params_at:])
+        # A bin size <= 0 or NaN, a width < 2, or one whose descriptor length
+        # is not the stored width.
+        for bin_size, width in ((0.0, W), (-0.1, W), (np.nan, W), (P.bin_size, 1),
+                                (P.bin_size, 0), (P.bin_size, 4)):
+            params = struct.pack("<dI", bin_size, width)
+            bad.append(data[:params_at] + params + data[params_at + 12:])
+        # One array at a time with a row too many or too few, or a wrong width.
+        for field, value in (
+            ("indices", np.arange(1)), ("positions", np.ones((3, 3))),
+            ("normals", np.ones((1, 3))), ("descriptors", np.full((3, P.length), 0.5)),
+            ("descriptors", np.full((2, P.length // 2), 0.5)),
+            ("positions", np.ones((2, 2))), ("indices", np.zeros((2, 1), dtype=np.int64)),
+        ):
+            save_described(replace(space, **{field: value}), path)
+            bad.append(path.read_bytes())
         for blob in bad:
             path.write_bytes(blob)
             with pytest.raises(CacheFormatError):

@@ -283,6 +283,69 @@ class TestKnn:
         dist, idx = knn_bruteforce(refs, np.array([[1.0, 0.0]]), k=2)
         assert list(idx[0]) == [0, 2]
 
+    @staticmethod
+    def _assert_linear_scan(refs, queries, k):
+        dist, idx = knn_bruteforce(refs, queries, k=k)
+        for qi, q in enumerate(np.atleast_2d(queries)):
+            d = np.linalg.norm(refs - q, axis=1)
+            order = np.lexsort((np.arange(len(refs)), d))[:k]
+            assert np.array_equal(idx[qi], order), (k, qi)
+            assert np.array_equal(dist[qi], d[order]), (k, qi)
+
+    def test_bruteforce_near_duplicates_within_the_slack(self):
+        """References a few ulps apart put the (k+1)-th key within the
+        rounding slack of the k-th without equalling it, and their keys may
+        rank them unlike their direct distances."""
+        r = np.random.default_rng(99)
+        near = 0
+        for _ in range(60):
+            dim, scale = int(r.integers(1, 140)), 10.0 ** r.uniform(-3, 3)
+            base = scale * r.normal(size=(int(r.integers(1, 4)), dim))
+            refs = base[r.integers(0, len(base), int(r.integers(4, 12)))]
+            steps = r.integers(-3, 4, size=refs.shape) * (r.random(refs.shape) < 0.3)
+            refs = refs + steps * np.spacing(refs)
+            queries = (refs[r.integers(0, len(refs), 5)]
+                       + scale * 1e-3 * r.normal(size=(5, dim)))
+            for k in range(1, len(refs) + 1):
+                self._assert_linear_scan(refs, queries, k)
+            for q in queries:
+                d = np.sort(np.linalg.norm(refs - q, axis=1))
+                near += np.count_nonzero((d[:-1] < d[1:]) & (d[1:] <= d[:-1] * (1 + 1e-12)))
+        assert near > 0
+
+    def test_bruteforce_k_equal_to_n(self):
+        """No (k+1)-th key exists: every reference is returned, in scan order."""
+        r = np.random.default_rng(7)
+        for n in (1, 2, 3, 17):
+            refs = np.round(r.normal(size=(n, 5)))
+            queries = np.vstack([refs, r.normal(size=(4, 5))])
+            self._assert_linear_scan(refs, queries, n)
+
+    def test_bruteforce_equidistant_at_the_kth_place(self):
+        """Six references at exactly distance 3 straddle the k-th place for
+        k = 3..8, behind two at distance 1; lower indices win the tie."""
+        shell = [(1, 2, 2), (2, -1, 2), (-2, 2, 1), (2, 2, -1), (0, 0, 3), (-3, 0, 0)]
+        offsets = np.array(shell + [(1, 0, 0), (0, -1, 0), (5, 0, 0), (0, 4, 3)], float)
+        q = np.array([10.0, -20.0, 30.0])
+        refs = q + offsets[np.random.default_rng(3).permutation(len(offsets))]
+        assert np.count_nonzero(np.linalg.norm(refs - q, axis=1) == 3.0) == len(shell)
+        for k in range(1, len(refs) + 1):
+            self._assert_linear_scan(refs, q, k)
+
+    def test_bruteforce_untied_rows_take_no_full_row_pass(self):
+        """A row whose (k+1)-th key is clear of the slack keeps its k picks,
+        so the selection adds no tile-sized temporary to the key tile."""
+        r = np.random.default_rng(2029)
+        refs, queries = r.normal(size=(2000, 16)), r.normal(size=(100, 16))
+        tracemalloc.start()
+        try:
+            knn_bruteforce(refs, queries, k=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 100 x 2000 queries fit one tile of 1.6 MB of keys.
+        assert peak < 1.5 * 100 * 2000 * 8
+
 
 class TestExtractPartial:
     def test_zero_radius_keeps_center_point(self, random_cloud):

@@ -92,11 +92,23 @@ class TestConfig:
         ("max_planes", (1, 0), "caps"), ("max_planes", (-3,), "caps"),
         ("radii", (1.0, 0.0), "radii"), ("radii", (-0.5,), "radii"),
         ("radii", (float("nan"),), "radii"), ("samples", 0, "samples"),
-        ("releases", 0, "releases"), ("workers", 0, "workers"),
+        ("releases", 0, "releases"), ("workers", 0, "workers"), ("factor", 0, "factor"),
+        ("seed", -1, "seed"), ("variants", -1, "variants"),
     ])
     def test_out_of_range_values_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(mode="conservative", **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", "3"), ("samples", 2.0), ("releases", True), ("workers", "2"),
+        ("seed", 1.5), ("seed", None), ("variants", "1"), ("factor", 5.0),
+        ("radii", ["1.0"]), ("radii", 1.0), ("radii", [True]),
+        ("max_planes", [1, 2.5]), ("max_planes", ["3"]), ("max_planes", 3),
+        ("kinds", "generalized"),
+    ])
+    def test_values_of_the_wrong_type_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ExperimentConfig.from_dict({"mode": "conservative", field: value})
 
     def test_uncapped_and_unit_values_accepted(self):
         cfg = ExperimentConfig(mode="conservative", max_planes=(1, None), radii=(0.1,),
