@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import require_bool, require_real
 from .descriptors import (
     CacheFormatError,
     DescribedSpace,
@@ -30,7 +31,7 @@ from .descriptors import (
     _write_text,
     describe,
 )
-from .geometry import PointCloud, knn_bruteforce
+from .geometry import PointCloud, knn_bruteforce, ranking_copy
 from .mechanisms import GeneralizationParams, project_to_planes, ransac_planes
 
 __all__ = [
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 
+_BLOCK_EDGES = 1 << 16  # edges per match_intra row block
+
+
 @dataclass(frozen=True)
 class AttackParams:
     strict_nndr: bool = False     # pre-filter matches at NNDR < nndr_threshold
@@ -55,23 +59,34 @@ class AttackParams:
     t1: float = 0.9               # NNDR gate before the geometric check
     t2: float = 0.95              # combined geometric similarity gate
 
+    def __post_init__(self):
+        require_bool("strict_nndr", self.strict_nndr)
+        for name in ("nndr_threshold", "t1", "t2"):
+            require_real(name, getattr(self, name), 0.0, closed=True)
+
 
 @dataclass
 class _LabelPool:
+    """One label's stacked descriptors and positions, with the squared norms
+    and the scaled float32 copy that :func:`knn_bruteforce` ranks on."""
+
     descriptors: np.ndarray
     positions: np.ndarray
     sq_norms: np.ndarray = field(init=False)
+    descriptors32: tuple[int, np.ndarray] = field(init=False)
 
     def __post_init__(self):
         self.sq_norms = np.einsum("ij,ij->i", self.descriptors, self.descriptors)
+        self.descriptors32 = ranking_copy(self.descriptors)
 
 
 class ReferenceEnsemble:
     """Per-label descriptor pools and the spin-image settings that built them.
 
     Each label's pool stacks the descriptors and keypoint positions of its
-    raw and generalized variants and caches the descriptors' squared norms,
-    which every query's ``knn_bruteforce`` would otherwise recompute.
+    raw and generalized variants and caches the descriptors' squared norms
+    and their scaled float32 copy, which every query's ``knn_bruteforce``
+    would otherwise recompute. The copy adds half the descriptors' size.
     :func:`infer` describes queries with ``params`` and ``factor``.
     Immutable after construction; concurrent matching against it is safe.
     """
@@ -137,7 +152,8 @@ def _match_label(pool: _LabelPool, query: DescribedSpace, params: AttackParams):
     if len(pool.descriptors) < 2:
         return 0.0, empty
     dist, idx = knn_bruteforce(pool.descriptors, query.descriptors, k=2,
-                               sq_norms=pool.sq_norms)
+                               sq_norms=pool.sq_norms,
+                               references32=pool.descriptors32)
     second = dist[:, 1]
     # Exact duplicates give 0/0; closer is better, so define that as 0.
     nndr = np.divide(dist[:, 0], second, out=np.zeros(n_query), where=second > 0)
@@ -190,13 +206,14 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
     edges) and an angular similarity; their product must reach t2. The
     hypothesis is the centroid of the accepted reference keypoints.
 
-    The n gated vertices go in row blocks of ``max(1, 2**18 // n)``: O(n^2)
-    time, O(block * n) memory. A block's (2, 3, B, n) array holds the query
-    and reference edges from each vertex to every vertex. Their lengths give
-    the distance term. Normalised, their 3x3 gram products give the angle
-    term: two vertices' angle-cosine sets (one cosine per unordered pair of
-    incident edges) have inner product (|Uq^T Ur|_F^2 - (n - 1)) / 2. The
-    zero-length self edge normalises to zero and adds nothing.
+    The n gated vertices go in row blocks of ``max(1, 2**16 // n)``, about
+    2**16 edges each: O(n^2) time, O(2**16 + n) memory. A block's
+    (2, 3, B, n) array holds the query and reference edges from each vertex
+    to every vertex. Their lengths give the distance term. Normalised, their
+    3x3 gram products give the angle term: two vertices' angle-cosine sets
+    (one cosine per unordered pair of incident edges) have inner product
+    (|Uq^T Ur|_F^2 - (n - 1)) / 2. The zero-length self edge normalises to
+    zero and adds nothing.
     """
     gate = np.asarray(nndr, dtype=np.float64) < params.t1
     n = int(gate.sum())
@@ -204,7 +221,7 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
         return IntraSpaceResult(True, None, None, None)
     r = np.asarray(reference_positions, dtype=np.float64)[gate]
     points = np.stack([np.asarray(query_positions, dtype=np.float64)[gate].T, r.T])
-    block = min(n, max(1, (1 << 18) // n))
+    block = min(n, max(1, _BLOCK_EDGES // n))
     buf = np.empty(6 * block * n)
     similarity = np.empty(n)
     for start in range(0, n, block):

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import require_int, require_real
 from .geometry import PointCloud, SpatialIndex, canonical_order
 
 __all__ = [
@@ -63,10 +64,8 @@ class SpinParams:
     image_width: int = 8
 
     def __post_init__(self):
-        if not self.bin_size > 0:
-            raise ValueError("bin_size must be positive")
-        if self.image_width < 2:
-            raise ValueError("image_width must be >= 2")
+        require_real("bin_size", self.bin_size, 0.0)
+        require_int("image_width", self.image_width, 2)
 
     @property
     def support_radius(self) -> float:

@@ -9,6 +9,7 @@ neighborhood does not define a plane.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "extract_partial",
     "knn_bruteforce",
     "random_rigid_transform",
+    "ranking_copy",
 ]
 
 UNIT_NORM_TOL = 1e-6
@@ -214,8 +216,28 @@ class SpatialIndex:
         return np.repeat(np.arange(len(hits)), counts), indices
 
 
+def _exponent(a: np.ndarray) -> int:
+    """The e for which 2**e brings the largest magnitude in ``a`` into
+    [0.5, 1); 0 for an empty or all-zero array, at most 1000 so that 2**e
+    stays a float64."""
+    top = max(a.max(), -a.min()) if a.size else 0.0
+    return min(-math.frexp(top)[1], 1000)
+
+
+def ranking_copy(references: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(e, copy)``: the references times 2**e, rounded to float32 and
+    transposed to a C-contiguous (dim, n) array, where 2**e brings their
+    largest magnitude into [0.5, 1). Scaling by a power of two is exact, so
+    the cast cannot overflow, and it flushes to zero only entries some 2**149
+    times smaller than the largest. :func:`knn_bruteforce` ranks on this
+    copy; the transposed layout runs its GEMM about a fifth faster."""
+    e = _exponent(references)
+    return e, np.ascontiguousarray((references * 2.0**e).T, dtype=np.float32)
+
+
 def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
-                   sq_norms: np.ndarray | None = None):
+                   sq_norms: np.ndarray | None = None,
+                   references32: tuple[int, np.ndarray] | None = None):
     """Exact k-nn in arbitrary dimension, e.g. descriptor space.
 
     Exact means equal, bitwise in both indices and distances, to the direct
@@ -224,17 +246,20 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
     ``k`` of their ascending order, ties by lower reference index (the contract
     of :meth:`SpatialIndex.query`). Returns ``(distances, indices)`` of shape
     ``(q, k)``. ``sq_norms``, if given, is ``einsum("ij,ij->i", references,
-    references)``, for callers that query one reference set many times.
+    references)`` and ``references32`` is ``ranking_copy(references)``, for
+    callers that query one reference set many times; otherwise each call
+    makes them.
 
     Queries run in row tiles of about 2**18 keys (one row if a row alone has
-    more), so beyond the inputs and outputs memory is O(2**18 + survivors).
-    One GEMM per tile ranks each row on ``||r||^2 - 2 q.r``; a rounding bound
-    around the row's k-th value keeps every reference that the linear scan
-    could place in its top k, and only those survivors get their distance
-    computed directly and sorted. The k smallest keys of a row come from
-    k + 1 min passes over the tile, O((k + 1) * tile) beyond the GEMM; only a
-    row whose (k+1)-th key falls within the bound (a tie may straddle the
-    k-th place) is masked in full to find its survivors.
+    more), so beyond the inputs, the float32 copy and the outputs memory is
+    O(2**18 + survivors). One float32 GEMM per tile ranks each row on
+    ``||r||^2 - 2 q.r``, both sides scaled by one power of two; a rounding
+    bound around the row's k-th key keeps every reference that the linear
+    scan could place in its top k, and only those survivors get their
+    distance computed directly, in float64, and sorted. The k smallest keys
+    of a row come from k + 1 min passes over the tile, O((k + 1) * tile)
+    beyond the GEMM; only a row whose (k+1)-th key falls within the bound (a
+    tie may straddle the k-th place) is masked in full to find its survivors.
     """
     references = np.asarray(references, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -244,12 +269,34 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for reference set of size {n}")
     sr = np.einsum("ij,ij->i", references, references) if sq_norms is None else sq_norms
-    # Both the expansion and the linear scan's ||q - r||^2 are within
-    # (dim + 5) * eps/2 * (||q|| + ||r||)^2 of the true value (plus underflow);
-    # twice their sum, and the rounding of kth + slack, fit in this slack.
-    scale = np.sqrt(np.einsum("ij,ij->i", queries, queries)) + np.sqrt(sr.max())
-    finfo = np.finfo(np.float64)
-    slack = (2 * dim + 10) * (finfo.eps * scale**2 + finfo.smallest_subnormal)
+    e_ref, r32 = ranking_copy(references) if references32 is None else references32
+    # One scale s = 2**e for both sides: every |s q| and |s r| is below 1.
+    # Queries larger than the references rescale the copy, exactly but for
+    # underflow, which the slack below covers.
+    e = min(e_ref, _exponent(queries))
+    if e < e_ref:
+        r32 = r32 * np.float32(2.0 ** (e - e_ref))
+    scale = 2.0**e
+    n32 = (sr * scale * scale).astype(np.float32)
+    # Keys are x.y + ||y||^2 = s^2 (||r||^2 - 2 q.r) for x = -2 s q (exact)
+    # and y = s r: x.y by the float32 GEMM, ||y||^2 as s^2 sr rounded to
+    # float32, added in float32. With u = 2**-24, g(m) = m u / (1 - m u),
+    # a = ||x|| and b = s max ||r||, each term of x.y takes two input
+    # roundings, a product, <= dim - 1 additions and the final add, so it is
+    # off by at most g(dim + 3) a b in sum; ||y||^2 takes a float64 sum (a
+    # relative error below u for dim < 2**28), the cast and the final add:
+    # g(3) b^2. Underflow, even flushed to zero, adds at most
+    # 2 tiny (sqrt(dim) (a + b) + 2 dim + 3) per key, tiny = 2**-126. Twice
+    # one key's error is the float32 part of the slack. The float64 part,
+    # (dim + 8) eps (a + b)^2, covers the linear scan's
+    # (dim + 5) eps/2 (||q|| + ||r||)^2 on each of the two distances
+    # compared, the rounding of kth + slack and of this formula; and
+    # (3 dim + 10) s^2 2**-1074 covers float64 underflow in sr and the scan.
+    u, tiny = 2.0**-24, float(np.finfo(np.float32).tiny)
+    eps = float(np.finfo(np.float64).eps)
+    g_dot, g_norm = ((m * u) / (1 - m * u) for m in (dim + 3, 3))
+    b = np.sqrt(sr.max()) * scale
+    under = math.ldexp(3 * dim + 10, 2 * e - 1074)
     dist = np.empty((len(queries), k))
     idx = np.empty((len(queries), k), dtype=np.intp)
     # Tiles of 2**18 keys keep the GEMM efficient while no q x n matrix
@@ -257,18 +304,23 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
     block = max(1, (1 << 18) // max(n, k * dim))
     for s in range(0, len(queries), block):
         qb = queries[s:s + block]
-        kb = (-2.0 * qb) @ references.T  # scaling by -2 is exact
-        kb += sr
+        xb = qb * (-2.0 * scale)
+        kb = xb.astype(np.float32) @ r32
+        kb += n32
+        a = np.sqrt(np.einsum("ij,ij->i", xb, xb))
+        slack = (2 * (g_dot * a * b + g_norm * b * b)
+                 + 4 * tiny * (math.sqrt(dim) * (a + b) + 2 * dim + 3)
+                 + (dim + 8) * eps * (a + b) ** 2 + under)
         # k argmin passes pick each row's k smallest keys, each pick masked
         # with +inf; one more min pass gives the (k+1)-th key (+inf if k = n).
         rows = np.arange(len(kb))
         picks = np.empty((len(kb), k), dtype=np.intp)
-        keys = np.empty((len(kb), k))
+        keys = np.empty((len(kb), k), dtype=np.float32)
         for j in range(k):
             picks[:, j] = kb.argmin(axis=1)
             keys[:, j] = kb[rows, picks[:, j]]
             kb[rows, picks[:, j]] = np.inf
-        thr = keys[:, -1] + slack[s:s + block]
+        thr = keys[:, -1] + slack
         # A row whose (k+1)-th key exceeds thr keeps exactly its k picks. A
         # tied row gets its picks back and keeps every key within thr, as
         # SpatialIndex.query re-resolves a tied row over a ball.

@@ -15,13 +15,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from ._checks import is_int, is_real, require, require_bool, require_int, require_real
 from .attacker import AttackParams, ReferenceEnsemble, build_reference, infer
 from .descriptors import SpinParams, UnusableSpaceError
 from .geometry import (
@@ -72,23 +72,33 @@ _PRESETS = {  # mode -> the values of the sweep fields a config leaves unset
 }
 
 
+_DATASET_TYPES = ("synthetic", "directory")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     type: str = "synthetic"      # "synthetic" or "directory"
-    path: str | None = None
+    path: str | None = None      # the directory of PLY files
     count: int = 7
     density: float = 80.0
     noise_sigma: float = 0.0
     seed: int = 0
     normals_k: int = 12          # for PLY files lacking normals
 
+    def __post_init__(self):
+        require("type", self.type, self.type in _DATASET_TYPES, f"one of {_DATASET_TYPES}")
+        require("path", self.path, isinstance(self.path, str)
+                or (self.path is None and self.type != "directory"), "a directory path")
+        require_int("count", self.count, 1)
+        require_real("density", self.density, 0.0)
+        require_real("noise_sigma", self.noise_sigma, 0.0, closed=True)
+        require_int("seed", self.seed, 0)
+        require_int("normals_k", self.normals_k, 1)
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+# config key -> the settings class its JSON object describes
+_SECTIONS = {"dataset": DatasetSpec, "descriptor": SpinParams,
+             "generalization": GeneralizationParams, "attack": AttackParams}
 
 
 def _known_fields(klass, data: dict, where: str) -> dict:
@@ -132,8 +142,8 @@ class ExperimentConfig:
     qos_symmetric: bool = False
 
     def __post_init__(self):
-        if self.mode not in _PRESETS:
-            raise ValueError(f"mode must be one of {tuple(_PRESETS)}")
+        require("mode", self.mode, isinstance(self.mode, str) and self.mode in _PRESETS,
+                f"one of {tuple(_PRESETS)}")
         # Rejected here by name, not as a TypeError from a comparison, and not
         # after the reference is built and a sweep task fails.
         for name, least in (("samples", 1), ("releases", 1), ("workers", 1),
@@ -141,11 +151,19 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name in ("samples", "releases"):
                 continue
-            if not _is_int(value) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            require_int(name, value, least)
+        for name, klass in _SECTIONS.items():
+            value = getattr(self, name)
+            require(name, value, isinstance(value, klass), f"an object of {klass.__name__} fields")
+        require_bool("preflight", self.preflight)
+        require_bool("qos_symmetric", self.qos_symmetric)
+        require_real("qos_alpha", self.qos_alpha, 0.0, 1.0, closed=True)
+        require_real("qos_beta", self.qos_beta, 0.0, 1.0, closed=True)
+        total = self.qos_alpha + self.qos_beta
+        require("qos_alpha + qos_beta", total, abs(total - 1.0) <= 1e-12, "1")
         for name, ok, entries in (
-            ("radii", lambda v: _is_real(v) and v > 0, "positive numbers"),
-            ("max_planes", lambda v: v is None or (_is_int(v) and v >= 1),
+            ("radii", lambda v: is_real(v) and v > 0, "positive numbers"),
+            ("max_planes", lambda v: v is None or (is_int(v) and v >= 1),
              "plane caps >= 1 (integers, or null for no cap)"),
             ("kinds", lambda v: v in _KINDS, f"release kinds {_KINDS}"),
         ):
@@ -182,14 +200,12 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """The config a JSON object describes; unknown keys raise ``ValueError``."""
         data = _known_fields(cls, data, "config")
-        for key, klass in (
-            ("dataset", DatasetSpec),
-            ("descriptor", SpinParams),
-            ("generalization", GeneralizationParams),
-            ("attack", AttackParams),
-        ):
+        for key, klass in _SECTIONS.items():
             if key in data and isinstance(data[key], dict):
-                data[key] = klass(**_known_fields(klass, data[key], key))
+                try:
+                    data[key] = klass(**_known_fields(klass, data[key], key))
+                except ValueError as err:
+                    raise ValueError(f"{key}: {err}") from None
         for key in ("radii", "kinds"):
             if isinstance(data.get(key), list):
                 data[key] = tuple(data[key])
@@ -242,12 +258,10 @@ def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
         specs = default_space_specs(spec.seed, spec.density, spec.noise_sigma)
         chosen = dict(list(specs.items())[: spec.count])
         return {label: generate_space(s, label) for label, s in chosen.items()}
-    if spec.type == "directory":
-        paths = sorted(Path(spec.path).glob("*.ply"))
-        if not paths:
-            raise ValueError(f"no .ply files under {spec.path}")
-        return {p.stem: load_cloud(p, spec.normals_k) for p in paths}
-    raise ValueError(f"unknown dataset type {spec.type!r}")
+    paths = sorted(Path(spec.path).glob("*.ply"))
+    if not paths:
+        raise ValueError(f"no .ply files under {spec.path}")
+    return {p.stem: load_cloud(p, spec.normals_k) for p in paths}
 
 
 def load_cloud(path, normals_k: int) -> PointCloud:

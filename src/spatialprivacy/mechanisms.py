@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import require_int, require_real
 from .geometry import (
     PointCloud,
     RigidTransform,
@@ -51,10 +52,10 @@ class GeneralizationParams:
     candidates_per_round: int = 100
 
     def __post_init__(self):
-        if min(self.dist_eps, self.normal_angle_max) <= 0:
-            raise ValueError("dist_eps and normal_angle_max must be positive")
-        if min(self.min_inliers, self.candidates_per_round) < 1:
-            raise ValueError("min_inliers and candidates_per_round must be >= 1")
+        require_real("dist_eps", self.dist_eps, 0.0)
+        require_real("normal_angle_max", self.normal_angle_max, 0.0)
+        require_int("min_inliers", self.min_inliers, 1)
+        require_int("candidates_per_round", self.candidates_per_round, 1)
 
     @property
     def cos_angle_max(self) -> float:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spatialprivacy import attacker
 from spatialprivacy.attacker import (
     AttackParams,
     ReferenceEnsemble,
@@ -291,8 +292,9 @@ def kernel_case(kind, n, seed):
 class TestBlockedKernel:
     """The row-blocked ``match_intra`` against the per-vertex formula.
 
-    Rows per block are max(1, 2**18 // n): n = 511 and 512 fit in one
-    block, 513 needs two, 1500 needs nine with a short last one.
+    Rows per block are max(1, 2**16 // n): n = 255 and 256 fit in one
+    block, 257 needs two, 511 needs four and 1500 needs 35 with a short
+    last one.
     """
 
     @pytest.mark.parametrize(
@@ -332,6 +334,35 @@ class TestBlockedKernel:
             tracemalloc.stop()
         # The n x n x 3 tensors alone would take 4000**2 * 3 * 8 B = 384 MB.
         assert peak <= 48 * 2**20
+
+    def test_preflight_sized_check_stays_small(self):
+        """3387 gated pairs, a default space's self-query: blocks of 2**16
+        edges keep the peak near 6.7 MB; blocks of 2**18 took 26 MB."""
+        q, r = kernel_case("random", 3387, 0)
+        tracemalloc.start()
+        try:
+            match_intra(q, r, np.zeros(3387))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 3387])
+    def test_similarity_bits_do_not_depend_on_the_block(self, n, monkeypatch):
+        """Around the block boundaries, the similarity is the per-vertex
+        formula's to 1e-12 (n < 600, where the formula's n x n matrices are
+        small) and bitwise the same with blocks of 2**18 edges and of one
+        row."""
+        q, r = kernel_case("random", n, 0)
+        result = match_intra(q, r, np.zeros(n))
+        if n < 600:
+            expected, _ = reference_similarity(q, r)
+            assert np.max(np.abs(result.similarity - expected)) <= 1e-12
+            assert np.array_equal(result.survivor_mask, expected >= 0.95)
+        for edges in (1 << 18, 1):
+            monkeypatch.setattr(attacker, "_BLOCK_EDGES", edges)
+            other = match_intra(q, r, np.zeros(n))
+            assert np.array_equal(other.similarity, result.similarity), edges
 
 
 class TestInfer:

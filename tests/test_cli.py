@@ -144,7 +144,14 @@ def test_run_and_report(space_dir, tmp_path):
     {"mode": "one-time", "walk_step_max": 0.5},
     {"mode": "one-time", "releases": 2},
     {"mode": "one-time", "samples": "3"},
-], ids=["unknown-key", "rejected-combination", "wrong-type"])
+    {"mode": "one-time", "descriptor": {"bin_size": "0.1"}},
+    {"mode": "one-time", "dataset": {"count": "2"}},
+    {"mode": "one-time", "dataset": {"type": "bogus"}},
+    {"mode": "one-time", "attack": {"t1": "x"}},
+    {"mode": "one-time", "qos_alpha": "x"},
+    {"mode": "one-time", "qos_alpha": 0.7},
+], ids=["unknown-key", "rejected-combination", "wrong-type", "descriptor-type",
+        "dataset-type", "dataset-kind", "attack-type", "qos-type", "qos-sum"])
 def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))

@@ -17,6 +17,7 @@ from spatialprivacy.geometry import (
     extract_partial,
     knn_bruteforce,
     random_rigid_transform,
+    ranking_copy,
 )
 
 
@@ -284,8 +285,10 @@ class TestKnn:
         assert list(idx[0]) == [0, 2]
 
     @staticmethod
-    def _assert_linear_scan(refs, queries, k):
-        dist, idx = knn_bruteforce(refs, queries, k=k)
+    def _assert_linear_scan(refs, queries, k, cached=False):
+        extra = dict(sq_norms=np.einsum("ij,ij->i", refs, refs),
+                     references32=ranking_copy(refs)) if cached else {}
+        dist, idx = knn_bruteforce(refs, queries, k=k, **extra)
         for qi, q in enumerate(np.atleast_2d(queries)):
             d = np.linalg.norm(refs - q, axis=1)
             order = np.lexsort((np.arange(len(refs)), d))[:k]
@@ -346,6 +349,110 @@ class TestKnn:
         # The 100 x 2000 queries fit one tile of 1.6 MB of keys.
         assert peak < 1.5 * 100 * 2000 * 8
 
+    def test_bruteforce_keys_are_float32(self):
+        """The ranking tile holds float32 keys: with the float32 copy given,
+        a call adds little beyond one 100 x 2000 tile of 4-byte keys."""
+        r = np.random.default_rng(2030)
+        refs, queries = r.normal(size=(2000, 16)), r.normal(size=(100, 16))
+        refs32 = ranking_copy(refs)
+        tracemalloc.start()
+        try:
+            knn_bruteforce(refs, queries, k=2, references32=refs32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 100 * 2000 * 4
+
+    def test_bruteforce_below_float32_resolution(self):
+        """References that differ only below float32 resolution.
+
+        Rows are copies of a few base rows moved by 2**-40 to 2**-16 of
+        their size: the smallest moves leave equal float32 rows, so equal
+        float32 keys for unequal float64 distances; moves near 2**-24 let
+        float32 rounding rank two rows unlike their distances. Queries sit
+        on references or near them; every k is checked, with and without
+        the cached float32 copy.
+        """
+        r = np.random.default_rng(2031)
+        equal_keys = 0
+        for case in range(80):
+            dim = int(r.choice([1, 2, 3, 16, 128]))
+            scale = 10.0 ** r.uniform(-3, 3)
+            base = scale * np.abs(r.normal(size=(int(r.integers(1, 4)), dim)))
+            refs = base[r.integers(0, len(base), int(r.integers(2, 14)))]
+            refs = refs * (1 + 2.0 ** r.uniform(-40, -16, refs.shape)
+                           * r.choice([-1, 0, 1], refs.shape))
+            near = refs[r.integers(0, len(refs), 6)]
+            queries = near * (1 + 2.0 ** r.uniform(-30, -10, near.shape)
+                              * r.normal(size=near.shape))
+            queries[::2] = refs[r.integers(0, len(refs), 3)]
+            for k in range(1, len(refs) + 1):
+                self._assert_linear_scan(refs, queries, k)
+                self._assert_linear_scan(refs, queries, k, cached=True)
+            rounded = (refs / 2.0 ** np.floor(np.log2(scale))).astype(np.float32)
+            same = (rounded[:, None] == rounded[None]).all(axis=2)
+            differ = (refs[:, None] != refs[None]).any(axis=2)
+            equal_keys += np.count_nonzero(same & differ)
+        assert equal_keys > 0
+
+    def test_bruteforce_mirrored_references(self):
+        """Pairs of references mirrored about the query, q + d and q - d,
+        are (nearly) equidistant from it but differ in norm, so the order of
+        their keys rests on the float32 rounding of ||r||^2 and of the final
+        add; the float64 scan orders them by its own rounding or by index."""
+        r = np.random.default_rng(2034)
+        for case in range(150):
+            dim = int(r.integers(1, 5))
+            q = r.normal(size=dim) * 10.0 ** r.uniform(-3, 0)
+            d = r.normal(size=(int(r.integers(1, 5)), dim))
+            refs = np.vstack([q + d, q - d])[r.permutation(2 * len(d))]
+            for k in range(1, len(refs) + 1):
+                self._assert_linear_scan(refs, q, k)
+
+    def test_bruteforce_extreme_magnitudes(self):
+        """Coordinates from 1e-150 to 1e150, beyond float32's range at both
+        ends, so only the power-of-two scaling lets the float32 GEMM rank;
+        queries and references may differ in magnitude."""
+        r = np.random.default_rng(2032)
+        for case in range(60):
+            dim, n = int(r.integers(1, 140)), int(r.integers(1, 40))
+            scale = 10.0 ** r.uniform(-150, 150)
+            distinct = r.normal(size=(int(r.integers(1, n + 1)), dim))
+            if case % 2:
+                distinct = np.round(4 * distinct) / 4
+            refs = scale * distinct[r.integers(0, len(distinct), n)]
+            queries = scale * 10.0 ** r.uniform(-2, 2) * r.normal(size=(5, dim))
+            queries[:2] = refs[r.integers(0, n, 2)]
+            for k in sorted({1, 2 if n > 1 else 1, int(r.integers(1, n + 1)), n}):
+                self._assert_linear_scan(refs, queries, k)
+                self._assert_linear_scan(refs, queries, k, cached=True)
+
+    def test_bruteforce_descriptor_like_variants(self):
+        """Unit, non-negative 128-bin rows of a raw set and a second variant
+        stacked into one pool, queried 2-nn as the descriptor matcher does.
+        The variant keeps a third of the rows, moves a third by about 1e-7 of
+        their size (float32 resolution) and replaces the rest, so a query
+        whose nearest row has no near copy finds its second and third
+        neighbors tied or nearly tied, with float32 keys that may rank them
+        either way."""
+        r = np.random.default_rng(2033)
+        near_ties = 0
+        for case in range(6):
+            raw = np.abs(r.normal(size=(int(r.integers(100, 400)), 128))) ** 3
+            raw[:, r.random(128) < 0.3] = 0.0
+            variant = raw.copy()
+            part = r.integers(0, 3, len(raw))
+            variant[part == 1] *= 1 + 1e-7 * r.normal(size=((part == 1).sum(), 128))
+            variant[part == 2] = np.abs(r.normal(size=((part == 2).sum(), 128))) ** 3
+            pool = np.vstack([raw, variant])
+            pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+            noisy = pool[r.integers(0, len(pool), 100)] + 1e-3 * r.random((100, 128))
+            queries = np.vstack([pool[r.integers(0, len(pool), 100)], noisy])
+            self._assert_linear_scan(pool, queries, 2)
+            self._assert_linear_scan(pool, queries, 2, cached=True)
+            d = np.sort(np.linalg.norm(pool[None] - queries[:, None], axis=2), axis=1)
+            near_ties += np.count_nonzero(d[:, 2] <= d[:, 1] * (1 + 1e-6))
+        assert near_ties > 0
 
 class TestExtractPartial:
     def test_zero_radius_keeps_center_point(self, random_cloud):

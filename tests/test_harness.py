@@ -8,7 +8,7 @@ import pytest
 
 from spatialprivacy import attacker, descriptors, harness
 from spatialprivacy.attacker import AttackParams, build_reference
-from spatialprivacy.descriptors import UnusableSpaceError
+from spatialprivacy.descriptors import SpinParams, UnusableSpaceError
 from spatialprivacy.geometry import PointCloud
 from spatialprivacy.harness import (
     CellMetrics,
@@ -21,6 +21,7 @@ from spatialprivacy.harness import (
     self_query_check,
     trials_to_jsonl,
 )
+from spatialprivacy.mechanisms import GeneralizationParams
 from spatialprivacy.ply_io import save_ply
 from spatialprivacy.synthetic import SyntheticSpaceSpec, generate_space
 
@@ -131,6 +132,51 @@ class TestConfig:
     def test_unknown_keys_rejected_by_name(self, data, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"descriptor": {"bin_size": "0.1"}}, "descriptor: bin_size must be"),
+        ({"descriptor": {"bin_size": float("inf")}}, "descriptor: bin_size must be"),
+        ({"descriptor": {"image_width": 8.0}}, "descriptor: image_width must be"),
+        ({"dataset": {"count": "2"}}, "dataset: count must be"),
+        ({"dataset": {"type": "bogus"}}, "dataset: type must be one of"),
+        ({"dataset": {"type": "directory"}}, "dataset: path must be"),
+        ({"dataset": {"density": 0}}, "dataset: density must be"),
+        ({"dataset": {"noise_sigma": -0.1}}, "dataset: noise_sigma must be"),
+        ({"dataset": {"seed": 1.5}}, "dataset: seed must be"),
+        ({"dataset": {"normals_k": 0}}, "dataset: normals_k must be"),
+        ({"attack": {"t1": "x"}}, "attack: t1 must be"),
+        ({"attack": {"t2": float("nan")}}, "attack: t2 must be"),
+        ({"attack": {"nndr_threshold": -1}}, "attack: nndr_threshold must be"),
+        ({"attack": {"strict_nndr": 1}}, "attack: strict_nndr must be"),
+        ({"generalization": {"dist_eps": "0.05"}}, "generalization: dist_eps must be"),
+        ({"generalization": {"normal_angle_max": 0}}, "generalization: normal_angle_max"),
+        ({"generalization": {"min_inliers": 2.5}}, "generalization: min_inliers must be"),
+        ({"generalization": {"candidates_per_round": 0}}, "candidates_per_round must be"),
+        ({"dataset": "synthetic"}, "dataset must be an object of DatasetSpec"),
+        ({"attack": [0.9]}, "attack must be an object of AttackParams"),
+        ({"qos_alpha": "x"}, "qos_alpha must be"),
+        ({"qos_alpha": 1.5, "qos_beta": -0.5}, "qos_alpha must be"),
+        ({"qos_alpha": 0.7}, "qos_alpha \\+ qos_beta must be 1"),
+        ({"qos_symmetric": "yes"}, "qos_symmetric must be"),
+        ({"preflight": 0}, "preflight must be"),
+        ({"mode": ["one-time"]}, "mode must be one of"),
+    ])
+    def test_bad_setting_values_rejected_by_name(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(data)
+
+    def test_settings_classes_check_their_own_fields(self):
+        with pytest.raises(ValueError, match="bin_size must be"):
+            SpinParams(bin_size="0.1")
+        with pytest.raises(ValueError, match="t1 must be"):
+            AttackParams(t1=None)
+        with pytest.raises(ValueError, match="min_inliers must be"):
+            GeneralizationParams(min_inliers=True)
+        with pytest.raises(ValueError, match="count must be"):
+            DatasetSpec(count=0)
+        cfg = ExperimentConfig.from_dict({"qos_alpha": 0.25, "qos_beta": 0.75,
+                                          "attack": {"t2": 1.5}})
+        assert cfg.attack.t2 == 1.5
 
 
 class TestDatasets:
