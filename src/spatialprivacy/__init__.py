@@ -7,6 +7,7 @@ privacy/utility metrics, and a reproducible experiment harness.
 
 from .attacker import (
     AttackParams,
+    CacheFormatError,
     Hypothesis,
     ReferenceEnsemble,
     build_reference,
@@ -17,7 +18,6 @@ from .attacker import (
     save_ensemble,
 )
 from .descriptors import (
-    CacheFormatError,
     DescribedSpace,
     SpinParams,
     UnusableSpaceError,
@@ -37,6 +37,7 @@ from .geometry import (
 )
 from .harness import (
     CellMetrics,
+    DatasetError,
     ExperimentConfig,
     load_dataset,
     report,

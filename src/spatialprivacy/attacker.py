@@ -13,29 +13,21 @@ the surviving reference keypoints as the location hypothesis.
 
 from __future__ import annotations
 
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._checks import require_bool, require_real
-from .descriptors import (
-    CacheFormatError,
-    DescribedSpace,
-    SpinParams,
-    _cache_reader,
-    _read,
-    _read_array,
-    _read_text,
-    _write_array,
-    _write_text,
-    describe,
-)
+from .descriptors import DescribedSpace, SpinParams, describe
 from .geometry import PointCloud, knn_bruteforce, ranking_copy
 from .mechanisms import GeneralizationParams, project_to_planes, ransac_planes
 
 __all__ = [
     "AttackParams",
+    "CacheFormatError",
     "Hypothesis",
     "InterSpaceResult",
     "IntraSpaceResult",
@@ -67,17 +59,16 @@ class AttackParams:
 
 @dataclass
 class _LabelPool:
-    """One label's stacked descriptors and positions, with the squared norms
-    and the scaled float32 copy that :func:`knn_bruteforce` ranks on."""
+    """One label's stacked descriptors and positions, with ``prepared``, the
+    squared norms and scaled float32 copy (:func:`ranking_copy`) that
+    :func:`knn_bruteforce` ranks on."""
 
     descriptors: np.ndarray
     positions: np.ndarray
-    sq_norms: np.ndarray = field(init=False)
-    descriptors32: tuple[int, np.ndarray] = field(init=False)
+    prepared: tuple[np.ndarray, int, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.sq_norms = np.einsum("ij,ij->i", self.descriptors, self.descriptors)
-        self.descriptors32 = ranking_copy(self.descriptors)
+        self.prepared = ranking_copy(self.descriptors)
 
 
 class ReferenceEnsemble:
@@ -87,6 +78,8 @@ class ReferenceEnsemble:
     raw and generalized variants and caches the descriptors' squared norms
     and their scaled float32 copy, which every query's ``knn_bruteforce``
     would otherwise recompute. The copy adds half the descriptors' size.
+    Every value must be finite: a NaN row would be every query's neighbour
+    at distance NaN, which the NNDR reads as a perfect match.
     :func:`infer` describes queries with ``params`` and ``factor``.
     Immutable after construction; concurrent matching against it is safe.
     """
@@ -100,6 +93,8 @@ class ReferenceEnsemble:
                     or positions.shape != (len(descriptors), 3)):
                 raise ValueError(f"label {label!r} has {descriptors.shape} descriptors and "
                                  f"{positions.shape} positions for width {params.length}")
+            if not (np.isfinite(descriptors).all() and np.isfinite(positions).all()):
+                raise ValueError(f"label {label!r} has non-finite descriptors or positions")
         self.labels = list(pools)
         self.params = params
         self.factor = factor
@@ -152,8 +147,7 @@ def _match_label(pool: _LabelPool, query: DescribedSpace, params: AttackParams):
     if len(pool.descriptors) < 2:
         return 0.0, empty
     dist, idx = knn_bruteforce(pool.descriptors, query.descriptors, k=2,
-                               sq_norms=pool.sq_norms,
-                               references32=pool.descriptors32)
+                               prepared=pool.prepared)
     second = dist[:, 1]
     # Exact duplicates give 0/0; closer is better, so define that as 0.
     nndr = np.divide(dist[:, 0], second, out=np.zeros(n_query), where=second > 0)
@@ -306,6 +300,61 @@ _ENSEMBLE_MAGIC = b"SPEN"
 _ENSEMBLE_VERSION = 2
 
 
+class CacheFormatError(ValueError):
+    """An ensemble cache file has the wrong magic or version, is cut short,
+    has bytes after its end, or holds values that do not fit together."""
+
+
+def _write_array(fh, arr: np.ndarray, dtype: str) -> None:
+    data = np.ascontiguousarray(arr, dtype=dtype)
+    fh.write(struct.pack("<BI", len(data.shape), data.size))
+    fh.write(struct.pack(f"<{len(data.shape)}I", *data.shape))
+    fh.write(data.tobytes())
+
+
+def _read(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise CacheFormatError("cache file is cut short")
+    return data
+
+
+def _read_array(fh, dtype: str) -> np.ndarray:
+    ndim, size = struct.unpack("<BI", _read(fh, 5))
+    shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
+    itemsize = np.dtype(dtype).itemsize
+    if size != math.prod(shape):
+        raise CacheFormatError(f"cache array of shape {shape} holds {size} values")
+    data = np.frombuffer(_read(fh, size * itemsize), dtype=dtype, count=size)
+    return data.reshape(shape).copy()
+
+
+@contextmanager
+def _cache_reader(path):
+    """The open ensemble file past its magic and version, which must be this
+    module's; it must end where the reading ends."""
+    with open(path, "rb") as fh:
+        if _read(fh, 4) != _ENSEMBLE_MAGIC:
+            raise CacheFormatError(f"cache file does not start with {_ENSEMBLE_MAGIC!r}")
+        (found,) = struct.unpack("<I", _read(fh, 4))
+        if found != _ENSEMBLE_VERSION:
+            raise CacheFormatError(f"unsupported {_ENSEMBLE_MAGIC!r} cache version {found}")
+        yield fh
+        if fh.read(1):
+            raise CacheFormatError("cache file has bytes after its end")
+
+
+def _write_text(fh, text: str) -> None:
+    data = text.encode("utf-8")
+    fh.write(struct.pack("<I", len(data)))
+    fh.write(data)
+
+
+def _read_text(fh) -> str:
+    (size,) = struct.unpack("<I", _read(fh, 4))
+    return _read(fh, size).decode("utf-8")
+
+
 def save_ensemble(ensemble: ReferenceEnsemble, path) -> None:
     """Write the magic, version, bin size, image width, factor and label
     count, then per label its name, descriptors and positions."""
@@ -324,7 +373,7 @@ def load_ensemble(path) -> ReferenceEnsemble:
     """The ensemble :func:`save_ensemble` wrote; a malformed or inconsistent
     file raises :class:`CacheFormatError`."""
     try:
-        with _cache_reader(path, _ENSEMBLE_MAGIC, _ENSEMBLE_VERSION) as fh:
+        with _cache_reader(path) as fh:
             bin_size, width, factor, n_labels = struct.unpack("<dIII", _read(fh, 20))
             pools: dict[str, tuple[np.ndarray, np.ndarray]] = {}
             for _ in range(n_labels):

@@ -1,4 +1,8 @@
-"""Command-line front end: gen, describe, reference, infer, release, run, report."""
+"""Command-line front end: gen, reference, infer, release, run, report.
+
+``reference`` writes the adversary's ensemble cache, which ``infer`` reads;
+the other subcommands read and write PLY clouds, JSON configs and reports.
+"""
 
 from __future__ import annotations
 
@@ -10,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .attacker import AttackParams, build_reference, infer, load_ensemble
-from .descriptors import SpinParams, describe, save_described
+from .descriptors import SpinParams
 from .geometry import extract_partial
-from .harness import (CellMetrics, ExperimentConfig, load_cloud, report, run_experiment,
-                      trials_to_jsonl)
+from .harness import (CellMetrics, DatasetError, ExperimentConfig, load_cloud, report,
+                      run_experiment, trials_to_jsonl)
 from .mechanisms import (
     GeneralizationParams,
     ReleasePolicy,
@@ -22,7 +26,7 @@ from .mechanisms import (
     release_at,
     release_sequence,
 )
-from .ply_io import save_ply
+from .ply_io import PlyFormatError, save_ply
 from .synthetic import default_space_specs, generate_space
 
 
@@ -43,14 +47,6 @@ def cmd_gen(args) -> int:
         cloud = generate_space(spec, label)
         save_ply(cloud, out / f"{label}.ply", format=args.format)
         print(f"wrote {out / (label + '.ply')} ({len(cloud)} points)")
-    return 0
-
-
-def cmd_describe(args) -> int:
-    cloud = load_cloud(args.cloud, args.normals_k)
-    space = describe(cloud, SpinParams(args.bin_size, args.image_width), args.factor)
-    save_described(space, args.out)
-    print(f"wrote {args.out} ({len(space)} keypoint descriptors)")
     return 0
 
 
@@ -133,7 +129,12 @@ def cmd_run(args) -> int:
     except ValueError as err:
         print(f"spatialprivacy run: {err}", file=sys.stderr)
         return 2
-    cells, trials = run_experiment(config)
+    # Only the dataset's own errors: a fault in the sweep keeps its traceback.
+    try:
+        cells, trials = run_experiment(config)
+    except (DatasetError, PlyFormatError) as err:
+        print(f"spatialprivacy run: {err}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     paths = report(cells, out)
     (out / "trials.jsonl").write_text(trials_to_jsonl(trials))
@@ -152,13 +153,6 @@ def cmd_report(args) -> int:
     paths = report(cells, args.out)
     print(f"wrote {paths['csv']}, {paths['json']}, {paths['summary']}")
     return 0
-
-
-def _add_descriptor_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bin-size", type=float, default=0.10, dest="bin_size")
-    p.add_argument("--image-width", type=int, default=8, dest="image_width")
-    p.add_argument("--factor", type=int, default=5)
-    _add_normals_arg(p)
 
 
 def _add_normals_arg(p: argparse.ArgumentParser) -> None:
@@ -191,19 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
                    default="binary_little_endian")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("describe", help="compute a descriptor cache for a cloud")
-    p.add_argument("--cloud", required=True)
-    p.add_argument("--out", required=True)
-    _add_descriptor_args(p)
-    p.set_defaults(func=cmd_describe)
-
     p = sub.add_parser("reference", help="build the adversary's reference ensemble")
     p.add_argument("--spaces", required=True, help="directory of labeled .ply files")
     p.add_argument("--out", required=True)
     p.add_argument("--variants", type=int, default=1,
                    help="generalized variants per space")
     p.add_argument("--seed", type=int, default=0)
-    _add_descriptor_args(p)
+    p.add_argument("--bin-size", type=float, default=0.10, dest="bin_size")
+    p.add_argument("--image-width", type=int, default=8, dest="image_width")
+    p.add_argument("--factor", type=int, default=5)
+    _add_normals_arg(p)
     _add_generalization_args(p)
     p.set_defaults(func=cmd_reference)
 

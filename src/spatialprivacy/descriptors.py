@@ -19,9 +19,6 @@ for any cloud; describing a 16.9k-point space peaks at about 9 MB
 
 from __future__ import annotations
 
-import math
-import struct
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,24 +27,16 @@ from ._checks import require_int, require_real
 from .geometry import PointCloud, SpatialIndex, canonical_order
 
 __all__ = [
-    "CacheFormatError",
     "DescribedSpace",
     "SpinParams",
     "UnusableSpaceError",
     "describe",
-    "load_described",
-    "save_described",
     "select_keypoints",
 ]
 
 
 class UnusableSpaceError(ValueError):
     """A cloud produced no usable descriptors."""
-
-
-class CacheFormatError(ValueError):
-    """A cache file has the wrong magic or version, is cut short, has bytes
-    after its end, or holds values that do not fit together."""
 
 
 @dataclass(frozen=True)
@@ -80,10 +69,8 @@ class SpinParams:
 class DescribedSpace:
     """Keypoint/descriptor pairs for one space, in deterministic order."""
 
-    label: str
     indices: np.ndarray          # (m,) source indices into the cloud
     positions: np.ndarray        # (m, 3)
-    normals: np.ndarray          # (m, 3)
     descriptors: np.ndarray      # (m, params.length)
     params: SpinParams = field(default_factory=SpinParams)
 
@@ -169,108 +156,8 @@ def describe(
     keys = select_keypoints(cloud, factor)
     if len(keys) == 0:
         raise UnusableSpaceError("no keypoints with reliable normals")
-    positions, normals = cloud.positions[keys], cloud.normals[keys]
-    hist = _spin_histograms(SpatialIndex(cloud), positions, normals, params)
+    positions = cloud.positions[keys]
+    hist = _spin_histograms(SpatialIndex(cloud), positions, cloud.normals[keys], params)
     # Each row's h @ h is the dot product np.linalg.norm takes of one vector.
     norms = np.sqrt(hist[:, None, :] @ hist[:, :, None])[:, 0]
-    return DescribedSpace(
-        label=cloud.label or "",
-        indices=keys.astype(np.int64),
-        positions=positions,
-        normals=normals,
-        descriptors=hist / norms,
-        params=params,
-    )
-
-
-_CACHE_MAGIC = b"SPDC"
-_CACHE_VERSION = 1
-
-
-def _write_array(fh, arr: np.ndarray, dtype: str) -> None:
-    data = np.ascontiguousarray(arr, dtype=dtype)
-    fh.write(struct.pack("<BI", len(data.shape), data.size))
-    fh.write(struct.pack(f"<{len(data.shape)}I", *data.shape))
-    fh.write(data.tobytes())
-
-
-def _read(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise CacheFormatError("cache file is cut short")
-    return data
-
-
-def _read_array(fh, dtype: str) -> np.ndarray:
-    ndim, size = struct.unpack("<BI", _read(fh, 5))
-    shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim))
-    itemsize = np.dtype(dtype).itemsize
-    if size != math.prod(shape):
-        raise CacheFormatError(f"cache array of shape {shape} holds {size} values")
-    data = np.frombuffer(_read(fh, size * itemsize), dtype=dtype, count=size)
-    return data.reshape(shape).copy()
-
-
-@contextmanager
-def _cache_reader(path, magic: bytes, version: int):
-    """The open cache file past its magic and version, which must be the
-    given ones; it must end where the reading ends."""
-    with open(path, "rb") as fh:
-        if _read(fh, 4) != magic:
-            raise CacheFormatError(f"cache file does not start with {magic!r}")
-        (found,) = struct.unpack("<I", _read(fh, 4))
-        if found != version:
-            raise CacheFormatError(f"unsupported {magic!r} cache version {found}")
-        yield fh
-        if fh.read(1):
-            raise CacheFormatError("cache file has bytes after its end")
-
-
-def _write_text(fh, text: str) -> None:
-    data = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(data)))
-    fh.write(data)
-
-
-def _read_text(fh) -> str:
-    (size,) = struct.unpack("<I", _read(fh, 4))
-    return _read(fh, size).decode("utf-8")
-
-
-def save_described(space: DescribedSpace, path) -> None:
-    """Write a described space to a little-endian binary cache file."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<I", _CACHE_VERSION))
-        _write_text(fh, space.label)
-        fh.write(struct.pack("<dI", space.params.bin_size, space.params.image_width))
-        _write_array(fh, space.indices, "<i8")
-        _write_array(fh, space.positions, "<f8")
-        _write_array(fh, space.normals, "<f8")
-        _write_array(fh, space.descriptors, "<f8")
-
-
-def load_described(path) -> DescribedSpace:
-    """The space :func:`save_described` wrote; a malformed or inconsistent
-    file raises :class:`CacheFormatError`."""
-    try:
-        with _cache_reader(path, _CACHE_MAGIC, _CACHE_VERSION) as fh:
-            label = _read_text(fh)
-            params = SpinParams(*struct.unpack("<dI", _read(fh, 12)))
-            space = DescribedSpace(
-                label=label,
-                indices=_read_array(fh, "<i8"),
-                positions=_read_array(fh, "<f8"),
-                normals=_read_array(fh, "<f8"),
-                descriptors=_read_array(fh, "<f8"),
-                params=params,
-            )
-        m = len(space.indices)
-        shapes = (space.indices.shape, space.positions.shape, space.normals.shape,
-                  space.descriptors.shape)
-        if shapes != ((m,), (m, 3), (m, 3), (m, params.length)):
-            raise CacheFormatError(
-                f"array shapes {shapes} do not fit {m} keypoints of width {params.length}")
-        return space
-    except ValueError as err:
-        raise CacheFormatError(f"descriptor cache: {err}") from err
+    return DescribedSpace(keys.astype(np.int64), positions, hist / norms, params)

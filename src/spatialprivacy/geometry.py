@@ -133,17 +133,6 @@ class RigidTransform:
     def apply_rotation(self, vectors: np.ndarray) -> np.ndarray:
         return np.asarray(vectors, dtype=np.float64) @ self.rotation.T
 
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -(rt @ self.translation))
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
 
 class SpatialIndex:
     """Exact k-nearest-neighbor index over a cloud's positions.
@@ -224,20 +213,22 @@ def _exponent(a: np.ndarray) -> int:
     return min(-math.frexp(top)[1], 1000)
 
 
-def ranking_copy(references: np.ndarray) -> tuple[int, np.ndarray]:
-    """``(e, copy)``: the references times 2**e, rounded to float32 and
-    transposed to a C-contiguous (dim, n) array, where 2**e brings their
-    largest magnitude into [0.5, 1). Scaling by a power of two is exact, so
-    the cast cannot overflow, and it flushes to zero only entries some 2**149
-    times smaller than the largest. :func:`knn_bruteforce` ranks on this
-    copy; the transposed layout runs its GEMM about a fifth faster."""
+def ranking_copy(references: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """``(sq_norms, e, copy)``, what :func:`knn_bruteforce` ranks on: the
+    references' squared norms ``einsum("ij,ij->i", references, references)``,
+    and the references times 2**e, rounded to float32 and transposed to a
+    C-contiguous (dim, n) array, where 2**e brings their largest magnitude
+    into [0.5, 1). Scaling by a power of two is exact, so the cast cannot
+    overflow, and it flushes to zero only entries some 2**149 times smaller
+    than the largest. The transposed layout runs the GEMM about a fifth
+    faster."""
     e = _exponent(references)
-    return e, np.ascontiguousarray((references * 2.0**e).T, dtype=np.float32)
+    return (np.einsum("ij,ij->i", references, references), e,
+            np.ascontiguousarray((references * 2.0**e).T, dtype=np.float32))
 
 
 def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
-                   sq_norms: np.ndarray | None = None,
-                   references32: tuple[int, np.ndarray] | None = None):
+                   prepared: tuple[np.ndarray, int, np.ndarray] | None = None):
     """Exact k-nn in arbitrary dimension, e.g. descriptor space.
 
     Exact means equal, bitwise in both indices and distances, to the direct
@@ -245,10 +236,9 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
     ``np.linalg.norm(references - q, axis=1)`` and the neighbors are the first
     ``k`` of their ascending order, ties by lower reference index (the contract
     of :meth:`SpatialIndex.query`). Returns ``(distances, indices)`` of shape
-    ``(q, k)``. ``sq_norms``, if given, is ``einsum("ij,ij->i", references,
-    references)`` and ``references32`` is ``ranking_copy(references)``, for
+    ``(q, k)``. ``prepared``, if given, is ``ranking_copy(references)``, for
     callers that query one reference set many times; otherwise each call
-    makes them.
+    makes it.
 
     Queries run in row tiles of about 2**18 keys (one row if a row alone has
     more), so beyond the inputs, the float32 copy and the outputs memory is
@@ -268,8 +258,7 @@ def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
     n, dim = references.shape
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for reference set of size {n}")
-    sr = np.einsum("ij,ij->i", references, references) if sq_norms is None else sq_norms
-    e_ref, r32 = ranking_copy(references) if references32 is None else references32
+    sr, e_ref, r32 = ranking_copy(references) if prepared is None else prepared
     # One scale s = 2**e for both sides: every |s q| and |s r| is below 1.
     # Queries larger than the references rescale the copy, exactly but for
     # underflow, which the slack below covers.

@@ -54,6 +54,7 @@ from .synthetic import default_space_specs, generate_space
 
 __all__ = [
     "CellMetrics",
+    "DatasetError",
     "ExperimentConfig",
     "load_cloud",
     "load_dataset",
@@ -252,6 +253,10 @@ class CellMetrics:
         return cls(mode=mode, radius=radius, pi2=row["pi2_m"], **fields)
 
 
+class DatasetError(ValueError):
+    """The dataset yields too few spaces to attack."""
+
+
 def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
     """Labeled spaces, ordered by label; synthetic or a directory of PLYs."""
     if spec.type == "synthetic":
@@ -260,7 +265,7 @@ def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
         return {label: generate_space(s, label) for label, s in chosen.items()}
     paths = sorted(Path(spec.path).glob("*.ply"))
     if not paths:
-        raise ValueError(f"no .ply files under {spec.path}")
+        raise DatasetError(f"no .ply files under {spec.path}")
     return {p.stem: load_cloud(p, spec.normals_k) for p in paths}
 
 
@@ -418,7 +423,7 @@ def run_experiment(config: ExperimentConfig):
     """
     spaces = load_dataset(config.dataset)
     if len(spaces) < 2:
-        raise ValueError("inter-space inference needs at least 2 spaces")
+        raise DatasetError("inter-space inference needs at least 2 spaces")
     spaces_list = [spaces[label] for label in sorted(spaces)]
     ensemble = build_reference(
         spaces_list,

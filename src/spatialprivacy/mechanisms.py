@@ -112,7 +112,7 @@ def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
     """Repeatedly commit the best one-point-plus-normal plane hypothesis.
 
     ``pool`` holds the currently unassigned point indices; committed planes
-    remove their inliers from it. Returns (planes, remaining_pool).
+    remove their inliers from it. Returns the committed planes.
     """
     planes: list[Plane] = []
     pool = np.asarray(pool, dtype=np.intp)
@@ -155,7 +155,7 @@ def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
         keep = ~np.isin(pool, plane.inlier_indices, assume_unique=False)
         pool = pool[keep]
         seq += 1
-    return planes, pool
+    return planes
 
 
 def ransac_planes(cloud: PointCloud, params: GeneralizationParams = GeneralizationParams(),
@@ -168,12 +168,10 @@ def ransac_planes(cloud: PointCloud, params: GeneralizationParams = Generalizati
         return []
     if not cloud.has_normals:
         raise ValueError("cloud has no normals; run estimate_normals first")
-    rng = np.random.default_rng(seed)
-    planes, _ = _greedy_extract(
+    return _greedy_extract(
         cloud.positions, cloud.normals, cloud.reliable,
-        np.arange(len(cloud)), params, rng, start_seq=0,
+        np.arange(len(cloud)), params, np.random.default_rng(seed), start_seq=0,
     )
-    return planes
 
 
 def project_to_planes(cloud: PointCloud, planes: list[Plane]) -> PointCloud:
@@ -272,7 +270,7 @@ def subsume(state: ReleaseState, new_points: PointCloud,
             state.assignment[claimed] = plane.seq
             unclaimed = unclaimed[~mask]
 
-    new_planes, _ = _greedy_extract(
+    new_planes = _greedy_extract(
         state.positions, state.normals, state.reliable, state.residual_indices,
         params, rng, start_seq=len(state.planes),
     )

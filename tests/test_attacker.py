@@ -10,9 +10,12 @@ import pytest
 from spatialprivacy import attacker
 from spatialprivacy.attacker import (
     AttackParams,
+    CacheFormatError,
     ReferenceEnsemble,
     _LabelPool,
     _match_label,
+    _write_array,
+    _write_text,
     build_reference,
     infer,
     load_ensemble,
@@ -20,14 +23,7 @@ from spatialprivacy.attacker import (
     match_intra,
     save_ensemble,
 )
-from spatialprivacy.descriptors import (
-    CacheFormatError,
-    DescribedSpace,
-    SpinParams,
-    _write_array,
-    _write_text,
-    describe,
-)
+from spatialprivacy.descriptors import DescribedSpace, SpinParams, describe
 from spatialprivacy.geometry import (
     PointCloud,
     apply_transform,
@@ -38,13 +34,11 @@ from spatialprivacy.mechanisms import GeneralizationParams, project_to_planes, r
 from spatialprivacy.synthetic import SyntheticSpaceSpec, generate_space
 
 
-def toy_space(descriptors, label="toy"):
+def toy_space(descriptors):
     n = len(descriptors)
     return DescribedSpace(
-        label=label,
         indices=np.arange(n, dtype=np.int64),
         positions=np.zeros((n, 3)),
-        normals=np.tile([0.0, 0, 1.0], (n, 1)),
         descriptors=np.asarray(descriptors, dtype=float),
         params=SpinParams(),
     )
@@ -129,7 +123,7 @@ class TestMatchInter:
     def test_scores_bounded(self, mini_ensemble, rng):
         query = toy_space(rng.normal(size=(30, 128)))
         query = DescribedSpace(
-            query.label, query.indices, query.positions, query.normals,
+            query.indices, query.positions,
             np.abs(query.descriptors)
             / np.linalg.norm(query.descriptors, axis=1, keepdims=True),
             query.params,
@@ -143,7 +137,7 @@ class TestMatchInter:
         descs[:, :2] = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
         pool = (descs, np.zeros((3, 3)))
         ensemble = ReferenceEnsemble({"a": pool, "b": pool}, SpinParams(), 5)
-        result = match_inter(ensemble, toy_space(descs[:2], "q"))
+        result = match_inter(ensemble, toy_space(descs[:2]))
         assert result.scores["a"] == result.scores["b"]
         assert result.winner == "a"
 
@@ -466,9 +460,13 @@ class TestBuildReference:
         assert loaded.params == params
         assert loaded.factor == 7
         for label in fresh.labels:
-            for name in ("descriptors", "positions", "sq_norms"):
+            for name in ("descriptors", "positions"):
                 assert np.array_equal(getattr(loaded.pool(label), name),
                                       getattr(fresh.pool(label), name))
+            sq_norms, e, copy = loaded.pool(label).prepared
+            assert np.array_equal(sq_norms, fresh.pool(label).prepared[0])
+            assert e == fresh.pool(label).prepared[1]
+            assert np.array_equal(copy, fresh.pool(label).prepared[2])
         save_ensemble(loaded, p3)
         assert p3.read_bytes() == p1.read_bytes()
 
@@ -493,7 +491,20 @@ class TestBuildReference:
             ensemble_file(1, [("abc", d8, pos)]).replace(b"abc", b"\xff\xfe\xfd", 1),
             ensemble_file(2, entries, bin_size=0.0),
             ensemble_file(2, entries, bin_size=-0.1),
+            ensemble_file(2, entries, bin_size=np.nan),
+            ensemble_file(2, entries, image_width=1),
+            ensemble_file(2, entries, image_width=0),
         ]
+        # The first array stores shape (4, 8) for its 24 values: magic, the
+        # header, label "a", then the array's ndim and value count.
+        shape_at = 4 + 24 + 4 + 1 + 1 + 4
+        bad.append(data[:shape_at] + (4).to_bytes(4, "little") + data[shape_at + 4:])
+        # A non-finite value would be every query's neighbour at distance NaN.
+        for bad_value in (np.nan, np.inf):
+            d_bad, pos_bad = d8.copy(), pos.copy()
+            d_bad[1, 3] = pos_bad[2, 0] = bad_value
+            bad += [ensemble_file(2, [("a", d_bad, pos), entries[1]]),
+                    ensemble_file(2, [entries[0], ("b", d8[:2], pos_bad[1:])])]
         for blob in bad:
             path.write_bytes(blob)
             with pytest.raises(CacheFormatError):

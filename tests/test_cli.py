@@ -7,7 +7,7 @@ import pytest
 
 from spatialprivacy.attacker import build_reference, load_ensemble
 from spatialprivacy.cli import main
-from spatialprivacy.descriptors import SpinParams, load_described
+from spatialprivacy.descriptors import SpinParams
 from spatialprivacy.harness import load_cloud
 from spatialprivacy.ply_io import load_ply
 
@@ -29,17 +29,6 @@ def test_gen_writes_loadable_plys(space_dir):
     cloud = load_ply(files[0])
     assert cloud.has_normals
     assert len(cloud) > 500
-
-
-def test_describe_writes_cache(space_dir, tmp_path):
-    cache = tmp_path / "space0.spdc"
-    rc = main(
-        ["describe", "--cloud", str(space_dir / "space0.ply"), "--out", str(cache)]
-    )
-    assert rc == 0
-    space = load_described(cache)
-    assert len(space) > 50
-    assert space.label == "space0"
 
 
 @pytest.fixture(scope="module")
@@ -161,4 +150,26 @@ def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("spatialprivacy run: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dataset, message", [
+    ({"count": 1, "density": 10}, "needs at least 2 spaces"),
+    ({"type": "directory", "path": "{empty}"}, "no .ply files under"),
+    ({"type": "directory", "path": "{garbage}"}, "not a PLY file"),
+], ids=["one-space", "no-ply", "not-ply"])
+def test_run_bad_dataset_is_one_line_error(dataset, message, tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "garbage").mkdir()
+    (tmp_path / "garbage" / "space0.ply").write_bytes(b"nope\n")
+    if "path" in dataset:
+        dataset = {**dataset, "path": str(tmp_path / dataset["path"].strip("{}"))}
+    config = {"mode": "one-time", "samples": 1, "radii": [1.0], "dataset": dataset}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("spatialprivacy run: ") and message in err
+    assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()

@@ -1,21 +1,16 @@
-"""Spin-image descriptors: binning, invariance, selection, caching."""
+"""Spin-image descriptors: binning, the batched kernel, invariance and
+keypoint selection."""
 
-import struct
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spatialprivacy.descriptors import (
-    CacheFormatError,
-    DescribedSpace,
     SpinParams,
     UnusableSpaceError,
     _spin_histograms,
     describe,
-    load_described,
-    save_described,
     select_keypoints,
 )
 from spatialprivacy.geometry import (
@@ -76,15 +71,15 @@ def reference_describe(cloud, params, factor):
         vec = reference_histogram(cloud.positions[neigh], cloud.positions[i],
                                   cloud.normals[i], params)
         rows.append(vec / np.linalg.norm(vec))
-    return keys, cloud.positions[keys], cloud.normals[keys], np.array(rows)
+    return keys, cloud.positions[keys], np.array(rows)
 
 
 def assert_as_reference(space, cloud, params, factor):
-    indices, positions, normals, descriptors = reference_describe(cloud, params, factor)
+    indices, positions, descriptors = reference_describe(cloud, params, factor)
     assert np.array_equal(space.indices, indices)
     assert np.array_equal(space.positions, positions)
-    assert np.array_equal(space.normals, normals)
     assert np.array_equal(space.descriptors, descriptors)
+    assert space.params == params
 
 
 def edge_cloud():
@@ -331,67 +326,3 @@ class TestDescribe:
         with pytest.raises(UnusableSpaceError):
             describe(cloud, P, 5)
 
-
-class TestCache:
-    def test_round_trip_bit_identical(self, tmp_path, random_cloud):
-        space = describe(random_cloud.with_label("roundtrip"), P, 5)
-        path = tmp_path / "space.spdc"
-        save_described(space, path)
-        loaded = load_described(path)
-        assert loaded.label == "roundtrip"
-        assert np.array_equal(loaded.indices, space.indices)
-        assert np.array_equal(loaded.positions, space.positions)
-        assert np.array_equal(loaded.normals, space.normals)
-        assert np.array_equal(loaded.descriptors, space.descriptors)
-        assert loaded.params == space.params
-
-    def test_rebuild_is_bit_identical(self, tmp_path, random_cloud):
-        p1, p2 = tmp_path / "a.spdc", tmp_path / "b.spdc"
-        save_described(describe(random_cloud, P, 5), p1)
-        save_described(describe(random_cloud, P, 5), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.spdc"
-        path.write_bytes(b"nope")
-        with pytest.raises(ValueError):
-            load_described(path)
-
-    def test_every_malformed_file_raises_cache_format_error(self, tmp_path):
-        space = DescribedSpace(
-            "cut", np.arange(2, dtype=np.int64), np.ones((2, 3)),
-            np.tile([0.0, 0.0, 1.0], (2, 1)), np.full((2, P.length), 0.5), P,
-        )
-        path = tmp_path / "space.spdc"
-        save_described(space, path)
-        data = path.read_bytes()
-        assert load_described(path).params == P
-        version = (2).to_bytes(4, "little")
-        bad = [data[:cut] for cut in range(len(data))]
-        bad += [data + b"\0", b"XXXX" + data[4:], data[:4] + version + data[8:]]
-        # The indices array stores shape (3,) for its 2 values: magic, version,
-        # label length, "cut", bin size and width, then ndim and size.
-        label_at = 4 + 4 + 4
-        params_at = label_at + 3
-        shape_at = params_at + 12 + 5
-        bad.append(data[:shape_at] + (3).to_bytes(4, "little") + data[shape_at + 4:])
-        bad.append(data[:label_at] + b"\xffut" + data[params_at:])
-        # A bin size <= 0 or NaN, a width < 2, or one whose descriptor length
-        # is not the stored width.
-        for bin_size, width in ((0.0, W), (-0.1, W), (np.nan, W), (P.bin_size, 1),
-                                (P.bin_size, 0), (P.bin_size, 4)):
-            params = struct.pack("<dI", bin_size, width)
-            bad.append(data[:params_at] + params + data[params_at + 12:])
-        # One array at a time with a row too many or too few, or a wrong width.
-        for field, value in (
-            ("indices", np.arange(1)), ("positions", np.ones((3, 3))),
-            ("normals", np.ones((1, 3))), ("descriptors", np.full((3, P.length), 0.5)),
-            ("descriptors", np.full((2, P.length // 2), 0.5)),
-            ("positions", np.ones((2, 2))), ("indices", np.zeros((2, 1), dtype=np.int64)),
-        ):
-            save_described(replace(space, **{field: value}), path)
-            bad.append(path.read_bytes())
-        for blob in bad:
-            path.write_bytes(blob)
-            with pytest.raises(CacheFormatError):
-                load_described(path)

@@ -98,12 +98,6 @@ class TestRigidTransform:
         rhs = t.apply(centroid(random_cloud))
         assert np.linalg.norm(lhs - rhs) < 1e-9
 
-    def test_inverse_and_compose(self, rng):
-        t = random_rigid_transform(rng)
-        roundtrip = t.compose(t.inverse())
-        assert np.allclose(roundtrip.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(roundtrip.translation, 0.0, atol=1e-12)
-
 
 class TestRandomRigidTransform:
     def test_deterministic_per_seed(self):
@@ -221,12 +215,7 @@ class TestKnn:
     def test_bruteforce_matches_linear_scan_high_dim(self, rng):
         refs = rng.normal(size=(400, 128))
         queries = rng.normal(size=(50, 128))
-        dist, idx = knn_bruteforce(refs, queries, k=2)
-        for qi, q in enumerate(queries):
-            d = np.linalg.norm(refs - q, axis=1)
-            order = np.lexsort((np.arange(len(refs)), d))[:2]
-            assert np.array_equal(idx[qi], order)
-            assert np.array_equal(dist[qi], d[order])
+        self._assert_linear_scan(refs, queries, 2)
 
     def test_bruteforce_is_the_linear_scan(self):
         """Bitwise equal indices and distances on random adversarial inputs.
@@ -236,7 +225,7 @@ class TestKnn:
         copied from the references, coordinates scaled from 1e-3 to 1e3 and
         every k from 1 to n. Every fifth case has more query rows than two
         GEMM tiles hold, so the kernel runs several tiles. Each case runs with
-        and without precomputed norms.
+        and without the prepared ranking copy.
         """
         r = np.random.default_rng(2004)
         for case in range(200):
@@ -256,9 +245,8 @@ class TestKnn:
             queries = scale * r.normal(size=(nq, dim))
             copied = r.random(nq) < 0.5
             queries[copied] = refs[r.integers(0, n, copied.sum())]
-            sq_norms = np.einsum("ij,ij->i", refs, refs)
             results = [knn_bruteforce(refs, queries, k=k),
-                       knn_bruteforce(refs, queries, k=k, sq_norms=sq_norms)]
+                       knn_bruteforce(refs, queries, k=k, prepared=ranking_copy(refs))]
             for qi, q in enumerate(queries):
                 d = np.linalg.norm(refs - q, axis=1)
                 order = np.lexsort((np.arange(n), d))[:k]
@@ -281,19 +269,21 @@ class TestKnn:
 
     def test_bruteforce_duplicate_reference_tie(self):
         refs = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
-        dist, idx = knn_bruteforce(refs, np.array([[1.0, 0.0]]), k=2)
-        assert list(idx[0]) == [0, 2]
+        for prepared in (None, ranking_copy(refs)):
+            dist, idx = knn_bruteforce(refs, np.array([[1.0, 0.0]]), k=2, prepared=prepared)
+            assert list(idx[0]) == [0, 2]
 
     @staticmethod
-    def _assert_linear_scan(refs, queries, k, cached=False):
-        extra = dict(sq_norms=np.einsum("ij,ij->i", refs, refs),
-                     references32=ranking_copy(refs)) if cached else {}
-        dist, idx = knn_bruteforce(refs, queries, k=k, **extra)
-        for qi, q in enumerate(np.atleast_2d(queries)):
-            d = np.linalg.norm(refs - q, axis=1)
-            order = np.lexsort((np.arange(len(refs)), d))[:k]
-            assert np.array_equal(idx[qi], order), (k, qi)
-            assert np.array_equal(dist[qi], d[order]), (k, qi)
+    def _assert_linear_scan(refs, queries, k):
+        """Bitwise the linear scan, both with the prepared ranking copy
+        given and with the call making its own."""
+        for prepared in (None, ranking_copy(refs)):
+            dist, idx = knn_bruteforce(refs, queries, k=k, prepared=prepared)
+            for qi, q in enumerate(np.atleast_2d(queries)):
+                d = np.linalg.norm(refs - q, axis=1)
+                order = np.lexsort((np.arange(len(refs)), d))[:k]
+                assert np.array_equal(idx[qi], order), (k, qi)
+                assert np.array_equal(dist[qi], d[order]), (k, qi)
 
     def test_bruteforce_near_duplicates_within_the_slack(self):
         """References a few ulps apart put the (k+1)-th key within the
@@ -350,14 +340,14 @@ class TestKnn:
         assert peak < 1.5 * 100 * 2000 * 8
 
     def test_bruteforce_keys_are_float32(self):
-        """The ranking tile holds float32 keys: with the float32 copy given,
+        """The ranking tile holds float32 keys: with the ranking copy given,
         a call adds little beyond one 100 x 2000 tile of 4-byte keys."""
         r = np.random.default_rng(2030)
         refs, queries = r.normal(size=(2000, 16)), r.normal(size=(100, 16))
-        refs32 = ranking_copy(refs)
+        prepared = ranking_copy(refs)
         tracemalloc.start()
         try:
-            knn_bruteforce(refs, queries, k=2, references32=refs32)
+            knn_bruteforce(refs, queries, k=2, prepared=prepared)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -370,8 +360,7 @@ class TestKnn:
         their size: the smallest moves leave equal float32 rows, so equal
         float32 keys for unequal float64 distances; moves near 2**-24 let
         float32 rounding rank two rows unlike their distances. Queries sit
-        on references or near them; every k is checked, with and without
-        the cached float32 copy.
+        on references or near them; every k is checked.
         """
         r = np.random.default_rng(2031)
         equal_keys = 0
@@ -388,7 +377,6 @@ class TestKnn:
             queries[::2] = refs[r.integers(0, len(refs), 3)]
             for k in range(1, len(refs) + 1):
                 self._assert_linear_scan(refs, queries, k)
-                self._assert_linear_scan(refs, queries, k, cached=True)
             rounded = (refs / 2.0 ** np.floor(np.log2(scale))).astype(np.float32)
             same = (rounded[:, None] == rounded[None]).all(axis=2)
             differ = (refs[:, None] != refs[None]).any(axis=2)
@@ -425,7 +413,6 @@ class TestKnn:
             queries[:2] = refs[r.integers(0, n, 2)]
             for k in sorted({1, 2 if n > 1 else 1, int(r.integers(1, n + 1)), n}):
                 self._assert_linear_scan(refs, queries, k)
-                self._assert_linear_scan(refs, queries, k, cached=True)
 
     def test_bruteforce_descriptor_like_variants(self):
         """Unit, non-negative 128-bin rows of a raw set and a second variant
@@ -449,7 +436,6 @@ class TestKnn:
             noisy = pool[r.integers(0, len(pool), 100)] + 1e-3 * r.random((100, 128))
             queries = np.vstack([pool[r.integers(0, len(pool), 100)], noisy])
             self._assert_linear_scan(pool, queries, 2)
-            self._assert_linear_scan(pool, queries, 2, cached=True)
             d = np.sort(np.linalg.norm(pool[None] - queries[:, None], axis=2), axis=1)
             near_ties += np.count_nonzero(d[:, 2] <= d[:, 1] * (1 + 1e-6))
         assert near_ties > 0
