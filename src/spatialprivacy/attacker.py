@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,29 +57,25 @@ class AttackParams:
             require_real(name, getattr(self, name), 0.0, closed=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _LabelPool:
-    """One label's stacked descriptors and positions, with ``prepared``, the
-    squared norms and scaled float32 copy (:func:`ranking_copy`) that
-    :func:`knn_bruteforce` ranks on."""
+    """One label's stacked descriptors and keypoint positions."""
 
     descriptors: np.ndarray
     positions: np.ndarray
-    prepared: tuple[np.ndarray, int, np.ndarray] = field(init=False)
-
-    def __post_init__(self):
-        self.prepared = ranking_copy(self.descriptors)
 
 
 class ReferenceEnsemble:
     """Per-label descriptor pools and the spin-image settings that built them.
 
     Each label's pool stacks the descriptors and keypoint positions of its
-    raw and generalized variants and caches the descriptors' squared norms
-    and their scaled float32 copy, which every query's ``knn_bruteforce``
-    would otherwise recompute. The copy adds half the descriptors' size.
-    Every value must be finite: a NaN row would be every query's neighbour
-    at distance NaN, which the NNDR reads as a perfect match.
+    raw and generalized variants. ``ranked`` lists the labels whose pools
+    hold at least two descriptors, the ones :func:`match_inter` 2-nn
+    matches, and ``prepared`` caches their grouped ranking copy
+    (:func:`ranking_copy`), which every query's ``knn_bruteforce`` would
+    otherwise recompute; it adds about half the descriptors' size. Every
+    value must be finite: a NaN row would be every query's neighbour at
+    distance NaN, which the NNDR reads as a perfect match.
     :func:`infer` describes queries with ``params`` and ``factor``.
     Immutable after construction; concurrent matching against it is safe.
     """
@@ -99,6 +95,9 @@ class ReferenceEnsemble:
         self.params = params
         self.factor = factor
         self._pools = {label: _LabelPool(*arrays) for label, arrays in pools.items()}
+        self.ranked = [label for label in self.labels if len(pools[label][0]) >= 2]
+        self.prepared = (ranking_copy([pools[label][0] for label in self.ranked])
+                         if self.ranked else None)
 
     def pool(self, label: str) -> _LabelPool:
         return self._pools[label]
@@ -138,53 +137,56 @@ class Hypothesis:
     query: DescribedSpace        # the described query the matches index into
 
 
-def _match_label(pool: _LabelPool, query: DescribedSpace, params: AttackParams):
-    """Score one label and return its accepted unique pairs."""
-    n_query = len(query)
-    empty = MatchedPairs(
-        np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-    )
-    if len(pool.descriptors) < 2:
-        return 0.0, empty
-    dist, idx = knn_bruteforce(pool.descriptors, query.descriptors, k=2,
-                               prepared=pool.prepared)
-    second = dist[:, 1]
-    # Exact duplicates give 0/0; closer is better, so define that as 0.
-    nndr = np.divide(dist[:, 0], second, out=np.zeros(n_query), where=second > 0)
-    candidates = np.arange(n_query)
-    if params.strict_nndr:
-        candidates = candidates[nndr[candidates] < params.nndr_threshold]
-    if len(candidates) == 0:
-        return 0.0, empty
-    # One pair per query keypoint already; dedupe the reference side keeping
-    # the lowest NNDR (ties by lower query index).
-    priority = np.lexsort((candidates, nndr[candidates]))
-    ordered = candidates[priority]
-    refs = idx[ordered, 0]
-    _, first_pos = np.unique(refs, return_index=True)
-    kept = ordered[np.sort(first_pos)]
-    kept_nndr = nndr[kept]
-    score = float((1.0 - kept_nndr.mean()) * (len(kept) / n_query))
-    return score, MatchedPairs(kept, idx[kept, 0], kept_nndr)
-
-
 def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
                 params: AttackParams = AttackParams()) -> InterSpaceResult:
     """Score every reference label against the query; argmax wins.
 
-    Ties go to the label that comes first in ensemble order. A label whose
-    pool has fewer than two descriptors scores zero. The query must be
-    described with the ensemble's spin-image settings.
+    One ``knn_bruteforce`` call 2-nn matches every query descriptor in
+    every label's pool. Per label, each query keypoint gets its NNDR (0 for
+    the 0/0 of exact duplicates: closer is better); with ``strict_nndr``
+    only those below ``nndr_threshold`` stay candidates. Each reference
+    keypoint keeps the candidate of lowest NNDR (ties by lower query index),
+    and the label scores ``(1 - mean kept NNDR) * kept / len(query)``. A
+    label whose pool has fewer than two descriptors, or that keeps no pair,
+    scores zero. Ties go to the label that comes first in ensemble order.
+    The query must be described with the ensemble's spin-image settings.
     """
-    if len(query) == 0:
+    n_query = len(query)
+    if n_query == 0:
         raise ValueError("query has no descriptors")
     if query.params != ensemble.params:
         raise ValueError(f"query described with {query.params}, "
                          f"ensemble with {ensemble.params}")
-    scores: dict[str, float] = {}
-    pairs: dict[str, MatchedPairs] = {}
-    for label in ensemble.labels:
-        scores[label], pairs[label] = _match_label(ensemble.pool(label), query, params)
+    empty = MatchedPairs(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
+    scores = dict.fromkeys(ensemble.labels, 0.0)
+    pairs = dict.fromkeys(ensemble.labels, empty)
+    if ensemble.ranked:
+        dist, idx = knn_bruteforce([ensemble.pool(label).descriptors for label in ensemble.ranked],
+                                   query.descriptors, k=2, prepared=ensemble.prepared)
+        second = dist[:, :, 1].ravel()
+        nndr = np.divide(dist[:, :, 0].ravel(), second, out=np.zeros(len(second)),
+                         where=second > 0)
+        # One candidate per (label, query keypoint). Per label and reference
+        # keypoint, keep the first in (label, NNDR, query index) order.
+        candidates = np.arange(len(nndr))
+        if params.strict_nndr:
+            candidates = candidates[nndr < params.nndr_threshold]
+        group, query_idx = np.divmod(candidates, n_query)
+        order = np.lexsort((query_idx, nndr[candidates], group))
+        ordered = candidates[order]
+        refs = idx[:, :, 0].ravel()
+        width = ensemble.prepared[0].shape[1]
+        _, first = np.unique(group[order] * width + refs[ordered], return_index=True)
+        kept = ordered[np.sort(first)]
+        group, query_idx = np.divmod(kept, n_query)
+        kept_nndr = nndr[kept]
+        bounds = np.searchsorted(group, np.arange(len(ensemble.ranked) + 1))
+        for label, lo, hi in zip(ensemble.ranked, bounds[:-1], bounds[1:]):
+            if hi > lo:
+                # Each label's own mean, as a lone array of its NNDRs sums.
+                scores[label] = float((1.0 - kept_nndr[lo:hi].mean()) * ((hi - lo) / n_query))
+                pairs[label] = MatchedPairs(query_idx[lo:hi], refs[kept[lo:hi]],
+                                            kept_nndr[lo:hi])
     winner = max(ensemble.labels, key=lambda lab: scores[lab])
     return InterSpaceResult(scores, winner, pairs)
 

@@ -9,12 +9,13 @@ coordinate noise. Spinning the cloud about n leaves (alpha, beta) unchanged,
 so the descriptor is invariant to rigid motion.
 
 One kernel, ``_spin_histograms``, accumulates every histogram. It takes the
-keypoints in blocks of about 2**14 (keypoint, neighbor) entries, sized from
-the neighbor count of the block before: one ball query per block, the
-(alpha, beta) and bilinear weights of the whole block at once, and one
-``np.bincount`` over (keypoint, bin) keys. Its temporaries stay at a few MB
-for any cloud; describing a 16.9k-point space peaks at about 9 MB
-(``tracemalloc``), the cloud's own copies included.
+keypoints in blocks of about 2**14 (keypoint, neighbor) entries: the first
+block as many as fit if every keypoint saw the whole cloud, each later one
+sized from the neighbor count of the block before. Per block it makes one
+ball query, the (alpha, beta) and bilinear weights of the whole block at
+once, and one ``np.bincount`` over (keypoint, bin) keys. Its temporaries
+stay at a few MB for any cloud; describing a 16.9k-point space peaks at
+about 9 MB (``tracemalloc``), the cloud's own copies included.
 """
 
 from __future__ import annotations
@@ -101,13 +102,15 @@ def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarr
     """Raw spin histograms, shape (m, params.length), of the indexed points
     around m centers with their unit normals (zero rows for empty supports).
 
-    Blocks start at one center and at most double. Ball queries list each
-    center's points by index and the ``np.bincount`` takes the four bilinear
-    corners in turn, so each bin sums its weights in one fixed order.
+    A center has at most ``len(index)`` neighbors, so the first block of
+    ``max(1, 2**14 // len(index))`` centers stays within 2**14 entries; each
+    later block at most doubles. Ball queries list each center's points by
+    index and the ``np.bincount`` takes the four bilinear corners in turn, so
+    each bin sums its weights in one fixed order, whatever the blocks.
     """
     w, m = params.image_width, len(centers)
     hist = np.zeros((m, params.length))
-    start, block = 0, 1
+    start, block = 0, max(1, 2**14 // len(index))
     while start < m:
         stop = min(start + block, m)
         rows, cols = index.ball(centers[start:stop], params.support_radius)

@@ -213,118 +213,165 @@ def _exponent(a: np.ndarray) -> int:
     return min(-math.frexp(top)[1], 1000)
 
 
-def ranking_copy(references: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """``(sq_norms, e, copy)``, what :func:`knn_bruteforce` ranks on: the
-    references' squared norms ``einsum("ij,ij->i", references, references)``,
-    and the references times 2**e, rounded to float32 and transposed to a
-    C-contiguous (dim, n) array, where 2**e brings their largest magnitude
-    into [0.5, 1). Scaling by a power of two is exact, so the cast cannot
-    overflow, and it flushes to zero only entries some 2**149 times smaller
-    than the largest. The transposed layout runs the GEMM about a fifth
-    faster."""
-    e = _exponent(references)
-    return (np.einsum("ij,ij->i", references, references), e,
-            np.ascontiguousarray((references * 2.0**e).T, dtype=np.float32))
+def _groups(references) -> list[np.ndarray]:
+    """``references`` as a list of float64 arrays: a list or tuple is the
+    groups, anything else one group."""
+    if isinstance(references, (list, tuple)):
+        return [np.asarray(r, dtype=np.float64) for r in references]
+    return [np.asarray(references, dtype=np.float64)]
 
 
-def knn_bruteforce(references: np.ndarray, queries: np.ndarray, k: int, *,
+def ranking_copy(references) -> tuple[np.ndarray, int, np.ndarray]:
+    """``(sq_norms, e, copy)``, what :func:`knn_bruteforce` ranks on, for
+    one (n, dim) reference array or a list of G of them (one array is the
+    case G = 1). With L the largest group's row count, ``sq_norms`` is
+    (G, L): each group's ``einsum("ij,ij->i", r, r)``, padded with +inf.
+    ``copy`` is (G, dim, L) float32, C-contiguous: each group times 2**e,
+    transposed and padded with zeros, where one e brings the largest
+    magnitude of all groups into [0.5, 1). Scaling by a power of two is
+    exact, so the cast cannot overflow, and it flushes to zero only entries
+    some 2**149 times smaller than the largest. The transposed layout runs
+    the GEMM about a fifth faster."""
+    groups = _groups(references)
+    e = min(_exponent(r) for r in groups)
+    width = max(len(r) for r in groups)
+    sq_norms = np.full((len(groups), width), np.inf)
+    copy = np.zeros((len(groups), groups[0].shape[1], width), dtype=np.float32)
+    for g, r in enumerate(groups):
+        sq_norms[g, :len(r)] = np.einsum("ij,ij->i", r, r)
+        np.multiply(r.T, 2.0**e, out=copy[g, :, :len(r)], casting="same_kind")
+    return sq_norms, e, copy
+
+
+def knn_bruteforce(references, queries: np.ndarray, k: int, *,
                    prepared: tuple[np.ndarray, int, np.ndarray] | None = None):
     """Exact k-nn in arbitrary dimension, e.g. descriptor space.
 
-    Exact means equal, bitwise in both indices and distances, to the direct
-    linear scan: for each query ``q`` the distances are
-    ``np.linalg.norm(references - q, axis=1)`` and the neighbors are the first
-    ``k`` of their ascending order, ties by lower reference index (the contract
-    of :meth:`SpatialIndex.query`). Returns ``(distances, indices)`` of shape
-    ``(q, k)``. ``prepared``, if given, is ``ranking_copy(references)``, for
-    callers that query one reference set many times; otherwise each call
-    makes it.
+    ``references`` is one (n, dim) array, or a list of G such arrays (the
+    groups, of any sizes n_g >= k), each searched on its own. Exact means
+    equal, bitwise in both indices and distances, to the direct linear scan:
+    for each query ``q`` and group ``r`` the distances are
+    ``np.linalg.norm(r - q, axis=1)`` and the neighbors are the first ``k``
+    of their ascending order, ties by lower row index (the contract of
+    :meth:`SpatialIndex.query`). Returns ``(distances, indices)`` of shape
+    ``(q, k)`` for one array and ``(G, q, k)`` for a list. ``prepared``, if
+    given, is ``ranking_copy(references)``, for callers that query one
+    reference set many times; otherwise each call makes it.
 
-    Queries run in row tiles of about 2**18 keys (one row if a row alone has
-    more), so beyond the inputs, the float32 copy and the outputs memory is
-    O(2**18 + survivors). One float32 GEMM per tile ranks each row on
+    Queries run in row tiles of about 2**18 keys per group (one row if a row
+    alone has more), so beyond the inputs, the float32 copy and the outputs
+    memory is O(2**18 + survivors): one (rows, L) key buffer serves every
+    group in turn. One float32 GEMM per group and tile ranks each row on
     ``||r||^2 - 2 q.r``, both sides scaled by one power of two; a rounding
     bound around the row's k-th key keeps every reference that the linear
-    scan could place in its top k, and only those survivors get their
-    distance computed directly, in float64, and sorted. The k smallest keys
-    of a row come from k + 1 min passes over the tile, O((k + 1) * tile)
-    beyond the GEMM; only a row whose (k+1)-th key falls within the bound (a
-    tie may straddle the k-th place) is masked in full to find its survivors.
+    scan could place in its top k. The k smallest keys of a row come from
+    k + 1 min passes over the buffer, O((k + 1) * tile) beyond the GEMM;
+    only a row whose (k+1)-th key falls within the bound (a tie may straddle
+    the k-th place) is masked in full to find its survivors. Survivors get
+    their distances directly, in float64, as the linear scan sums them, and
+    those of all groups are sorted in one pass per tile.
     """
-    references = np.asarray(references, dtype=np.float64)
+    groups = _groups(references)
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries[None, :]
-    n, dim = references.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for reference set of size {n}")
-    sr, e_ref, r32 = ranking_copy(references) if prepared is None else prepared
+    sizes = [len(r) for r in groups]
+    dim = groups[0].shape[1]
+    if not 1 <= k <= min(sizes):
+        raise ValueError(f"k={k} out of range for reference set of size {min(sizes)}")
+    sr, e_ref, r32 = ranking_copy(groups) if prepared is None else prepared
     # One scale s = 2**e for both sides: every |s q| and |s r| is below 1.
     # Queries larger than the references rescale the copy, exactly but for
     # underflow, which the slack below covers.
     e = min(e_ref, _exponent(queries))
-    if e < e_ref:
-        r32 = r32 * np.float32(2.0 ** (e - e_ref))
+    rescale = np.float32(2.0 ** (e - e_ref)) if e < e_ref else None
     scale = 2.0**e
     n32 = (sr * scale * scale).astype(np.float32)
     # Keys are x.y + ||y||^2 = s^2 (||r||^2 - 2 q.r) for x = -2 s q (exact)
     # and y = s r: x.y by the float32 GEMM, ||y||^2 as s^2 sr rounded to
     # float32, added in float32. With u = 2**-24, g(m) = m u / (1 - m u),
-    # a = ||x|| and b = s max ||r||, each term of x.y takes two input
-    # roundings, a product, <= dim - 1 additions and the final add, so it is
-    # off by at most g(dim + 3) a b in sum; ||y||^2 takes a float64 sum (a
-    # relative error below u for dim < 2**28), the cast and the final add:
-    # g(3) b^2. Underflow, even flushed to zero, adds at most
+    # a = ||x|| and b = s max ||r|| over the group, each term of x.y takes
+    # two input roundings, a product, <= dim - 1 additions and the final
+    # add, so it is off by at most g(dim + 3) a b in sum; ||y||^2 takes a
+    # float64 sum (a relative error below u for dim < 2**28), the cast and
+    # the final add: g(3) b^2. Underflow, even flushed to zero, adds at most
     # 2 tiny (sqrt(dim) (a + b) + 2 dim + 3) per key, tiny = 2**-126. Twice
     # one key's error is the float32 part of the slack. The float64 part,
     # (dim + 8) eps (a + b)^2, covers the linear scan's
     # (dim + 5) eps/2 (||q|| + ||r||)^2 on each of the two distances
     # compared, the rounding of kth + slack and of this formula; and
     # (3 dim + 10) s^2 2**-1074 covers float64 underflow in sr and the scan.
+    # Zero columns padded with +inf norms key +inf and are never picked.
     u, tiny = 2.0**-24, float(np.finfo(np.float32).tiny)
     eps = float(np.finfo(np.float64).eps)
     g_dot, g_norm = ((m * u) / (1 - m * u) for m in (dim + 3, 3))
-    b = np.sqrt(sr.max()) * scale
+    b = np.sqrt([norms[:n].max() for norms, n in zip(sr, sizes)])[:, None] * scale
     under = math.ldexp(3 * dim + 10, 2 * e - 1074)
-    dist = np.empty((len(queries), k))
-    idx = np.empty((len(queries), k), dtype=np.intp)
-    # Tiles of 2**18 keys keep the GEMM efficient while no q x n matrix
-    # exists; the k * dim term bounds the survivors' difference vectors.
-    block = max(1, (1 << 18) // max(n, k * dim))
+    n_groups, width = sr.shape
+    dist = np.empty((n_groups, len(queries), k))
+    idx = np.empty((n_groups, len(queries), k), dtype=np.intp)
+    # Tiles of 2**18 keys per group keep the GEMM efficient while no q x n
+    # matrix exists; the k * dim term bounds one group's difference vectors.
+    block = max(1, (1 << 18) // max(width, k * dim))
+    buf = np.empty((min(block, len(queries)), width), dtype=np.float32)
+    picks = np.empty((n_groups, len(buf), k), dtype=np.intp)
+    keys = np.empty((len(buf), k), dtype=np.float32)
+    diff = np.empty((len(buf), k, dim))
+    sq = np.empty((n_groups, len(buf), k))
     for s in range(0, len(queries), block):
         qb = queries[s:s + block]
+        nb = len(qb)
         xb = qb * (-2.0 * scale)
-        kb = xb.astype(np.float32) @ r32
-        kb += n32
+        x32 = xb.astype(np.float32)
         a = np.sqrt(np.einsum("ij,ij->i", xb, xb))
         slack = (2 * (g_dot * a * b + g_norm * b * b)
                  + 4 * tiny * (math.sqrt(dim) * (a + b) + 2 * dim + 3)
                  + (dim + 8) * eps * (a + b) ** 2 + under)
-        # k argmin passes pick each row's k smallest keys, each pick masked
-        # with +inf; one more min pass gives the (k+1)-th key (+inf if k = n).
-        rows = np.arange(len(kb))
-        picks = np.empty((len(kb), k), dtype=np.intp)
-        keys = np.empty((len(kb), k), dtype=np.float32)
-        for j in range(k):
-            picks[:, j] = kb.argmin(axis=1)
-            keys[:, j] = kb[rows, picks[:, j]]
-            kb[rows, picks[:, j]] = np.inf
-        thr = keys[:, -1] + slack
-        # A row whose (k+1)-th key exceeds thr keeps exactly its k picks. A
-        # tied row gets its picks back and keeps every key within thr, as
-        # SpatialIndex.query re-resolves a tied row over a ball.
-        tied = kb.min(axis=1) <= thr
-        kb[rows[tied, None], picks[tied]] = keys[tied]
-        tied_rows, tied_cols = np.nonzero(kb[tied] <= thr[tied, None])
-        rows = np.concatenate([np.repeat(rows[~tied], k), rows[tied][tied_rows]])
-        cols = np.concatenate([picks[~tied].ravel(), tied_cols])
-        d = np.linalg.norm(qb[rows] - references[cols], axis=1)
-        order = np.lexsort((cols, d, rows))
-        # Every row keeps at least k survivors; take the first k of each.
-        counts = np.bincount(rows, minlength=len(kb))
+        rows = np.arange(nb)
+        extra = []   # tied rows' further survivors: (group, row), column, distance
+        for g, ref in enumerate(groups):
+            copy = r32[g] if rescale is None else r32[g] * rescale
+            kb = np.matmul(x32, copy, out=buf[:nb])
+            kb += n32[g]
+            # k argmin passes pick each row's k smallest keys, each pick
+            # masked with +inf; one more min pass gives the (k+1)-th key
+            # (+inf if k = n_g).
+            pick, key = picks[g, :nb], keys[:nb]
+            for j in range(k):
+                p = kb.argmin(axis=1)
+                pick[:, j] = p
+                key[:, j] = kb[rows, p]
+                kb[rows, p] = np.inf
+            # The picks' squared distances as the linear scan sums them:
+            # np.linalg.norm takes sqrt(add.reduce(x * x)).
+            vec = np.subtract(ref[pick], qb[:, None], out=diff[:nb])
+            vec *= vec
+            np.add.reduce(vec, axis=-1, out=sq[g, :nb])
+            # Every row keeps its k picks. A row whose (k+1)-th key is within
+            # thr (a tie may straddle the k-th place) also keeps every other
+            # key within thr, as SpatialIndex.query re-resolves a tied row
+            # over a ball.
+            thr = key[:, -1] + slack[g]
+            tied = kb.min(axis=1) <= thr
+            if tied.any():
+                tied_rows, tied_cols = np.nonzero(kb[tied] <= thr[tied, None])
+                tied_rows = rows[tied][tied_rows]
+                extra.append((tied_rows + g * nb, tied_cols,
+                              np.linalg.norm(ref[tied_cols] - qb[tied_rows], axis=1)))
+        d = np.sqrt(sq[:, :nb]).ravel()
+        owner = np.repeat(np.arange(n_groups * nb), k)
+        cols = picks[:, :nb].ravel()
+        if extra:
+            owner, cols, d = (np.concatenate(part) for part in zip((owner, cols, d), *extra))
+        order = np.lexsort((cols, d, owner))
+        # Every (group, row) keeps at least k survivors; take the first k.
+        counts = np.bincount(owner, minlength=n_groups * nb)
         take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        dist[s:s + block], idx[s:s + block] = d[take], cols[take]
-    return dist, idx
+        dist[:, s:s + nb] = d[take].reshape(n_groups, nb, k)
+        idx[:, s:s + nb] = cols[take].reshape(n_groups, nb, k)
+    if isinstance(references, (list, tuple)):
+        return dist, idx
+    return dist[0], idx[0]
 
 
 def centroid(cloud: PointCloud) -> np.ndarray:

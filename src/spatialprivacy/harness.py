@@ -254,7 +254,8 @@ class CellMetrics:
 
 
 class DatasetError(ValueError):
-    """The dataset yields too few spaces to attack."""
+    """The dataset yields too few spaces to attack, or a space too few points
+    to estimate its normals."""
 
 
 def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
@@ -271,9 +272,13 @@ def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
 
 def load_cloud(path, normals_k: int) -> PointCloud:
     """A PLY file as a cloud labeled with the file's stem; normals are
-    estimated from ``normals_k`` neighbors when the file has none."""
+    estimated from ``normals_k`` neighbors when the file has none, which
+    needs ``normals_k + 1`` points (:class:`DatasetError` if it has fewer)."""
     cloud = load_ply(path)
     if not cloud.has_normals:
+        if len(cloud) < normals_k + 1:
+            raise DatasetError(f"{path}: {len(cloud)} points without normals; estimating "
+                               f"them needs normals_k + 1 = {normals_k + 1}")
         cloud = estimate_normals(cloud, normals_k)
     return cloud.with_label(Path(path).stem)
 

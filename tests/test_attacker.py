@@ -11,9 +11,8 @@ from spatialprivacy import attacker
 from spatialprivacy.attacker import (
     AttackParams,
     CacheFormatError,
+    MatchedPairs,
     ReferenceEnsemble,
-    _LabelPool,
-    _match_label,
     _write_array,
     _write_text,
     build_reference,
@@ -28,6 +27,7 @@ from spatialprivacy.geometry import (
     PointCloud,
     apply_transform,
     extract_partial,
+    knn_bruteforce,
     random_rigid_transform,
 )
 from spatialprivacy.mechanisms import GeneralizationParams, project_to_planes, ransac_planes
@@ -59,6 +59,49 @@ def mini_ensemble(mini_spaces):
     return build_reference(mini_spaces, seed=0)
 
 
+def padded(rows):
+    """Toy descriptor rows widened with zero columns to the default
+    descriptor width; distances between rows stay the same, bitwise."""
+    rows = np.asarray(rows, dtype=float)
+    return np.pad(rows, ((0, 0), (0, SpinParams().length - rows.shape[1])))
+
+
+def label_score(refs, query, params=AttackParams()):
+    """Score and pairs of the query's toy descriptors against a one-label
+    ensemble holding the toy reference rows."""
+    refs = padded(refs)
+    ensemble = ReferenceEnsemble({"a": (refs, np.zeros((len(refs), 3)))}, SpinParams(), 5)
+    result = match_inter(ensemble, toy_space(padded(query)), params)
+    return result.scores["a"], result.pairs["a"]
+
+
+def match_label_oracle(descriptors, query, params):
+    """One label's score and pairs by a 2-nn call on its pool alone: the
+    per-label loop that match_inter's single call over all labels replaced."""
+    n_query = len(query)
+    empty = MatchedPairs(
+        np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    )
+    if len(descriptors) < 2:
+        return 0.0, empty
+    dist, idx = knn_bruteforce(descriptors, query.descriptors, k=2)
+    second = dist[:, 1]
+    nndr = np.divide(dist[:, 0], second, out=np.zeros(n_query), where=second > 0)
+    candidates = np.arange(n_query)
+    if params.strict_nndr:
+        candidates = candidates[nndr[candidates] < params.nndr_threshold]
+    if len(candidates) == 0:
+        return 0.0, empty
+    priority = np.lexsort((candidates, nndr[candidates]))
+    ordered = candidates[priority]
+    refs = idx[ordered, 0]
+    _, first_pos = np.unique(refs, return_index=True)
+    kept = ordered[np.sort(first_pos)]
+    kept_nndr = nndr[kept]
+    score = float((1.0 - kept_nndr.mean()) * (len(kept) / n_query))
+    return score, MatchedPairs(kept, idx[kept, 0], kept_nndr)
+
+
 class TestLabelScore:
     def test_hand_evaluated_score(self):
         """Ten unique matches at NNDR 0.2 out of twenty query descriptors.
@@ -74,40 +117,32 @@ class TestLabelScore:
             query.append([base + 0.7])       # decoy: 1-nn is the same ref
             refs.append([base + 0.2])        # shared nearest reference
             refs.append([base - 1.0])        # second neighbor at distance 1.0
-        q = toy_space(query)
-        pool = _LabelPool(np.asarray(refs, float), np.zeros((len(refs), 3)))
-        score, pairs = _match_label(pool, q, AttackParams())
+        score, pairs = label_score(refs, query)
         # good: NNDR = 0.2/1.0; the decoy (0.5/1.7) loses the shared reference.
         assert len(pairs.query_indices) == 10
         assert np.allclose(pairs.nndr, 0.2, atol=1e-9)
         assert score == pytest.approx(0.4, abs=1e-9)
 
     def test_pool_too_small_scores_zero(self):
-        q = toy_space([[0.0], [1.0]])
-        pool = _LabelPool(np.array([[0.0]]), np.zeros((1, 3)))
-        score, pairs = _match_label(pool, q, AttackParams())
+        score, pairs = label_score([[0.0]], [[0.0], [1.0]])
         assert score == 0.0
         assert len(pairs.query_indices) == 0
 
     def test_duplicate_distances_give_zero_nndr(self):
-        q = toy_space([[5.0]])
-        pool = _LabelPool(np.array([[5.0], [5.0]]), np.zeros((2, 3)))
-        score, pairs = _match_label(pool, q, AttackParams())
+        score, pairs = label_score([[5.0], [5.0]], [[5.0]])
         assert pairs.nndr[0] == 0.0
         assert score == 1.0
 
     def test_strict_filter_drops_weak_matches(self):
-        q = toy_space([[0.0]])
-        pool = _LabelPool(np.array([[0.95], [1.0]]), np.zeros((2, 3)))
-        relaxed, _ = _match_label(pool, q, AttackParams(strict_nndr=False))
-        strict, _ = _match_label(pool, q, AttackParams(strict_nndr=True))
+        refs = [[0.95], [1.0]]
+        relaxed, _ = label_score(refs, [[0.0]], AttackParams(strict_nndr=False))
+        strict, _ = label_score(refs, [[0.0]], AttackParams(strict_nndr=True))
         assert relaxed > 0
         assert strict == 0.0
 
     def test_reference_side_unique(self, rng):
-        q = toy_space(rng.normal(size=(40, 4)))
-        pool = _LabelPool(rng.normal(size=(15, 4)), np.zeros((15, 3)))
-        _, pairs = _match_label(pool, q, AttackParams())
+        query = rng.normal(size=(40, 4))
+        _, pairs = label_score(rng.normal(size=(15, 4)), query)
         assert len(pairs.reference_indices) == len(set(pairs.reference_indices))
         assert len(pairs.query_indices) == len(set(pairs.query_indices))
 
@@ -140,6 +175,44 @@ class TestMatchInter:
         result = match_inter(ensemble, toy_space(descs[:2]))
         assert result.scores["a"] == result.scores["b"]
         assert result.winner == "a"
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_scores_and_pairs_are_the_per_label_loop(self, strict):
+        """Random ensembles of 1 to 8 labels, some pools of one or two rows,
+        rows repeated within and across labels, queries partly copied from
+        the pools: each label's score and pairs equal, bitwise, those of a
+        2-nn call on its pool alone, and the first label of the top score
+        wins."""
+        r = np.random.default_rng(2040 + strict)
+        params = AttackParams(strict_nndr=strict)
+        width = SpinParams().length
+        for case in range(40):
+            distinct = np.abs(r.normal(size=(int(r.integers(1, 40)), width)))
+            pools = {}
+            for g in range(int(r.integers(1, 9))):
+                n = int(r.choice([1, 2, int(r.integers(3, 300))]))
+                rows = (distinct[r.integers(0, len(distinct), n)] if case % 2
+                        else np.abs(r.normal(size=(n, width))))
+                rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+                pools[f"l{g}"] = (rows, r.normal(size=(n, 3)))
+            ensemble = ReferenceEnsemble(pools, SpinParams(), 5)
+            nq = int(r.integers(1, 200))
+            query = np.abs(r.normal(size=(nq, width)))
+            query /= np.linalg.norm(query, axis=1, keepdims=True)
+            pooled = np.vstack([rows for rows, _ in pools.values()])
+            copied = r.random(nq) < 0.5
+            query[copied] = pooled[r.integers(0, len(pooled), copied.sum())]
+            result = match_inter(ensemble, toy_space(query), params)
+            for label, (rows, _) in pools.items():
+                score, pairs = match_label_oracle(rows, toy_space(query), params)
+                assert result.scores[label] == score, (case, label)
+                for name in ("query_indices", "reference_indices", "nndr"):
+                    got, expected = getattr(result.pairs[label], name), getattr(pairs, name)
+                    assert got.dtype == expected.dtype, (case, label, name)
+                    assert np.array_equal(got, expected), (case, label, name)
+            top = max(result.scores.values())
+            assert result.winner == next(label for label in ensemble.labels
+                                         if result.scores[label] == top)
 
     def test_empty_query_rejected(self, mini_ensemble):
         with pytest.raises(ValueError):
@@ -463,10 +536,10 @@ class TestBuildReference:
             for name in ("descriptors", "positions"):
                 assert np.array_equal(getattr(loaded.pool(label), name),
                                       getattr(fresh.pool(label), name))
-            sq_norms, e, copy = loaded.pool(label).prepared
-            assert np.array_equal(sq_norms, fresh.pool(label).prepared[0])
-            assert e == fresh.pool(label).prepared[1]
-            assert np.array_equal(copy, fresh.pool(label).prepared[2])
+        sq_norms, e, copy = loaded.prepared
+        assert np.array_equal(sq_norms, fresh.prepared[0])
+        assert e == fresh.prepared[1]
+        assert np.array_equal(copy, fresh.prepared[2])
         save_ensemble(loaded, p3)
         assert p3.read_bytes() == p1.read_bytes()
 

@@ -157,11 +157,19 @@ def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     ({"count": 1, "density": 10}, "needs at least 2 spaces"),
     ({"type": "directory", "path": "{empty}"}, "no .ply files under"),
     ({"type": "directory", "path": "{garbage}"}, "not a PLY file"),
-], ids=["one-space", "no-ply", "not-ply"])
+    ({"type": "directory", "path": "{tiny}"}, "estimating them needs normals_k + 1 = 13"),
+], ids=["one-space", "no-ply", "not-ply", "too-few-points"])
 def test_run_bad_dataset_is_one_line_error(dataset, message, tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     (tmp_path / "garbage").mkdir()
     (tmp_path / "garbage" / "space0.ply").write_bytes(b"nope\n")
+    # Two PLY files of 5 points without normals: too few for normals_k = 12.
+    (tmp_path / "tiny").mkdir()
+    header = ("ply\nformat ascii 1.0\nelement vertex 5\nproperty float x\n"
+              "property float y\nproperty float z\nend_header\n")
+    for i in range(2):
+        rows = "".join(f"{j} {i} {j * j}\n" for j in range(5))
+        (tmp_path / "tiny" / f"space{i}.ply").write_text(header + rows)
     if "path" in dataset:
         dataset = {**dataset, "path": str(tmp_path / dataset["path"].strip("{}"))}
     config = {"mode": "one-time", "samples": 1, "radii": [1.0], "dataset": dataset}

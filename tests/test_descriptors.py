@@ -224,9 +224,32 @@ class TestKernel:
         space = describe(cloud, P, 2)
         monkeypatch.undo()
         assert_as_reference(space, cloud, P, 2)
-        # 1, 2, 4, ... until a block holds about 2**14 neighbor entries.
-        assert blocks[:4] == [1, 2, 4, 8] and len(blocks) > 10
+        # 2**14 // 4000 = 4, then 8, 16, ... until a block holds about 2**14
+        # neighbor entries.
+        assert blocks[:4] == [4, 8, 16, 32] and len(blocks) > 10
         assert sum(blocks) == len(space) and blocks[-1] < blocks[-2]
+
+    @pytest.mark.parametrize("n", [1, 150, 3000])
+    def test_blocks_equal_one_keypoint_at_a_time(self, n, monkeypatch):
+        """The first block holds 2**14 // n centers of an n-point cloud (one
+        for a large cloud), and every histogram equals, bitwise, a one-center
+        call of the kernel."""
+        cloud = seeded_cloud(n, 11)
+        index = SpatialIndex(cloud)
+        blocks = []
+        ball = SpatialIndex.ball
+
+        def counting_ball(self, centers, radius):
+            blocks.append(len(centers))
+            return ball(self, centers, radius)
+
+        monkeypatch.setattr(SpatialIndex, "ball", counting_ball)
+        hist = _spin_histograms(index, cloud.positions, cloud.normals, P)
+        monkeypatch.undo()
+        assert blocks[0] == min(n, max(1, 2**14 // n))
+        for i, (p, nrm) in enumerate(zip(cloud.positions, cloud.normals)):
+            one = _spin_histograms(index, p[None], nrm[None], P)[0]
+            assert np.array_equal(hist[i], one), i
 
     def test_memory_is_bounded(self):
         # The first default space at paper density: 16.9k points.

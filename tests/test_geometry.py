@@ -440,6 +440,88 @@ class TestKnn:
             near_ties += np.count_nonzero(d[:, 2] <= d[:, 1] * (1 + 1e-6))
         assert near_ties > 0
 
+class TestGroupedKnn:
+    """knn_bruteforce over a list of reference groups: each group's
+    distances and indices are, bitwise, that group's own linear scan."""
+
+    @staticmethod
+    def _assert_each_group_scanned(groups, queries, k):
+        for prepared in (None, ranking_copy(groups)):
+            dist, idx = knn_bruteforce(groups, queries, k=k, prepared=prepared)
+            assert dist.shape == idx.shape == (len(groups), len(queries), k)
+            for g, refs in enumerate(groups):
+                for qi, q in enumerate(queries):
+                    d = np.linalg.norm(refs - q, axis=1)
+                    order = np.lexsort((np.arange(len(refs)), d))[:k]
+                    assert np.array_equal(idx[g, qi], order), (g, qi)
+                    assert np.array_equal(dist[g, qi], d[order]), (g, qi)
+
+    def test_groups_are_each_the_linear_scan(self):
+        """1 to 9 groups of unequal sizes, one of exactly k rows, drawn from
+        few distinct (sometimes grid-rounded) rows, so that rows repeat
+        within and across groups; queries partly copied from the groups.
+        Every third case has a group of over 1000 rows and more query rows
+        than two tiles hold, so the kernel runs several tiles."""
+        r = np.random.default_rng(2041)
+        for case in range(54):
+            n_groups, k = case % 9 + 1, int(r.integers(1, 4))
+            big = case % 3 == 0
+            dim = int(r.integers(1, 17 if big else 140))
+            scale = 10.0 ** r.uniform(-3, 3)
+            distinct = r.normal(size=(int(r.integers(1, 40)), dim))
+            if case % 2:
+                distinct = np.round(4 * distinct) / 4
+            sizes = r.integers(k, 80, n_groups)
+            sizes[r.integers(n_groups)] = k
+            if big:
+                sizes[r.integers(n_groups)] = r.integers(1000, 2500)
+            groups = [scale * distinct[r.integers(0, len(distinct), n)] for n in sizes]
+            nq = int(r.integers(1, 30))
+            if big:
+                nq += 2 * max(1, 2**18 // max(max(sizes), k * dim))
+            queries = scale * r.normal(size=(nq, dim))
+            copied = r.random(nq) < 0.5
+            pooled = np.vstack(groups)
+            queries[copied] = pooled[r.integers(0, len(pooled), copied.sum())]
+            self._assert_each_group_scanned(groups, queries, k)
+
+    def test_tie_at_the_kth_place_in_one_group_only(self):
+        """One group puts six references at exactly distance 3 behind two at
+        distance 1, so a tie straddles the k-th place for k = 3..7; the
+        other groups are tie-free, and the tied group comes first or not."""
+        shell = [(1, 2, 2), (2, -1, 2), (-2, 2, 1), (2, 2, -1), (0, 0, 3), (-3, 0, 0)]
+        offsets = np.array(shell + [(1, 0, 0), (0, -1, 0)], float)
+        q = np.array([10.0, -20.0, 30.0])
+        r = np.random.default_rng(4)
+        tied = q + offsets[r.permutation(len(offsets))]
+        others = [q + 4 * r.normal(size=(n, 3)) for n in (8, 12, 9)]
+        for k in range(1, 9):
+            for groups in ([tied] + others, others[:2] + [tied] + others[2:]):
+                self._assert_each_group_scanned(groups, q[None], k)
+
+    def test_k_beyond_a_group_is_rejected(self):
+        r = np.random.default_rng(5)
+        with pytest.raises(ValueError):
+            knn_bruteforce([r.normal(size=(5, 4)), r.normal(size=(1, 4))],
+                           r.normal(size=(2, 4)), k=2)
+
+    def test_memory_is_bounded_by_the_tile(self):
+        """Seven groups of about 2000 rows, as the reference ensemble holds,
+        and 3387 query rows, as a full default space describes to."""
+        r = np.random.default_rng(6501)
+        groups = [np.abs(r.normal(size=(n, 128)))
+                  for n in (2036, 2064, 2014, 1849, 2100, 1933, 2189)]
+        queries = np.abs(r.normal(size=(3387, 128)))
+        tracemalloc.start()
+        try:
+            knn_bruteforce(groups, queries, k=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 3387 x 14185 key matrix alone would take 192 MB in float32.
+        assert peak <= 32 * 2**20
+
+
 class TestExtractPartial:
     def test_zero_radius_keeps_center_point(self, random_cloud):
         center = random_cloud.positions[3]
