@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-_BLOCK_EDGES = 1 << 16  # edges per match_intra row block
+_BLOCK_EDGES = 1 << 15  # edges per match_intra row block
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,9 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
     edges) and an angular similarity; their product must reach t2. The
     hypothesis is the centroid of the accepted reference keypoints.
 
-    The n gated vertices go in row blocks of ``max(1, 2**16 // n)``, about
-    2**16 edges each: O(n^2) time, O(2**16 + n) memory. A block's
+    The n gated vertices go in row blocks of ``max(1, 2**15 // n)``, about
+    2**15 edges each: O(n^2) time, O(2**15 + n) memory, about 2.9 MB for a
+    self-query's 1055 pairs (``tracemalloc``). A block's
     (2, 3, B, n) array holds the query and reference edges from each vertex
     to every vertex. Their lengths give the distance term. Normalised, their
     3x3 gram products give the angle term: two vertices' angle-cosine sets
@@ -224,10 +225,15 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
         rows = np.arange(start, min(start + block, n))
         edges = np.subtract(points[:, :, None, :], points[:, :, rows, None],
                             out=buf[:6 * len(rows) * n].reshape(2, 3, len(rows), n))
-        length = np.sqrt(np.einsum("kcbj,kcbj->kbj", edges, edges))
-        edge_sim = np.exp(-0.5 * np.abs(length[0] - length[1]))
+        # In place where possible: these temporaries set a self-query's peak.
+        length = np.einsum("kcbj,kcbj->kbj", edges, edges)
+        np.sqrt(length, out=length)
+        edge_sim = np.subtract(length[0], length[1])
+        np.abs(edge_sim, out=edge_sim)
+        edge_sim *= -0.5
+        np.exp(edge_sim, out=edge_sim)
         edge_sim[np.arange(len(rows)), rows] = 0.0
-        edges /= np.maximum(length, 1e-300)[:, None]
+        edges /= np.maximum(length, 1e-300, out=length)[:, None]
         stacked = edges.reshape(6, len(rows), n).transpose(1, 0, 2)
         gram = np.square(stacked @ stacked.transpose(0, 2, 1))
         fro = (gram.reshape(-1, 2, 3, 2, 3).sum(axis=(2, 4)) - (n - 1)) / 2.0
@@ -268,20 +274,27 @@ def build_reference(
     factor: int = 5,
     seed: int = 0,
     cache_path=None,
+    map_fn=map,
 ) -> ReferenceEnsemble:
     """Describe each labeled space raw plus one generalized variant per spec.
 
     Variant seeds derive deterministically from the master seed, the space's
     position in the list, and the variant index, so rebuilding yields an
-    identical ensemble. Optionally writes the cache file.
+    identical ensemble. ``map_fn`` maps the per-space work over the spaces
+    and returns the results in order, as the builtin ``map`` does or an
+    executor's ``map`` across threads; the ensemble does not depend on it.
+    Optionally writes the cache file.
     """
-    pools: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for space_idx, space in enumerate(spaces):
-        label = space.label
+    labels = [space.label for space in spaces]
+    seen: set[str] = set()
+    for label in labels:
         if label is None:
             raise ValueError("every reference space needs a label")
-        if label in pools:
+        if label in seen:
             raise ValueError(f"duplicate space label {label!r}")
+        seen.add(label)
+
+    def pool_of(space_idx: int, space: PointCloud) -> tuple[np.ndarray, np.ndarray]:
         variants = [describe(space, desc_params, factor)]
         for v_idx, gen in enumerate(variant_params):
             rng = np.random.default_rng(
@@ -290,8 +303,10 @@ def build_reference(
             planes = ransac_planes(space, gen, rng)
             generalized = project_to_planes(space, planes)
             variants.append(describe(generalized, desc_params, factor))
-        pools[label] = (np.vstack([v.descriptors for v in variants]),
-                        np.vstack([v.positions for v in variants]))
+        return (np.vstack([v.descriptors for v in variants]),
+                np.vstack([v.positions for v in variants]))
+
+    pools = dict(zip(labels, map_fn(pool_of, range(len(spaces)), spaces)))
     ensemble = ReferenceEnsemble(pools, desc_params, factor)
     if cache_path is not None:
         save_ensemble(ensemble, cache_path)

@@ -16,8 +16,8 @@ import numpy as np
 from .attacker import AttackParams, build_reference, infer, load_ensemble
 from .descriptors import SpinParams
 from .geometry import extract_partial
-from .harness import (CellMetrics, DatasetError, ExperimentConfig, load_cloud, report,
-                      run_experiment, trials_to_jsonl)
+from .harness import (CellMetrics, DatasetError, DatasetSpec, ExperimentConfig, load_cloud,
+                      load_dataset, report, run_experiment, trials_to_jsonl)
 from .mechanisms import (
     GeneralizationParams,
     ReleasePolicy,
@@ -50,14 +50,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _dataset_failure(command: str, err: Exception) -> int:
+    """A dataset error as one line: the input is at fault, not the program."""
+    print(f"spatialprivacy {command}: {err}", file=sys.stderr)
+    return 2
+
+
 def cmd_reference(args) -> int:
-    paths = sorted(Path(args.spaces).glob("*.ply"))
-    if not paths:
-        print(f"no .ply files under {args.spaces}", file=sys.stderr)
-        return 1
-    spaces = [load_cloud(p, args.normals_k) for p in paths]
+    try:
+        spaces = load_dataset(DatasetSpec(type="directory", path=args.spaces,
+                                          normals_k=args.normals_k))
+    except (DatasetError, PlyFormatError) as err:
+        return _dataset_failure("reference", err)
     build_reference(
-        spaces,
+        list(spaces.values()),
         variant_params=(_gen_params(args),) * args.variants,
         desc_params=SpinParams(args.bin_size, args.image_width),
         factor=args.factor,
@@ -70,7 +76,10 @@ def cmd_reference(args) -> int:
 
 def cmd_infer(args) -> int:
     ensemble = load_ensemble(args.ensemble)
-    query = load_cloud(args.query, args.normals_k)
+    try:
+        query = load_cloud(args.query, args.normals_k)
+    except (DatasetError, PlyFormatError) as err:
+        return _dataset_failure("infer", err)
     hyp = infer(ensemble, query, AttackParams(strict_nndr=args.strict))
     payload = {
         "label": hyp.label,
@@ -86,7 +95,10 @@ def cmd_infer(args) -> int:
 
 
 def cmd_release(args) -> int:
-    cloud = load_cloud(args.cloud, args.normals_k)
+    try:
+        cloud = load_cloud(args.cloud, args.normals_k)
+    except (DatasetError, PlyFormatError) as err:
+        return _dataset_failure("release", err)
     gen = _gen_params(args)
     if args.mechanism == "partial":
         rng = np.random.default_rng(args.seed)
@@ -133,8 +145,7 @@ def cmd_run(args) -> int:
     try:
         cells, trials = run_experiment(config)
     except (DatasetError, PlyFormatError) as err:
-        print(f"spatialprivacy run: {err}", file=sys.stderr)
-        return 2
+        return _dataset_failure("run", err)
     out = Path(args.out)
     paths = report(cells, out)
     (out / "trials.jsonl").write_text(trials_to_jsonl(trials))

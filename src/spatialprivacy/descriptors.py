@@ -9,13 +9,14 @@ coordinate noise. Spinning the cloud about n leaves (alpha, beta) unchanged,
 so the descriptor is invariant to rigid motion.
 
 One kernel, ``_spin_histograms``, accumulates every histogram. It takes the
-keypoints in blocks of about 2**14 (keypoint, neighbor) entries: the first
+keypoints in blocks of about 2**13 (keypoint, neighbor) entries: the first
 block as many as fit if every keypoint saw the whole cloud, each later one
 sized from the neighbor count of the block before. Per block it makes one
 ball query, the (alpha, beta) and bilinear weights of the whole block at
 once, and one ``np.bincount`` over (keypoint, bin) keys. Its temporaries
-stay at a few MB for any cloud; describing a 16.9k-point space peaks at
-about 9 MB (``tracemalloc``), the cloud's own copies included.
+stay at a few MB for any cloud, in each thread that describes at once;
+describing a 16.9k-point space peaks at about 6.8 MB (``tracemalloc``), the
+cloud's own copies included.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ __all__ = [
     "describe",
     "select_keypoints",
 ]
+
+
+_BLOCK_ENTRIES = 1 << 13  # (keypoint, neighbor) entries per _spin_histograms block
 
 
 class UnusableSpaceError(ValueError):
@@ -103,14 +107,14 @@ def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarr
     around m centers with their unit normals (zero rows for empty supports).
 
     A center has at most ``len(index)`` neighbors, so the first block of
-    ``max(1, 2**14 // len(index))`` centers stays within 2**14 entries; each
+    ``max(1, 2**13 // len(index))`` centers stays within 2**13 entries; each
     later block at most doubles. Ball queries list each center's points by
     index and the ``np.bincount`` takes the four bilinear corners in turn, so
     each bin sums its weights in one fixed order, whatever the blocks.
     """
     w, m = params.image_width, len(centers)
     hist = np.zeros((m, params.length))
-    start, block = 0, max(1, 2**14 // len(index))
+    start, block = 0, max(1, _BLOCK_ENTRIES // len(index))
     while start < m:
         stop = min(start + block, m)
         rows, cols = index.ball(centers[start:stop], params.support_radius)
@@ -140,7 +144,7 @@ def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarr
         key = (rows * (2 * w) + row) * w + col
         hist[start:stop].flat = np.bincount(key[ok], weight[ok], hist[start:stop].size)
         start = stop
-        block = min(2 * block, max(1, block * 2**14 // max(len(cols), 1)))
+        block = min(2 * block, max(1, block * _BLOCK_ENTRIES // max(len(cols), 1)))
     return hist
 
 

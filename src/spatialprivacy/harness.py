@@ -7,7 +7,8 @@ presets the fields a config leaves unset (see :class:`ExperimentConfig`) and
 labels the ``mode`` column. Every trial derives its RNG stream from the
 master seed and stable cell coordinates, never from sweep position or
 scheduling, so runs are reproducible byte-for-byte at any worker count and
-removing one sweep cell leaves the others unchanged.
+removing one sweep cell leaves the others unchanged. One pool of ``workers``
+threads builds the reference, runs the preflight and runs the sweep.
 """
 
 from __future__ import annotations
@@ -284,27 +285,32 @@ def load_cloud(path, normals_k: int) -> PointCloud:
 
 
 def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
-                     config: ExperimentConfig) -> None:
+                     config: ExperimentConfig, map_fn=map) -> None:
     """Pre-flight sanity gate: each raw space must match itself perfectly.
 
     The label must come back exactly, and because a self-query's surviving
     reference keypoints coincide with its own matched keypoints, the location
-    hypothesis must sit on their centroid to within 1e-6.
+    hypothesis must sit on their centroid to within 1e-6. ``map_fn`` maps
+    the check over the spaces (see :func:`build_reference`); the first
+    failure in ``spaces`` order is raised.
     """
-    for label, space in spaces.items():
+    def failure(label: str, space: PointCloud) -> str | None:
         hyp = infer(ensemble, space, config.attack)
         if hyp.label != label:
-            raise RuntimeError(
-                f"self-query check failed: {label!r} classified as {hyp.label!r}"
-            )
+            return f"self-query check failed: {label!r} classified as {hyp.label!r}"
         if hyp.abstained:
-            raise RuntimeError(f"self-query intra check abstained for {label!r}")
+            return f"self-query intra check abstained for {label!r}"
         pairs = hyp.inter.pairs[label]
         gate = pairs.nndr < config.attack.t1
         matched = hyp.query.positions[pairs.query_indices[gate]]
         expected = matched[hyp.intra.survivor_mask].mean(axis=0)
         if distance_error(hyp.centroid, expected) > 1e-6:
-            raise RuntimeError(f"self-query intra check failed for {label!r}")
+            return f"self-query intra check failed for {label!r}"
+        return None
+
+    for message in map_fn(failure, spaces, spaces.values()):
+        if message is not None:
+            raise RuntimeError(message)
 
 
 def _trial_rng(seed: int, spawn_key: tuple[int, ...]) -> np.random.Generator:
@@ -423,23 +429,16 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, caps, sample):
 def run_experiment(config: ExperimentConfig):
     """Build the reference ensemble, run every sweep cell, aggregate metrics.
 
-    Returns ``(cells, trials)``. Deterministic for a given (config, seed)
+    One pool of ``workers`` threads builds the reference (one task per
+    space), runs the preflight (one self-query per space) and runs the
+    sweep (one task per trajectory or one-time sample). Returns
+    ``(cells, trials)``. Deterministic for a given (config, seed)
     regardless of ``workers``.
     """
     spaces = load_dataset(config.dataset)
     if len(spaces) < 2:
         raise DatasetError("inter-space inference needs at least 2 spaces")
     spaces_list = [spaces[label] for label in sorted(spaces)]
-    ensemble = build_reference(
-        spaces_list,
-        variant_params=(config.generalization,) * config.variants,
-        desc_params=config.descriptor,
-        factor=config.factor,
-        seed=config.seed,
-    )
-    if config.preflight:
-        self_query_check(ensemble, dict(sorted(spaces.items())), config)
-
     caps = config.resolved_caps()
 
     def run_task(kind, radius, sample) -> list[TrialRecord]:
@@ -451,6 +450,16 @@ def run_experiment(config: ExperimentConfig):
              for radius in config.resolved_radii()
              for sample in range(config.resolved_samples())]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        ensemble = build_reference(
+            spaces_list,
+            variant_params=(config.generalization,) * config.variants,
+            desc_params=config.descriptor,
+            factor=config.factor,
+            seed=config.seed,
+            map_fn=pool.map,
+        )
+        if config.preflight:
+            self_query_check(ensemble, dict(sorted(spaces.items())), config, map_fn=pool.map)
         results = list(pool.map(lambda t: run_task(*t), tasks))
 
     by_cell: dict[tuple, list[TrialRecord]] = {}

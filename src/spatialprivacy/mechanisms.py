@@ -108,11 +108,22 @@ def _fit_plane_lsq(positions: np.ndarray, guide_normal: np.ndarray):
     return normal, float(normal @ center)
 
 
+_BLOCK_PAIRS = 1 << 16  # (pool point, candidate) pairs per _greedy_extract block
+
+
 def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
     """Repeatedly commit the best one-point-plus-normal plane hypothesis.
 
     ``pool`` holds the currently unassigned point indices; committed planes
     remove their inliers from it. Returns the committed planes.
+
+    Each round draws up to ``candidates_per_round`` candidates and counts
+    the pool points each one accepts. The candidates go in blocks of
+    ``max(1, 2**16 // len(pool))``, one (pool, block) product of positions
+    and one of normals per block: a few numpy calls per block rather than
+    about 8 per candidate, since every call hands the GIL between threads.
+    The first candidate with the top count wins (strict ``>`` across
+    blocks); its inliers are refit by least squares.
     """
     planes: list[Plane] = []
     pool = np.asarray(pool, dtype=np.intp)
@@ -123,20 +134,25 @@ def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
         candidates = rng.choice(pool, size=n_cand, replace=False)
         pool_pos = positions[pool]
         pool_nrm = normals[pool]
+        cand_nrm = normals[candidates]
+        offsets = np.einsum("ij,ij->i", cand_nrm, positions[candidates])
+        block = max(1, _BLOCK_PAIRS // len(pool))
         best_count = 0
         best_mask = None
         best_candidate = -1
-        for c in candidates:
-            n_c = normals[c]
-            off = float(n_c @ positions[c])
-            near = np.abs(pool_pos @ n_c - off) <= params.dist_eps
-            aligned = np.abs(pool_nrm @ n_c) >= params.cos_angle_max
-            mask = near & aligned
-            count = int(mask.sum())
-            if count > best_count:
-                best_count = count
-                best_mask = mask
-                best_candidate = c
+        for lo in range(0, n_cand, block):
+            hi = min(lo + block, n_cand)
+            prod = pool_pos @ cand_nrm[lo:hi].T
+            prod -= offsets[lo:hi]
+            mask = np.abs(prod, out=prod) <= params.dist_eps
+            prod = np.matmul(pool_nrm, cand_nrm[lo:hi].T, out=prod)
+            mask &= np.abs(prod, out=prod) >= params.cos_angle_max
+            counts = np.count_nonzero(mask, axis=0)
+            j = int(np.argmax(counts))
+            if counts[j] > best_count:
+                best_count = int(counts[j])
+                best_mask = mask[:, j]
+                best_candidate = candidates[lo + j]
         if best_count < params.min_inliers:
             break
         inliers = pool[best_mask]

@@ -3,6 +3,7 @@
 import io
 import struct
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -359,9 +360,9 @@ def kernel_case(kind, n, seed):
 class TestBlockedKernel:
     """The row-blocked ``match_intra`` against the per-vertex formula.
 
-    Rows per block are max(1, 2**16 // n): n = 255 and 256 fit in one
-    block, 257 needs two, 511 needs four and 1500 needs 35 with a short
-    last one.
+    Rows per block are max(1, _BLOCK_EDGES // n), 2**15 // n: n = 181 fits
+    in one block, 182 needs two, 512 needs eight and 1500 needs 69 with a
+    short last one.
     """
 
     @pytest.mark.parametrize(
@@ -403,8 +404,9 @@ class TestBlockedKernel:
         assert peak <= 48 * 2**20
 
     def test_preflight_sized_check_stays_small(self):
-        """3387 gated pairs, a default space's self-query: blocks of 2**16
-        edges keep the peak near 6.7 MB; blocks of 2**18 took 26 MB."""
+        """3387 gated pairs, a default space's self-query: blocks of 2**15
+        edges with in-place temporaries keep the peak near 2.9 MB; blocks of
+        2**16 took 6.7 MB and blocks of 2**18 26 MB."""
         q, r = kernel_case("random", 3387, 0)
         tracemalloc.start()
         try:
@@ -414,7 +416,7 @@ class TestBlockedKernel:
             tracemalloc.stop()
         assert peak <= 10 * 2**20
 
-    @pytest.mark.parametrize("n", [255, 256, 257, 3387])
+    @pytest.mark.parametrize("n", [181, 182, 255, 256, 257, 3387])
     def test_similarity_bits_do_not_depend_on_the_block(self, n, monkeypatch):
         """Around the block boundaries, the similarity is the per-vertex
         formula's to 1e-12 (n < 600, where the formula's n x n matrices are
@@ -518,6 +520,18 @@ class TestBuildReference:
     def test_duplicate_labels_rejected(self, mini_spaces):
         with pytest.raises(ValueError):
             build_reference([mini_spaces[0], mini_spaces[0]], seed=0)
+
+    def test_threaded_build_is_the_serial_build(self, mini_spaces, mini_ensemble):
+        with ThreadPoolExecutor(3) as pool:
+            threaded = build_reference(mini_spaces, seed=0, map_fn=pool.map)
+        assert threaded.labels == mini_ensemble.labels
+        for label in threaded.labels:
+            for name in ("descriptors", "positions"):
+                got = getattr(threaded.pool(label), name)
+                expected = getattr(mini_ensemble.pool(label), name)
+                assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+        for got, expected in zip(threaded.prepared, mini_ensemble.prepared):
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
     def test_cache_round_trip_and_rebuild_identical(
         self, tmp_path, mini_spaces

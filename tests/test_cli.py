@@ -153,6 +153,20 @@ def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def write_bad_datasets(root):
+    """Directories ``empty``, ``garbage`` (a non-PLY ``space0.ply``) and
+    ``tiny`` (two 5-point PLYs without normals: too few for normals_k = 12)."""
+    (root / "empty").mkdir()
+    (root / "garbage").mkdir()
+    (root / "garbage" / "space0.ply").write_bytes(b"nope\n")
+    (root / "tiny").mkdir()
+    header = ("ply\nformat ascii 1.0\nelement vertex 5\nproperty float x\n"
+              "property float y\nproperty float z\nend_header\n")
+    for i in range(2):
+        rows = "".join(f"{j} {i} {j * j}\n" for j in range(5))
+        (root / "tiny" / f"space{i}.ply").write_text(header + rows)
+
+
 @pytest.mark.parametrize("dataset, message", [
     ({"count": 1, "density": 10}, "needs at least 2 spaces"),
     ({"type": "directory", "path": "{empty}"}, "no .ply files under"),
@@ -160,16 +174,7 @@ def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     ({"type": "directory", "path": "{tiny}"}, "estimating them needs normals_k + 1 = 13"),
 ], ids=["one-space", "no-ply", "not-ply", "too-few-points"])
 def test_run_bad_dataset_is_one_line_error(dataset, message, tmp_path, capsys):
-    (tmp_path / "empty").mkdir()
-    (tmp_path / "garbage").mkdir()
-    (tmp_path / "garbage" / "space0.ply").write_bytes(b"nope\n")
-    # Two PLY files of 5 points without normals: too few for normals_k = 12.
-    (tmp_path / "tiny").mkdir()
-    header = ("ply\nformat ascii 1.0\nelement vertex 5\nproperty float x\n"
-              "property float y\nproperty float z\nend_header\n")
-    for i in range(2):
-        rows = "".join(f"{j} {i} {j * j}\n" for j in range(5))
-        (tmp_path / "tiny" / f"space{i}.ply").write_text(header + rows)
+    write_bad_datasets(tmp_path)
     if "path" in dataset:
         dataset = {**dataset, "path": str(tmp_path / dataset["path"].strip("{}"))}
     config = {"mode": "one-time", "samples": 1, "radii": [1.0], "dataset": dataset}
@@ -181,3 +186,30 @@ def test_run_bad_dataset_is_one_line_error(dataset, message, tmp_path, capsys):
     assert err.startswith("spatialprivacy run: ") and message in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+BAD_PLY_MESSAGES = {"empty": "no .ply files under", "garbage": "not a PLY file",
+                    "tiny": "estimating them needs normals_k + 1 = 13"}
+
+
+@pytest.mark.parametrize("command, directory", [
+    ("reference", "empty"), ("reference", "garbage"), ("reference", "tiny"),
+    ("infer", "garbage"), ("infer", "tiny"), ("release", "garbage"), ("release", "tiny"),
+])
+def test_bad_ply_is_one_line_error(command, directory, ensemble_path, tmp_path, capsys):
+    write_bad_datasets(tmp_path)
+    data, out = tmp_path / directory, tmp_path / "out"
+    argv = {
+        "reference": ["reference", "--spaces", str(data), "--out", str(out)],
+        "infer": ["infer", "--ensemble", str(ensemble_path), "--query",
+                  str(data / "space0.ply"), "--out", str(out)],
+        "release": ["release", "--cloud", str(data / "space0.ply"), "--out", str(out),
+                    "--mechanism", "generalize"],
+    }[command]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"spatialprivacy {command}: ")
+    assert BAD_PLY_MESSAGES[directory] in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()

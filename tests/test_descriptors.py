@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spatialprivacy import descriptors
 from spatialprivacy.descriptors import (
     SpinParams,
     UnusableSpaceError,
@@ -224,16 +225,17 @@ class TestKernel:
         space = describe(cloud, P, 2)
         monkeypatch.undo()
         assert_as_reference(space, cloud, P, 2)
-        # 2**14 // 4000 = 4, then 8, 16, ... until a block holds about 2**14
-        # neighbor entries.
-        assert blocks[:4] == [4, 8, 16, 32] and len(blocks) > 10
+        # _BLOCK_ENTRIES // 4000 centers (2 for 2**13), then doubling until
+        # a block holds about _BLOCK_ENTRIES neighbor entries.
+        first = descriptors._BLOCK_ENTRIES // 4000
+        assert blocks[:4] == [first, 2 * first, 4 * first, 8 * first] and len(blocks) > 10
         assert sum(blocks) == len(space) and blocks[-1] < blocks[-2]
 
     @pytest.mark.parametrize("n", [1, 150, 3000])
     def test_blocks_equal_one_keypoint_at_a_time(self, n, monkeypatch):
-        """The first block holds 2**14 // n centers of an n-point cloud (one
-        for a large cloud), and every histogram equals, bitwise, a one-center
-        call of the kernel."""
+        """The first block holds _BLOCK_ENTRIES // n centers of an n-point
+        cloud (one for a large cloud), and every histogram equals, bitwise, a
+        one-center call of the kernel."""
         cloud = seeded_cloud(n, 11)
         index = SpatialIndex(cloud)
         blocks = []
@@ -246,7 +248,7 @@ class TestKernel:
         monkeypatch.setattr(SpatialIndex, "ball", counting_ball)
         hist = _spin_histograms(index, cloud.positions, cloud.normals, P)
         monkeypatch.undo()
-        assert blocks[0] == min(n, max(1, 2**14 // n))
+        assert blocks[0] == min(n, max(1, descriptors._BLOCK_ENTRIES // n))
         for i, (p, nrm) in enumerate(zip(cloud.positions, cloud.normals)):
             one = _spin_histograms(index, p[None], nrm[None], P)[0]
             assert np.array_equal(hist[i], one), i

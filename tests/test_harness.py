@@ -1,6 +1,7 @@
 """Experiment harness: configs, determinism, cells, reports."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -223,8 +224,10 @@ class TestRunExperiment:
                  max_planes=(1, 3), kinds=None),
             dict(mode="successive", radii=(0.8,), samples=3, releases=3,
                  kinds=("raw", "generalized")),
+            dict(mode="conservative", radii=(0.8,), samples=3, releases=3,
+                 max_planes=(1, 3), kinds=None, preflight=True),
         ],
-        ids=["one-time", "conservative", "successive"],
+        ids=["one-time", "conservative", "successive", "conservative-preflight"],
     )
     def test_deterministic_across_runs_and_workers(self, overrides):
         a = cells_to_csv(run_experiment(tiny_config(**overrides))[0])
@@ -312,6 +315,13 @@ class TestPreflight:
         spaces, ensemble = setup
         with pytest.raises(RuntimeError, match="classified as"):
             self_query_check(ensemble, {"space1": spaces["space0"]}, tiny_config())
+
+    def test_first_label_fails_on_a_thread_pool(self, setup):
+        spaces, ensemble = setup
+        mislabelled = {"space1": spaces["space0"], "space2": spaces["space0"]}
+        with ThreadPoolExecutor(2) as pool:
+            with pytest.raises(RuntimeError, match="'space1' classified as 'space0'"):
+                self_query_check(ensemble, mislabelled, tiny_config(), map_fn=pool.map)
 
     def test_abstention_raises(self, setup):
         spaces, ensemble = setup

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from spatialprivacy import mechanisms
 from spatialprivacy.geometry import PointCloud, centroid, random_rigid_transform
 from spatialprivacy.mechanisms import (
     GeneralizationParams,
+    Plane,
     ReleasePolicy,
     ReleaseState,
     ReleaseStep,
@@ -77,6 +79,130 @@ class TestRansacPlanes:
         planes = ransac_planes(cloud, GP, seed=2)
         all_idx = np.concatenate([p.inlier_indices for p in planes])
         assert len(all_idx) == len(np.unique(all_idx))
+
+
+def greedy_extract_oracle(positions, normals, eligible, pool, params, rng, start_seq):
+    """``_greedy_extract`` scoring one candidate at a time, two products each."""
+    planes = []
+    pool = np.asarray(pool, dtype=np.intp)
+    pool = pool[eligible[pool]]
+    seq = start_seq
+    while len(pool) >= params.min_inliers:
+        n_cand = min(params.candidates_per_round, len(pool))
+        candidates = rng.choice(pool, size=n_cand, replace=False)
+        pool_pos = positions[pool]
+        pool_nrm = normals[pool]
+        best_count = 0
+        best_mask = None
+        best_candidate = -1
+        for c in candidates:
+            n_c = normals[c]
+            off = float(n_c @ positions[c])
+            near = np.abs(pool_pos @ n_c - off) <= params.dist_eps
+            aligned = np.abs(pool_nrm @ n_c) >= params.cos_angle_max
+            mask = near & aligned
+            count = int(mask.sum())
+            if count > best_count:
+                best_count = count
+                best_mask = mask
+                best_candidate = c
+        if best_count < params.min_inliers:
+            break
+        inliers = pool[best_mask]
+        normal, offset = mechanisms._fit_plane_lsq(positions[inliers], normals[best_candidate])
+        refit = Plane(normal, offset, inliers, seq)
+        refit_mask = refit.accepts(pool_pos, pool_nrm, params)
+        if int(refit_mask.sum()) >= params.min_inliers:
+            refit.inlier_indices = np.sort(pool[refit_mask])
+            plane = refit
+        else:
+            n_c = normals[best_candidate]
+            plane = Plane(n_c.copy(), float(n_c @ positions[best_candidate]),
+                          np.sort(inliers), seq)
+        planes.append(plane)
+        pool = pool[~np.isin(pool, plane.inlier_indices)]
+        seq += 1
+    return planes
+
+
+def assert_same_planes(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.normal.tobytes() == b.normal.tobytes()
+        assert a.offset == b.offset
+        assert np.array_equal(a.inlier_indices, b.inlier_indices)
+        assert a.seq == b.seq
+
+
+def two_equal_planes(n):
+    """n points on z = 0 and n on x = 5, each plane with its own normal."""
+    rng = np.random.default_rng(6)
+    floor = np.column_stack([rng.uniform(0, 4, n), rng.uniform(0, 4, n), np.zeros(n)])
+    wall = np.column_stack([np.full(n, 5.0), rng.uniform(0, 4, n), rng.uniform(0, 4, n)])
+    normals = np.repeat([[0.0, 0, 1], [1.0, 0, 0]], n, axis=0)
+    return PointCloud(np.vstack([floor, wall]), normals)
+
+
+class TestBlockedRansac:
+    """``_greedy_extract`` scores a round's candidates in blocks; its planes
+    equal, bitwise, those of the per-candidate loop above."""
+
+    def extract_both(self, cloud, seed, params=GP, pool=None, start_seq=0):
+        pool = np.arange(len(cloud)) if pool is None else pool
+        args = (cloud.positions, cloud.normals, cloud.reliable, pool, params)
+        got = mechanisms._greedy_extract(*args, np.random.default_rng(seed), start_seq)
+        expected = greedy_extract_oracle(*args, np.random.default_rng(seed), start_seq)
+        assert_same_planes(got, expected)
+        return got
+
+    def test_box_room(self):
+        cloud, _, _ = make_box_room(300)
+        assert len(self.extract_both(cloud, 3)) == 6
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_default_spaces(self, seed):
+        spec = SyntheticSpaceSpec(density=25, noise_sigma=0.005, seed=seed)
+        cloud = generate_space(spec, "s")
+        assert len(self.extract_both(cloud, seed)) > 3
+
+    def test_partial_balls(self, space):
+        for center in (0, 500, 1500):
+            ball = np.linalg.norm(space.positions - space.positions[center], axis=1) <= 1.0
+            self.extract_both(space.subset(np.flatnonzero(ball)), center)
+
+    def test_subsume_residual_pools(self, space, monkeypatch):
+        walks = {}
+        for extract in (greedy_extract_oracle, mechanisms._greedy_extract):
+            monkeypatch.setattr(mechanisms, "_greedy_extract", extract)
+            walks[extract] = release_sequence(space, ReleasePolicy(0.8, 6), seed=4)[1]
+        expected, got = walks.values()
+        assert len(got.planes) > 1
+        assert_same_planes(got.planes, expected.planes)
+        assert np.array_equal(got.assignment, expected.assignment)
+
+    def test_pool_smaller_than_candidates_per_round(self):
+        cloud = make_plane_cloud(60)
+        params = GeneralizationParams(min_inliers=20, candidates_per_round=100)
+        pool = np.arange(10, 50)
+        planes = self.extract_both(cloud, 2, params, pool=pool, start_seq=4)
+        assert [p.seq for p in planes] == [4]
+        assert np.array_equal(planes[0].inlier_indices, pool)
+
+    def test_pool_spanning_several_blocks(self):
+        cloud, _, _ = make_box_room(2000)
+        assert mechanisms._BLOCK_PAIRS // len(cloud) < GP.candidates_per_round // 4
+        assert len(self.extract_both(cloud, 5)) == 6
+
+    @pytest.mark.parametrize("pairs", [1, 7 * 300, mechanisms._BLOCK_PAIRS])
+    def test_equal_top_counts_first_candidate_wins(self, pairs, monkeypatch):
+        # Every candidate accepts exactly its own plane's 150 points, so the
+        # count ties in every block and the first candidate drawn wins.
+        monkeypatch.setattr(mechanisms, "_BLOCK_PAIRS", pairs)
+        cloud = two_equal_planes(150)
+        planes = self.extract_both(cloud, 8)
+        first = np.random.default_rng(8).choice(np.arange(300), size=100, replace=False)[0]
+        assert len(planes) == 2
+        assert first in planes[0].inlier_indices
 
 
 class TestProjectToPlanes:
