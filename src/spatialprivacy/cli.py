@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacker import AttackParams, build_reference, infer, load_ensemble
+from ._checks import require_int
+from .attacker import AttackParams, CacheFormatError, build_reference, infer, load_ensemble
 from .descriptors import SpinParams
 from .geometry import extract_partial
 from .harness import (CellMetrics, DatasetError, DatasetSpec, ExperimentConfig, load_cloud,
@@ -50,22 +51,29 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _dataset_failure(command: str, err: Exception) -> int:
-    """A dataset error as one line: the input is at fault, not the program."""
+def _input_failure(command: str, err: Exception) -> int:
+    """A bad option value, dataset or cache as one line: the input is at
+    fault, not the program."""
     print(f"spatialprivacy {command}: {err}", file=sys.stderr)
     return 2
 
 
 def cmd_reference(args) -> int:
     try:
+        gen = _gen_params(args)
+        desc_params = SpinParams(args.bin_size, args.image_width)
+        require_int("factor", args.factor, 1)
+    except ValueError as err:
+        return _input_failure("reference", err)
+    try:
         spaces = load_dataset(DatasetSpec(type="directory", path=args.spaces,
                                           normals_k=args.normals_k))
     except (DatasetError, PlyFormatError) as err:
-        return _dataset_failure("reference", err)
+        return _input_failure("reference", err)
     build_reference(
         list(spaces.values()),
-        variant_params=(_gen_params(args),) * args.variants,
-        desc_params=SpinParams(args.bin_size, args.image_width),
+        variant_params=(gen,) * args.variants,
+        desc_params=desc_params,
         factor=args.factor,
         seed=args.seed,
         cache_path=args.out,
@@ -75,11 +83,14 @@ def cmd_reference(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    ensemble = load_ensemble(args.ensemble)
+    try:
+        ensemble = load_ensemble(args.ensemble)
+    except CacheFormatError as err:
+        return _input_failure("infer", err)
     try:
         query = load_cloud(args.query, args.normals_k)
     except (DatasetError, PlyFormatError) as err:
-        return _dataset_failure("infer", err)
+        return _input_failure("infer", err)
     hyp = infer(ensemble, query, AttackParams(strict_nndr=args.strict))
     payload = {
         "label": hyp.label,
@@ -96,10 +107,16 @@ def cmd_infer(args) -> int:
 
 def cmd_release(args) -> int:
     try:
+        gen = _gen_params(args)
+        policy = ReleasePolicy(radius=args.radius, num_releases=args.releases)
+        if args.max_planes is not None:
+            require_int("max_planes", args.max_planes, 1)
+    except ValueError as err:
+        return _input_failure("release", err)
+    try:
         cloud = load_cloud(args.cloud, args.normals_k)
     except (DatasetError, PlyFormatError) as err:
-        return _dataset_failure("release", err)
-    gen = _gen_params(args)
+        return _input_failure("release", err)
     if args.mechanism == "partial":
         rng = np.random.default_rng(args.seed)
         center = cloud.positions[int(rng.integers(len(cloud)))]
@@ -108,7 +125,6 @@ def cmd_release(args) -> int:
         planes = ransac_planes(cloud, gen, args.seed)
         released = project_to_planes(cloud, planes)
     elif args.mechanism == "conservative":
-        policy = ReleasePolicy(radius=args.radius, num_releases=args.releases)
         steps, state = release_sequence(cloud, policy, args.seed, gen)
         released = release_at(state, steps[-1], args.max_planes)
         manifest = {
@@ -139,13 +155,12 @@ def cmd_run(args) -> int:
     try:
         config = ExperimentConfig.from_json(args.config)
     except ValueError as err:
-        print(f"spatialprivacy run: {err}", file=sys.stderr)
-        return 2
+        return _input_failure("run", err)
     # Only the dataset's own errors: a fault in the sweep keeps its traceback.
     try:
         cells, trials = run_experiment(config)
     except (DatasetError, PlyFormatError) as err:
-        return _dataset_failure("run", err)
+        return _input_failure("run", err)
     out = Path(args.out)
     paths = report(cells, out)
     (out / "trials.jsonl").write_text(trials_to_jsonl(trials))

@@ -20,6 +20,7 @@ __all__ = [
     "RigidTransform",
     "SpatialIndex",
     "apply_transform",
+    "ball_indices",
     "canonical_order",
     "centroid",
     "estimate_normals",
@@ -391,13 +392,19 @@ def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
     )
 
 
-def extract_partial(cloud: PointCloud, center: np.ndarray, radius: float) -> PointCloud:
-    """Points with ||p - center|| <= radius (inclusive), normals kept."""
+def ball_indices(cloud: PointCloud, center: np.ndarray, radius: float) -> np.ndarray:
+    """Indices of the points with ||p - center|| <= radius (inclusive),
+    ascending, by one linear scan."""
     if radius <= 0 and not np.isclose(radius, 0.0):
         raise ValueError("radius must be >= 0")
     center = np.asarray(center, dtype=np.float64)
     d = np.linalg.norm(cloud.positions - center, axis=1)
-    return cloud.subset(np.flatnonzero(d <= radius))
+    return np.flatnonzero(d <= radius)
+
+
+def extract_partial(cloud: PointCloud, center: np.ndarray, radius: float) -> PointCloud:
+    """Points with ||p - center|| <= radius (inclusive), normals kept."""
+    return cloud.subset(ball_indices(cloud, center, radius))
 
 
 def canonical_order(positions: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Experiment orchestration: seeded Monte-Carlo sweeps over release settings.
 
-A ``one-time`` trial releases a single partial ball, raw or generalized. A
-``successive`` or ``conservative`` trial is a random walk of accumulating
-releases, each derived under every plane cap of the sweep. The mode only
+Every trial is a random walk of accumulating releases, raw or generalized,
+each derived under every plane cap of the sweep; a ``one-time`` trial is a
+walk of one release, a single partial ball. Each release stands for the raw
+points revealed so far, the prefix of the walk's final state. The mode only
 presets the fields a config leaves unset (see :class:`ExperimentConfig`) and
 labels the ``mode`` column. Every trial derives its RNG stream from the
 master seed and stable cell coordinates, never from sweep position or
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -25,22 +27,8 @@ import numpy as np
 from ._checks import is_int, is_real, require, require_bool, require_int, require_real
 from .attacker import AttackParams, ReferenceEnsemble, build_reference, infer
 from .descriptors import SpinParams, UnusableSpaceError
-from .geometry import (
-    PointCloud,
-    apply_transform,
-    centroid,
-    estimate_normals,
-    extract_partial,
-    random_rigid_transform,
-)
-from .mechanisms import (
-    GeneralizationParams,
-    ReleasePolicy,
-    project_to_planes,
-    ransac_planes,
-    release_at,
-    release_sequence,
-)
+from .geometry import PointCloud, apply_transform, centroid, estimate_normals
+from .mechanisms import GeneralizationParams, ReleasePolicy, release_at, release_sequence
 from .metrics import (
     TrialRecord,
     abstention_rate,
@@ -65,7 +53,7 @@ __all__ = [
 ]
 
 _KINDS = ("raw", "generalized")
-_WALK_FAMILY = 2  # spawn-key family shared by successive and conservative walks
+_WALK_FAMILY = 2  # spawn-key family of every trial's walk, whatever the mode
 _PRESETS = {  # mode -> the values of the sweep fields a config leaves unset
     "one-time": dict(samples=1000, releases=1, max_planes=(None,), kinds=_KINDS),
     "successive": dict(samples=100, releases=100, max_planes=(None,), kinds=("generalized",)),
@@ -112,11 +100,13 @@ def _known_fields(klass, data: dict, where: str) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A full experiment description. A sweep field left unset takes its
-    mode's paper-scale preset, and unset radii are 0.5/1.0/2.0; a set field
-    always wins. Fields that contradict each other are rejected: bounded
-    plane caps on raw or one-time releases, or a one-time config with more
-    than one release.
+    """A full experiment description. Every mode runs random walks; a
+    one-time trial is a walk of one release, so ``one-time`` runs exactly as
+    ``successive`` with one release and no cap. A sweep field left unset
+    takes its mode's paper-scale preset, and unset radii are 0.5/1.0/2.0; a
+    set field always wins. Fields that contradict each other are rejected:
+    bounded plane caps on raw or one-time releases, or a one-time config with
+    more than one release.
 
         mode          samples  releases  max_planes      kinds
         one-time      1000     1         inf             raw, generalized
@@ -164,7 +154,8 @@ class ExperimentConfig:
         total = self.qos_alpha + self.qos_beta
         require("qos_alpha + qos_beta", total, abs(total - 1.0) <= 1e-12, "1")
         for name, ok, entries in (
-            ("radii", lambda v: is_real(v) and v > 0, "positive numbers"),
+            ("radii", lambda v: is_real(v) and math.isfinite(v) and v > 0,
+             "finite positive numbers"),
             ("max_planes", lambda v: v is None or (is_int(v) and v >= 1),
              "plane caps >= 1 (integers, or null for no cap)"),
             ("kinds", lambda v: v in _KINDS, f"release kinds {_KINDS}"),
@@ -354,39 +345,16 @@ def _outcome(ensemble, config, released, truth, transform):
     return (*_infer_or_abstain(ensemble, query, config), q_value)
 
 
-def _one_time_trial(ensemble, spaces_list, config, kind, radius, sample) -> TrialRecord:
-    rng = _trial_rng(config.seed, (1, _KINDS.index(kind), _radius_key(radius), sample))
-    space = spaces_list[int(rng.integers(len(spaces_list)))]
-    center = space.positions[int(rng.integers(len(space)))]
-    partial = extract_partial(space, center, radius)
-    if kind == "generalized":
-        planes = ransac_planes(partial, config.generalization, rng)
-        released = project_to_planes(partial, planes)
-    else:
-        released = partial
-    hyp_label, hyp_centroid, abstained, q_value = _outcome(
-        ensemble, config, released, partial, random_rigid_transform(rng))
-    return TrialRecord(
-        true_label=space.label,
-        true_centroid=centroid(partial),
-        hyp_label=hyp_label,
-        hyp_centroid=hyp_centroid,
-        abstained=abstained,
-        radius=radius,
-        release_idx=1,
-        max_planes=None,
-        q=q_value,
-    )
-
-
-def _sequence_trials(ensemble, spaces_list, config, kind, radius, caps, sample):
+def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     """Trials for one trajectory, shared across every cap in the sweep.
 
-    The generalization state never depends on the cap (the cap only filters
-    which planes get projected at release time), so one walk is run and each
-    release under each sweep cap is derived from its final state. Caps at or
-    above a release's plane count all emit the same cloud and share one
-    inference result.
+    Every mode's trial is such a walk; a one-time trial is a walk of one
+    release under the single cap None. The generalization state never
+    depends on the cap (the cap only filters which planes get projected at
+    release time), so one walk is run and each release under each sweep cap
+    is derived from its final state. Each release's truth, the raw points
+    revealed so far, is the state's prefix. Caps at or above a release's
+    plane count all emit the same cloud and share one inference result.
     """
     rng = _trial_rng(
         config.seed, (_WALK_FAMILY, _KINDS.index(kind), _radius_key(radius), sample)
@@ -398,15 +366,14 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, caps, sample):
                                     generalize=generalize)
     trials = []
     for idx, step in enumerate(steps, start=1):
-        accumulated = space.subset(step.accumulated_indices)
+        accumulated = state.prefix(step.n_accumulated)
         true_centroid = centroid(accumulated)
         shared: dict[int, tuple] = {}
-        for cap in caps:
+        for cap in config.resolved_caps():
             # Raw walks have no planes and no bounded cap: one key per release.
             effective = step.n_planes if cap is None else min(cap, step.n_planes)
             if effective not in shared:
-                released = (release_at(state, step, cap) if generalize
-                            else state.prefix(step.n_accumulated))
+                released = release_at(state, step, cap) if generalize else accumulated
                 shared[effective] = _outcome(ensemble, config, released, accumulated,
                                              step.transform)
             hyp_label, hyp_centroid, abstained, q_value = shared[effective]
@@ -431,20 +398,13 @@ def run_experiment(config: ExperimentConfig):
 
     One pool of ``workers`` threads builds the reference (one task per
     space), runs the preflight (one self-query per space) and runs the
-    sweep (one task per trajectory or one-time sample). Returns
-    ``(cells, trials)``. Deterministic for a given (config, seed)
-    regardless of ``workers``.
+    sweep (one task per walk). Returns ``(cells, trials)``. Deterministic
+    for a given (config, seed) regardless of ``workers``.
     """
     spaces = load_dataset(config.dataset)
     if len(spaces) < 2:
         raise DatasetError("inter-space inference needs at least 2 spaces")
     spaces_list = [spaces[label] for label in sorted(spaces)]
-    caps = config.resolved_caps()
-
-    def run_task(kind, radius, sample) -> list[TrialRecord]:
-        if config.mode == "one-time":
-            return [_one_time_trial(ensemble, spaces_list, config, kind, radius, sample)]
-        return _sequence_trials(ensemble, spaces_list, config, kind, radius, caps, sample)
 
     tasks = [(kind, radius, sample) for kind in config.resolved_kinds()
              for radius in config.resolved_radii()
@@ -460,7 +420,8 @@ def run_experiment(config: ExperimentConfig):
         )
         if config.preflight:
             self_query_check(ensemble, dict(sorted(spaces.items())), config, map_fn=pool.map)
-        results = list(pool.map(lambda t: run_task(*t), tasks))
+        results = list(pool.map(lambda t: _sequence_trials(ensemble, spaces_list, config, *t),
+                                tasks))
 
     by_cell: dict[tuple, list[TrialRecord]] = {}
     for (kind, radius, _sample), trial_list in zip(tasks, results):

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import require_int, require_real
-from .geometry import (
-    PointCloud,
-    RigidTransform,
-    SpatialIndex,
-    random_rigid_transform,
-)
+from .geometry import PointCloud, RigidTransform, ball_indices, random_rigid_transform
 
 __all__ = [
     "GeneralizationParams",
@@ -90,10 +85,8 @@ class ReleasePolicy:
     num_releases: int = 1
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.num_releases < 1:
-            raise ValueError("num_releases must be >= 1")
+        require_real("radius", self.radius, 0.0)
+        require_int("num_releases", self.num_releases, 1)
 
 
 def _fit_plane_lsq(positions: np.ndarray, guide_normal: np.ndarray):
@@ -301,14 +294,14 @@ class ReleaseStep:
     """One emitted release: where the walk stood and how much it had revealed.
 
     ``n_accumulated`` and ``n_planes`` size the walk's state as of this
-    release; the released cloud itself is derived from the final state, by
-    :func:`release_at` for a generalized walk and by
-    ``state.prefix(n_accumulated)`` for a raw one.
+    release. The raw points revealed so far are ``state.prefix(n_accumulated)``
+    of the final state, in reveal order; that is a raw walk's release and the
+    truth a release stands for. A generalized walk's release is derived from
+    the final state by :func:`release_at`.
     """
 
     center: np.ndarray              # walk center, reference frame
     transform: RigidTransform       # frame change the application sees
-    accumulated_indices: np.ndarray  # source-space indices revealed so far
     n_planes: int
     n_accumulated: int
 
@@ -341,7 +334,8 @@ def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
                      generalize: bool = True) -> tuple[list[ReleaseStep], ReleaseState]:
     """Simulate a user revealing a space along a random walk.
 
-    Per release: extract the ball around the walk center, accumulate the
+    Per release: extract the ball around the walk center (inclusive, as
+    :func:`~spatialprivacy.geometry.extract_partial` cuts it), accumulate the
     not-yet-seen points and subsume/generalize them. Each release is
     re-expressed in one random rigid frame shared by the whole sequence. With
     ``generalize=False`` the points are only accumulated, and a release is
@@ -352,14 +346,13 @@ def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
         raise ValueError("space is empty")
     rng = np.random.default_rng(seed)
     transform = random_rigid_transform(rng)
-    index = SpatialIndex(space)
     state = ReleaseState.empty(space.label)
     seen = np.zeros(len(space), dtype=bool)
     steps: list[ReleaseStep] = []
     center_idx = int(rng.integers(len(space)))
     for _ in range(policy.num_releases):
         center = space.positions[center_idx]
-        ball = index.ball(center, policy.radius)
+        ball = ball_indices(space, center, policy.radius)
         new_idx = ball[~seen[ball]]
         seen[new_idx] = True
         if len(new_idx):
@@ -371,7 +364,6 @@ def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
             ReleaseStep(
                 center=center.copy(),
                 transform=transform,
-                accumulated_indices=np.flatnonzero(seen),
                 n_planes=len(state.planes),
                 n_accumulated=len(state),
             )

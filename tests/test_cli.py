@@ -213,3 +213,33 @@ def test_bad_ply_is_one_line_error(command, directory, ensemble_path, tmp_path, 
     assert BAD_PLY_MESSAGES[directory] in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options, message", [
+    ("release", ["--mechanism", "conservative", "--radius", "-1"], "radius must be"),
+    ("release", ["--mechanism", "conservative", "--radius", "nan"], "radius must be"),
+    ("release", ["--mechanism", "conservative", "--releases", "0"], "num_releases must be"),
+    ("release", ["--mechanism", "conservative", "--max-planes", "0"], "max_planes must be"),
+    ("release", ["--mechanism", "partial", "--radius", "-1"], "radius must be"),
+    ("reference", ["--min-inliers", "0"], "min_inliers must be"),
+    ("reference", ["--factor", "0"], "factor must be"),
+    ("infer", [], "cache file does not start with b'SPEN'"),
+], ids=["conservative-radius", "conservative-nan-radius", "releases", "max-planes",
+        "partial-radius", "min-inliers", "factor", "not-an-ensemble"])
+def test_bad_option_is_one_line_error(command, options, message, space_dir, tmp_path,
+                                      capsys):
+    out, not_spen = tmp_path / "out", tmp_path / "ref.spen"
+    not_spen.write_bytes(b"SPDC" + bytes(16))
+    argv = {
+        "reference": ["reference", "--spaces", str(space_dir), "--out", str(out)],
+        "infer": ["infer", "--ensemble", str(not_spen), "--query",
+                  str(space_dir / "space0.ply"), "--out", str(out)],
+        "release": ["release", "--cloud", str(space_dir / "space0.ply"), "--out", str(out)],
+    }[command]
+    rc = main([*argv, *options])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"spatialprivacy {command}: ")
+    assert message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()

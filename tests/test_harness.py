@@ -93,7 +93,8 @@ class TestConfig:
     @pytest.mark.parametrize("field, value, message", [
         ("max_planes", (1, 0), "caps"), ("max_planes", (-3,), "caps"),
         ("radii", (1.0, 0.0), "radii"), ("radii", (-0.5,), "radii"),
-        ("radii", (float("nan"),), "radii"), ("samples", 0, "samples"),
+        ("radii", (float("nan"),), "radii"), ("radii", (float("inf"),), "radii"),
+        ("samples", 0, "samples"),
         ("releases", 0, "releases"), ("workers", 0, "workers"), ("factor", 0, "factor"),
         ("seed", -1, "seed"), ("variants", -1, "variants"),
     ])
@@ -161,6 +162,7 @@ class TestConfig:
         ({"qos_symmetric": "yes"}, "qos_symmetric must be"),
         ({"preflight": 0}, "preflight must be"),
         ({"mode": ["one-time"]}, "mode must be one of"),
+        (json.loads('{"radii": [1.0, Infinity]}'), "radii must be a list of finite"),
     ])
     def test_bad_setting_values_rejected_by_name(self, data, message):
         with pytest.raises(ValueError, match=message):
@@ -285,6 +287,15 @@ class TestRunExperiment:
         assert cell.space_count == 3
         assert cell.n_trials == 6
         assert len(trials) == 6
+
+    def test_one_time_is_a_walk_of_one_release(self):
+        sweep = dict(radii=(1.0, 1.5), samples=3, kinds=("raw", "generalized"))
+        one_time = run_experiment(tiny_config(mode="one-time", **sweep))
+        walk = run_experiment(tiny_config(mode="successive", releases=1, **sweep))
+        assert trials_to_jsonl(one_time[1]) == trials_to_jsonl(walk[1])
+        assert (cells_to_csv(one_time[0]).replace("\none-time-", "\n")
+                == cells_to_csv(walk[0]).replace("\nsuccessive-", "\n"))
+        assert {c.mode for c in one_time[0]} == {"one-time-raw", "one-time-gen"}
 
     def test_raw_one_time_queries_have_zero_q(self, one_time_result):
         _, trials = one_time_result

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from spatialprivacy import mechanisms
-from spatialprivacy.geometry import PointCloud, centroid, random_rigid_transform
+from spatialprivacy.geometry import (
+    PointCloud,
+    centroid,
+    extract_partial,
+    random_rigid_transform,
+)
 from spatialprivacy.mechanisms import (
     GeneralizationParams,
     Plane,
@@ -315,8 +320,7 @@ def release_now(state, cap):
     """``release_at`` for a one-step walk whose step sees the whole state."""
     step = ReleaseStep(
         center=np.zeros(3), transform=random_rigid_transform(0),
-        accumulated_indices=np.arange(len(state)), n_planes=len(state.planes),
-        n_accumulated=len(state),
+        n_planes=len(state.planes), n_accumulated=len(state),
     )
     return release_at(state, step, cap)
 
@@ -401,6 +405,19 @@ def space():
     return generate_space(SyntheticSpaceSpec(density=60, seed=12), "seq")
 
 
+def sorted_rows(positions):
+    """The rows in lexicographic order, to compare point sets."""
+    return positions[np.lexsort(positions.T[::-1])]
+
+
+def revealed_union(space, steps, radius):
+    """Per step, the source points of every ball cut so far, as a mask."""
+    union = np.zeros(len(space), dtype=bool)
+    for step in steps:
+        union |= np.linalg.norm(space.positions - step.center, axis=1) <= radius
+        yield union.copy()
+
+
 class TestReleaseSequence:
 
     def test_single_release_matches_one_time_generalization(self, space):
@@ -412,17 +429,32 @@ class TestReleaseSequence:
         assert np.array_equal(released.positions, expected.positions)
         assert np.array_equal(released.normals, expected.normals)
         ball = np.linalg.norm(space.positions - step.center, axis=1) <= 1.0
-        assert np.array_equal(step.accumulated_indices, np.flatnonzero(ball))
+        assert step.n_accumulated == len(state)
+        assert np.array_equal(state.prefix(step.n_accumulated).positions,
+                              space.positions[ball])
+
+    def test_ball_boundary_is_inclusive_as_extract_partial(self):
+        # A 0.5 m grid: every point has an axis neighbour at exactly r = 0.5.
+        grid = 0.5 * np.array([(i, j, 0) for i in range(5) for j in range(5)], float)
+        cloud = PointCloud(grid, np.tile([0.0, 0.0, 1.0], (len(grid), 1)))
+        for seed in range(4):
+            steps, state = release_sequence(cloud, ReleasePolicy(0.5, 1), seed=seed,
+                                            generalize=False)
+            first = state.prefix(steps[0].n_accumulated)
+            cut = extract_partial(cloud, steps[0].center, 0.5)
+            assert np.array_equal(first.positions, cut.positions)
+            assert np.array_equal(first.normals, cut.normals)
+            assert np.any(np.linalg.norm(first.positions - steps[0].center, axis=1) == 0.5)
 
     def test_accumulation_monotone_and_union_exact(self, space):
-        steps, _ = release_sequence(space, ReleasePolicy(0.5, 12), seed=7)
-        sizes = [len(s.accumulated_indices) for s in steps]
+        steps, state = release_sequence(space, ReleasePolicy(0.5, 12), seed=7)
+        sizes = [s.n_accumulated for s in steps]
         assert sizes == sorted(sizes)
-        union = np.zeros(len(space), dtype=bool)
-        for step in steps:
-            ball = np.linalg.norm(space.positions - step.center, axis=1) <= 0.5
-            union |= ball
-        assert np.array_equal(np.flatnonzero(union), steps[-1].accumulated_indices)
+        assert sizes[-1] == len(state)
+        for step, union in zip(steps, revealed_union(space, steps, 0.5)):
+            assert step.n_accumulated == union.sum()
+            assert np.array_equal(sorted_rows(state.prefix(step.n_accumulated).positions),
+                                  sorted_rows(space.positions[union]))
 
     def test_walk_steps_bounded(self, space):
         steps, _ = release_sequence(space, ReleasePolicy(0.5, 12), seed=8)
@@ -464,13 +496,11 @@ class TestReleaseSequence:
         steps, state = release_sequence(
             space, ReleasePolicy(0.5, 4), seed=13, generalize=False
         )
-        for step in steps:
+        for step, union in zip(steps, revealed_union(space, steps, 0.5)):
             released = state.prefix(step.n_accumulated)
-            assert len(released) == len(step.accumulated_indices)
-            assert np.array_equal(
-                np.sort(released.positions, axis=0),
-                np.sort(space.positions[step.accumulated_indices], axis=0),
-            )
+            assert len(released) == union.sum()
+            assert np.array_equal(sorted_rows(released.positions),
+                                  sorted_rows(space.positions[union]))
         assert steps[-1].n_planes == 0
 
     def test_empty_space_rejected(self):
@@ -478,3 +508,13 @@ class TestReleaseSequence:
             release_sequence(
                 PointCloud(np.zeros((0, 3)), np.zeros((0, 3))), ReleasePolicy(1.0, 1)
             )
+
+    @pytest.mark.parametrize("radius, releases, message", [
+        (float("nan"), 1, "radius must be"), (float("inf"), 1, "radius must be"),
+        (0.0, 1, "radius must be"), (-1.0, 1, "radius must be"), ("1", 1, "radius must be"),
+        (1.0, 0, "num_releases must be"), (1.0, 2.0, "num_releases must be"),
+        (1.0, True, "num_releases must be"),
+    ])
+    def test_bad_policy_rejected_by_name(self, radius, releases, message):
+        with pytest.raises(ValueError, match=message):
+            ReleasePolicy(radius, releases)
