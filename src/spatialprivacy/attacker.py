@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import require_bool, require_real
-from .descriptors import DescribedSpace, SpinParams, describe
+from .descriptors import DescribedSpace, SpinParams, describe, select_keypoints
 from .geometry import PointCloud, knn_bruteforce, ranking_copy
 from .mechanisms import GeneralizationParams, project_to_planes, ransac_planes
 
@@ -34,9 +34,11 @@ __all__ = [
     "ReferenceEnsemble",
     "build_reference",
     "load_ensemble",
+    "match",
     "match_inter",
     "match_intra",
     "infer",
+    "raw_view",
     "save_ensemble",
 ]
 
@@ -69,13 +71,16 @@ class ReferenceEnsemble:
     """Per-label descriptor pools and the spin-image settings that built them.
 
     Each label's pool stacks the descriptors and keypoint positions of its
-    raw and generalized variants. ``ranked`` lists the labels whose pools
-    hold at least two descriptors, the ones :func:`match_inter` 2-nn
-    matches, and ``prepared`` caches their grouped ranking copy
-    (:func:`ranking_copy`), which every query's ``knn_bruteforce`` would
-    otherwise recompute; it adds about half the descriptors' size. Every
-    value must be finite: a NaN row would be every query's neighbour at
-    distance NaN, which the NNDR reads as a perfect match.
+    raw and generalized variants, the raw variant first: its rows lead the
+    pool in :func:`describe`'s keypoint order, so :func:`raw_view` reads a
+    space's raw description back without describing it. ``ranked`` lists
+    the labels whose pools hold at least two descriptors, the ones
+    :func:`match_inter` 2-nn matches, and ``prepared`` caches their grouped
+    ranking copy (:func:`ranking_copy`), which every query's
+    ``knn_bruteforce`` would otherwise recompute; it adds about half the
+    descriptors' size. Every value must be finite: a NaN row would be
+    every query's neighbour at distance NaN, which the NNDR reads as a
+    perfect match.
     :func:`infer` describes queries with ``params`` and ``factor``.
     Immutable after construction; concurrent matching against it is safe.
     """
@@ -249,11 +254,11 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
     return IntraSpaceResult(False, survivors, similarity, r[survivors].mean(axis=0))
 
 
-def infer(ensemble: ReferenceEnsemble, query: PointCloud,
+def match(ensemble: ReferenceEnsemble, described: DescribedSpace,
           params: AttackParams = AttackParams()) -> Hypothesis:
-    """Full two-level inference for one query cloud, described with the
-    ensemble's spin-image settings and keypoint factor."""
-    described = describe(query, ensemble.params, ensemble.factor)
+    """Two-level inference for a query described with the ensemble's
+    spin-image settings: :func:`match_inter` picks the label, then
+    :func:`match_intra` checks its pairs against that label's pool."""
     inter = match_inter(ensemble, described, params)
     matched = inter.pairs[inter.winner]
     pool = ensemble.pool(inter.winner)
@@ -265,6 +270,33 @@ def infer(ensemble: ReferenceEnsemble, query: PointCloud,
     )
     return Hypothesis(inter.winner, intra.centroid, intra.abstained, inter, intra,
                       described)
+
+
+def infer(ensemble: ReferenceEnsemble, query: PointCloud,
+          params: AttackParams = AttackParams()) -> Hypothesis:
+    """Full two-level inference for one query cloud, described with the
+    ensemble's spin-image settings and keypoint factor."""
+    return match(ensemble, describe(query, ensemble.params, ensemble.factor), params)
+
+
+def raw_view(ensemble: ReferenceEnsemble, space: PointCloud) -> DescribedSpace:
+    """``describe(space, ensemble.params, ensemble.factor)`` as the pool of
+    ``space.label`` already holds it, if the ensemble was built from this
+    space: the pool's first rows, one per keypoint of
+    :func:`select_keypoints`, as views, not copies.
+
+    Nothing here checks that the rows are this space's; a pool built from
+    another cloud yields that cloud's rows. Raises ``KeyError`` for a label
+    the ensemble lacks and ``ValueError`` for a pool with fewer rows than
+    the space has keypoints.
+    """
+    keys = select_keypoints(space, ensemble.factor)
+    pool = ensemble.pool(space.label)
+    if len(keys) > len(pool.descriptors):
+        raise ValueError(f"pool of {space.label!r} holds {len(pool.descriptors)} rows, "
+                         f"fewer than its {len(keys)} raw keypoints")
+    return DescribedSpace(keys.astype(np.int64), pool.positions[:len(keys)],
+                          pool.descriptors[:len(keys)], ensemble.params)
 
 
 def build_reference(
@@ -295,6 +327,7 @@ def build_reference(
         seen.add(label)
 
     def pool_of(space_idx: int, space: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+        # The raw variant first: raw_view reads it back from there.
         variants = [describe(space, desc_params, factor)]
         for v_idx, gen in enumerate(variant_params):
             rng = np.random.default_rng(

@@ -52,8 +52,8 @@ def cmd_gen(args) -> int:
 
 
 def _input_failure(command: str, err: Exception) -> int:
-    """A bad option value, dataset or cache as one line: the input is at
-    fault, not the program."""
+    """A bad option value, dataset or cache, or an input file that cannot
+    be opened, as one line: the input is at fault, not the program."""
     print(f"spatialprivacy {command}: {err}", file=sys.stderr)
     return 2
 
@@ -63,6 +63,7 @@ def cmd_reference(args) -> int:
         gen = _gen_params(args)
         desc_params = SpinParams(args.bin_size, args.image_width)
         require_int("factor", args.factor, 1)
+        require_int("variants", args.variants, 0)
     except ValueError as err:
         return _input_failure("reference", err)
     try:
@@ -85,11 +86,11 @@ def cmd_reference(args) -> int:
 def cmd_infer(args) -> int:
     try:
         ensemble = load_ensemble(args.ensemble)
-    except CacheFormatError as err:
+    except (CacheFormatError, OSError) as err:
         return _input_failure("infer", err)
     try:
         query = load_cloud(args.query, args.normals_k)
-    except (DatasetError, PlyFormatError) as err:
+    except (DatasetError, PlyFormatError, OSError) as err:
         return _input_failure("infer", err)
     hyp = infer(ensemble, query, AttackParams(strict_nndr=args.strict))
     payload = {
@@ -115,7 +116,7 @@ def cmd_release(args) -> int:
         return _input_failure("release", err)
     try:
         cloud = load_cloud(args.cloud, args.normals_k)
-    except (DatasetError, PlyFormatError) as err:
+    except (DatasetError, PlyFormatError, OSError) as err:
         return _input_failure("release", err)
     if args.mechanism == "partial":
         rng = np.random.default_rng(args.seed)
@@ -154,7 +155,7 @@ def cmd_release(args) -> int:
 def cmd_run(args) -> int:
     try:
         config = ExperimentConfig.from_json(args.config)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         return _input_failure("run", err)
     # Only the dataset's own errors: a fault in the sweep keeps its traceback.
     try:
@@ -169,8 +170,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.metrics) as fh:
-        nested = json.load(fh)
+    try:
+        with open(args.metrics) as fh:
+            nested = json.load(fh)
+    except OSError as err:
+        return _input_failure("report", err)
     # metrics.json sorts radius keys as text; the sweep orders them by value.
     cells = [CellMetrics.from_row(mode, float(radius), row)
              for mode, by_radius in nested.items()

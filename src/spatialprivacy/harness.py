@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from ._checks import is_int, is_real, require, require_bool, require_int, require_real
-from .attacker import AttackParams, ReferenceEnsemble, build_reference, infer
+from .attacker import (AttackParams, ReferenceEnsemble, build_reference, infer, match,
+                       raw_view)
 from .descriptors import SpinParams, UnusableSpaceError
 from .geometry import PointCloud, apply_transform, centroid, estimate_normals
 from .mechanisms import GeneralizationParams, ReleasePolicy, release_at, release_sequence
@@ -279,21 +280,26 @@ def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
                      config: ExperimentConfig, map_fn=map) -> None:
     """Pre-flight sanity gate: each raw space must match itself perfectly.
 
-    The label must come back exactly, and because a self-query's surviving
-    reference keypoints coincide with its own matched keypoints, the location
-    hypothesis must sit on their centroid to within 1e-6. ``map_fn`` maps
-    the check over the spaces (see :func:`build_reference`); the first
-    failure in ``spaces`` order is raised.
+    It checks the ensemble and both matchers on the pool's own raw rows
+    (:func:`raw_view`), which are ``describe``'s description of the space
+    if the ensemble was built from it; nothing is described again. The
+    label must come back exactly, and because a self-query's surviving
+    reference keypoints coincide with its own matched keypoints, the
+    location hypothesis must sit on the centroid of those keypoints of the
+    space itself to within 1e-6; a pool built from another cloud fails
+    here. ``map_fn`` maps the check over the spaces (see
+    :func:`build_reference`); the first failure in ``spaces`` order is
+    raised.
     """
     def failure(label: str, space: PointCloud) -> str | None:
-        hyp = infer(ensemble, space, config.attack)
+        hyp = match(ensemble, raw_view(ensemble, space), config.attack)
         if hyp.label != label:
             return f"self-query check failed: {label!r} classified as {hyp.label!r}"
         if hyp.abstained:
             return f"self-query intra check abstained for {label!r}"
         pairs = hyp.inter.pairs[label]
         gate = pairs.nndr < config.attack.t1
-        matched = hyp.query.positions[pairs.query_indices[gate]]
+        matched = space.positions[hyp.query.indices[pairs.query_indices[gate]]]
         expected = matched[hyp.intra.survivor_mask].mean(axis=0)
         if distance_error(hyp.centroid, expected) > 1e-6:
             return f"self-query intra check failed for {label!r}"

@@ -19,8 +19,10 @@ from spatialprivacy.attacker import (
     build_reference,
     infer,
     load_ensemble,
+    match,
     match_inter,
     match_intra,
+    raw_view,
     save_ensemble,
 )
 from spatialprivacy.descriptors import DescribedSpace, SpinParams, describe
@@ -471,6 +473,48 @@ class TestInfer:
                               describe(mini_spaces[1], params, 7).indices)
         assert hyp.query.params == params
         assert hyp.inter.scores["mini1"] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestRawView:
+    @staticmethod
+    def assert_is_the_raw_description(ensemble, space):
+        view = raw_view(ensemble, space)
+        fresh = describe(space, ensemble.params, ensemble.factor)
+        for name in ("indices", "positions", "descriptors"):
+            got, expected = getattr(view, name), getattr(fresh, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        assert view.params == fresh.params
+        pool = ensemble.pool(space.label)
+        assert np.shares_memory(view.descriptors, pool.descriptors)
+        assert np.shares_memory(view.positions, pool.positions)
+
+    def test_built_ensemble(self, mini_spaces, mini_ensemble):
+        for space in mini_spaces:
+            self.assert_is_the_raw_description(mini_ensemble, space)
+
+    def test_round_tripped_ensemble(self, mini_spaces, tmp_path):
+        path = tmp_path / "e.spen"
+        build_reference(mini_spaces, desc_params=SpinParams(bin_size=0.15, image_width=6),
+                        factor=7, seed=0, cache_path=path)
+        loaded = load_ensemble(path)
+        for space in mini_spaces:
+            self.assert_is_the_raw_description(loaded, space)
+
+    def test_matching_the_view_is_inferring_the_space(self, mini_spaces, mini_ensemble):
+        viewed = match(mini_ensemble, raw_view(mini_ensemble, mini_spaces[1]))
+        inferred = infer(mini_ensemble, mini_spaces[1])
+        assert viewed.label == inferred.label == "mini1"
+        assert viewed.inter.scores == inferred.inter.scores
+        assert viewed.centroid.tobytes() == inferred.centroid.tobytes()
+        assert viewed.intra.similarity.tobytes() == inferred.intra.similarity.tobytes()
+
+    def test_pool_shorter_than_the_keypoints_rejected(self, mini_spaces, mini_ensemble):
+        pool = mini_ensemble.pool("mini0")
+        short = ReferenceEnsemble({"mini0": (pool.descriptors[:3], pool.positions[:3])},
+                                  mini_ensemble.params, mini_ensemble.factor)
+        with pytest.raises(ValueError, match="fewer than its"):
+            raw_view(short, mini_spaces[0])
 
 
 def described_variants(space, space_idx, seed=0):

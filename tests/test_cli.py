@@ -223,9 +223,10 @@ def test_bad_ply_is_one_line_error(command, directory, ensemble_path, tmp_path, 
     ("release", ["--mechanism", "partial", "--radius", "-1"], "radius must be"),
     ("reference", ["--min-inliers", "0"], "min_inliers must be"),
     ("reference", ["--factor", "0"], "factor must be"),
+    ("reference", ["--variants", "-1"], "variants must be"),
     ("infer", [], "cache file does not start with b'SPEN'"),
 ], ids=["conservative-radius", "conservative-nan-radius", "releases", "max-planes",
-        "partial-radius", "min-inliers", "factor", "not-an-ensemble"])
+        "partial-radius", "min-inliers", "factor", "variants", "not-an-ensemble"])
 def test_bad_option_is_one_line_error(command, options, message, space_dir, tmp_path,
                                       capsys):
     out, not_spen = tmp_path / "out", tmp_path / "ref.spen"
@@ -241,5 +242,25 @@ def test_bad_option_is_one_line_error(command, options, message, space_dir, tmp_
     assert rc == 2
     assert err.startswith(f"spatialprivacy {command}: ")
     assert message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, missing", [
+    ("infer", "ensemble"), ("infer", "query"), ("release", "cloud"), ("run", "config"),
+    ("report", "metrics"),
+])
+def test_missing_input_is_one_line_error(command, missing, space_dir, ensemble_path,
+                                         tmp_path, capsys):
+    gone, out = tmp_path / "missing", tmp_path / "out"
+    paths = {"ensemble": ensemble_path, "query": space_dir / "space0.ply",
+             "cloud": space_dir / "space0.ply", missing: gone}
+    options = {"infer": ["ensemble", "query"], "release": ["cloud"], "run": ["config"],
+               "report": ["metrics"]}[command]
+    argv = [command, *(arg for name in options for arg in (f"--{name}", str(paths[name])))]
+    rc = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"spatialprivacy {command}: ") and str(gone) in err
     assert len(err.splitlines()) == 1
     assert not out.exists()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spatialprivacy import attacker, descriptors, harness
-from spatialprivacy.attacker import AttackParams, build_reference
+from spatialprivacy.attacker import AttackParams, ReferenceEnsemble, build_reference
 from spatialprivacy.descriptors import SpinParams, UnusableSpaceError
 from spatialprivacy.geometry import PointCloud
 from spatialprivacy.harness import (
@@ -308,7 +308,7 @@ class TestPreflight:
         spaces = load_dataset(TINY)
         return spaces, build_reference(list(spaces.values()), seed=3)
 
-    def test_describes_each_space_once(self, setup, monkeypatch):
+    def test_describes_no_space(self, setup, monkeypatch):
         spaces, ensemble = setup
         calls = []
         original = descriptors.describe
@@ -320,12 +320,21 @@ class TestPreflight:
         for module in (attacker, descriptors, harness):
             monkeypatch.setattr(module, "describe", counted, raising=False)
         self_query_check(ensemble, spaces, tiny_config())
-        assert len(calls) == len(spaces)
+        assert calls == []
 
     def test_wrong_label_raises(self, setup):
         spaces, ensemble = setup
         with pytest.raises(RuntimeError, match="classified as"):
             self_query_check(ensemble, {"space1": spaces["space0"]}, tiny_config())
+
+    def test_swapped_pools_fail(self, setup):
+        spaces, ensemble = setup
+        pools = {label: (ensemble.pool(label).descriptors, ensemble.pool(label).positions)
+                 for label in ensemble.labels}
+        pools["space0"], pools["space1"] = pools["space1"], pools["space0"]
+        swapped = ReferenceEnsemble(pools, ensemble.params, ensemble.factor)
+        with pytest.raises(RuntimeError, match="self-query intra check failed for 'space0'"):
+            self_query_check(swapped, spaces, tiny_config())
 
     def test_first_label_fails_on_a_thread_pool(self, setup):
         spaces, ensemble = setup
