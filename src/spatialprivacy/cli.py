@@ -51,9 +51,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _input_failure(command: str, err: Exception) -> int:
-    """A bad option value, dataset or cache, or an input file that cannot
-    be opened, as one line: the input is at fault, not the program."""
+def _input_failure(command: str, err: Exception | str) -> int:
+    """A bad option value, dataset, cache or metrics file, an input file
+    that cannot be opened, or an output directory that does not exist, as
+    one line: the input is at fault, not the program."""
     print(f"spatialprivacy {command}: {err}", file=sys.stderr)
     return 2
 
@@ -66,6 +67,10 @@ def cmd_reference(args) -> int:
         require_int("variants", args.variants, 0)
     except ValueError as err:
         return _input_failure("reference", err)
+    # The cache is written only after every space is described.
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        return _input_failure("reference", f"cannot write {args.out}: no directory {out_dir}")
     try:
         spaces = load_dataset(DatasetSpec(type="directory", path=args.spaces,
                                           normals_k=args.normals_k))
@@ -170,16 +175,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # Only reading the file and building its cells: a fault while writing the
+    # report keeps its traceback. metrics.json sorts radius keys as text; the
+    # sweep orders them by value.
     try:
         with open(args.metrics) as fh:
             nested = json.load(fh)
+        cells = [CellMetrics.from_row(mode, float(radius), row)
+                 for mode, by_radius in nested.items()
+                 for radius, rows in sorted(by_radius.items(), key=lambda kv: float(kv[0]))
+                 for row in rows]
+        if not cells:
+            raise ValueError("empty metrics grid")
     except OSError as err:
         return _input_failure("report", err)
-    # metrics.json sorts radius keys as text; the sweep orders them by value.
-    cells = [CellMetrics.from_row(mode, float(radius), row)
-             for mode, by_radius in nested.items()
-             for radius, rows in sorted(by_radius.items(), key=lambda kv: float(kv[0]))
-             for row in rows]
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        return _input_failure("report", f"{args.metrics} is not a metrics grid: {err!r}")
     paths = report(cells, args.out)
     print(f"wrote {paths['csv']}, {paths['json']}, {paths['summary']}")
     return 0

@@ -12,11 +12,15 @@ One kernel, ``_spin_histograms``, accumulates every histogram. It takes the
 keypoints in blocks of about 2**13 (keypoint, neighbor) entries: the first
 block as many as fit if every keypoint saw the whole cloud, each later one
 sized from the neighbor count of the block before. Per block it makes one
-ball query, the (alpha, beta) and bilinear weights of the whole block at
-once, and one ``np.bincount`` over (keypoint, bin) keys. Its temporaries
-stay at a few MB for any cloud, in each thread that describes at once;
-describing a 16.9k-point space peaks at about 6.8 MB (``tracemalloc``), the
-cloud's own copies included.
+ball query, which returns its (keypoint, neighbor) pairs as arrays without a
+Python list per keypoint, the (alpha, beta) and bilinear weights of the
+whole block at once, and one ``np.bincount`` over (keypoint, bin) keys. The
+bincount fills a grid per keypoint padded by a bin row above and below and
+two bin columns beyond alpha = R, so that every bilinear corner of a unit
+normal lands in it without a mask, and the (2w, w) histogram is cropped out.
+Its temporaries stay at a few MB for any cloud, in each thread that
+describes at once; describing a 16.9k-point space peaks at about 6.8 MB
+(``tracemalloc``), the cloud's own copies included.
 """
 
 from __future__ import annotations
@@ -105,6 +109,8 @@ def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarr
                      params: SpinParams) -> np.ndarray:
     """Raw spin histograms, shape (m, params.length), of the indexed points
     around m centers with their unit normals (zero rows for empty supports).
+    A normal's length must be 1 within 1e-6, as ``PointCloud`` requires of
+    every reliable normal.
 
     A center has at most ``len(index)`` neighbors, so the first block of
     ``max(1, 2**13 // len(index))`` centers stays within 2**13 entries; each
@@ -113,7 +119,7 @@ def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarr
     each bin sums its weights in one fixed order, whatever the blocks.
     """
     w, m = params.image_width, len(centers)
-    hist = np.zeros((m, params.length))
+    hist = np.zeros((m, 2 * w, w))
     start, block = 0, max(1, _BLOCK_ENTRIES // len(index))
     while start < m:
         stop = min(start + block, m)
@@ -121,7 +127,8 @@ def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarr
         rel = index.points[cols] - centers[start + rows]
         rr = np.einsum("ij,ij->i", rel, rel)
         within = rr <= params.support_radius**2
-        rows, rel, rr = rows[within], rel[within], rr[within]
+        if not within.all():
+            rows, rel, rr = rows[within], rel[within], rr[within]
         # One (n, 3) @ (3,) product per center: a BLAS kernel's rounding can
         # depend on where a row sits in its array, and here each center's
         # rows form the same array they would for that center alone.
@@ -137,15 +144,19 @@ def _spin_histograms(index: SpatialIndex, centers: np.ndarray, normals: np.ndarr
         b0 = np.floor(b).astype(np.intp)
         fa = a - a0
         fb = b - b0
+        # Corners go to a (2w + 3, w + 2) grid per center, one row down: a
+        # normal within 1e-6 of unit length keeps b0 in [-1, 2w] and a0 in
+        # [0, w], so no corner falls outside it. Each cropped-in bin sums the
+        # weights it would with the outside corners dropped, in the same order.
         col = a0 + np.array([[0], [1], [0], [1]])
-        row = b0 + np.array([[0], [0], [1], [1]])
+        row = b0 + np.array([[1], [1], [2], [2]])
         weight = np.stack([(1 - fa) * (1 - fb), fa * (1 - fb), (1 - fa) * fb, fa * fb])
-        ok = (col >= 0) & (col < w) & (row >= 0) & (row < 2 * w)
-        key = (rows * (2 * w) + row) * w + col
-        hist[start:stop].flat = np.bincount(key[ok], weight[ok], hist[start:stop].size)
+        key = (rows * (2 * w + 3) + row) * (w + 2) + col
+        grid = np.bincount(key.ravel(), weight.ravel(), (stop - start) * (2 * w + 3) * (w + 2))
+        hist[start:stop] = grid.reshape(-1, 2 * w + 3, w + 2)[:, 1:2 * w + 1, :w]
         start = stop
         block = min(2 * block, max(1, block * _BLOCK_ENTRIES // max(len(cols), 1)))
-    return hist
+    return hist.reshape(m, params.length)
 
 
 def describe(

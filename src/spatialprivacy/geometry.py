@@ -8,7 +8,6 @@ neighborhood does not define a plane.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -196,14 +195,17 @@ class SpatialIndex:
         For one center of shape ``(3,)``, their index array. For centers of
         shape ``(m, 3)``, the pair ``(rows, indices)`` that ``np.nonzero``
         gives for the (m, n) mask of hits: ordered by center, then by index.
+        The (m, 3) form builds no Python list: one ``sparse_distance_matrix``
+        call between a tree over the centers and this index's tree returns
+        every pair as arrays, and one sort of ``row * n + index`` orders them.
         """
         centers = np.asarray(centers, dtype=np.float64)
-        hits = self._tree.query_ball_point(centers, radius, return_sorted=True)
         if centers.ndim == 1:
-            return np.asarray(hits, dtype=np.intp)
-        counts = np.fromiter(map(len, hits), np.intp, len(hits))
-        indices = np.fromiter(itertools.chain.from_iterable(hits), np.intp, counts.sum())
-        return np.repeat(np.arange(len(hits)), counts), indices
+            return np.asarray(self._tree.query_ball_point(centers, radius, return_sorted=True),
+                              dtype=np.intp)
+        pairs = cKDTree(centers).sparse_distance_matrix(self._tree, radius, output_type="ndarray")
+        n = len(self.points)
+        return np.divmod(np.sort(pairs["i"].astype(np.int64) * n + pairs["j"]), n)
 
 
 def _exponent(a: np.ndarray) -> int:

@@ -264,3 +264,39 @@ def test_missing_input_is_one_line_error(command, missing, space_dir, ensemble_p
     assert err.startswith(f"spatialprivacy {command}: ") and str(gone) in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+ROW = {"space_count": 2, "release_idx": 0, "max_planes": None, "pi1": 1.0,
+       "abstain_rate": 0.0, "q": None, "n_trials": 3, "pi2_m": None}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "JSONDecodeError"),
+    ("{}", "empty metrics grid"),
+    (json.dumps({"one-time": {"1": [{k: v for k, v in ROW.items() if k != "pi1"}]}}),
+     "KeyError('pi1')"),
+], ids=["not-json", "empty-grid", "row-without-pi1"])
+def test_unusable_metrics_is_one_line_error(text, message, tmp_path, capsys):
+    metrics, out = tmp_path / "metrics.json", tmp_path / "out"
+    metrics.write_text(text)
+    rc = main(["report", "--metrics", str(metrics), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("spatialprivacy report: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_reference_into_a_missing_directory_fails_before_any_work(space_dir, tmp_path,
+                                                                  capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("build_reference called")
+
+    monkeypatch.setattr("spatialprivacy.cli.build_reference", fail)
+    out = tmp_path / "nodir" / "ref.spen"
+    rc = main(["reference", "--spaces", str(space_dir), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("spatialprivacy reference: ") and "nodir" in err
+    assert len(err.splitlines()) == 1
+    assert not out.parent.exists()

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from spatialprivacy import descriptors
 from spatialprivacy.descriptors import (
@@ -24,6 +25,7 @@ from spatialprivacy.synthetic import default_space_specs, generate_space
 
 P = SpinParams()  # bin 0.1 m, width 8: support 0.8 m, 128 entries
 W = P.image_width
+OFF = 0.999999e-6  # a normal's length may be 1 +- OFF: just inside PointCloud's 1e-6
 
 
 def spin(cloud, center, normal=(0.0, 0.0, 1.0), params=P):
@@ -62,13 +64,14 @@ def reference_histogram(points, center, normal, params):
 
 
 def reference_describe(cloud, params, factor):
-    """``describe`` as a loop over keypoints: ball query, accumulate,
-    normalise with ``np.linalg.norm``."""
-    index = SpatialIndex(cloud)
+    """``describe`` as a loop over keypoints: a ``cKDTree`` ball query,
+    accumulate, normalise with ``np.linalg.norm``."""
+    tree = cKDTree(cloud.positions)
     keys = select_keypoints(cloud, factor)
     rows = []
     for i in keys:
-        neigh = index.ball(cloud.positions[i], params.support_radius)
+        neigh = tree.query_ball_point(cloud.positions[i], params.support_radius,
+                                      return_sorted=True)
         vec = reference_histogram(cloud.positions[neigh], cloud.positions[i],
                                   cloud.normals[i], params)
         rows.append(vec / np.linalg.norm(vec))
@@ -91,6 +94,18 @@ def edge_cloud():
     grid = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
     pts = np.vstack([grid, grid[::3], [[50.0, 50.0, 50.0], [-40.0, 0.0, 0.0]]])
     return PointCloud(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+
+
+def support_edge_cloud(params, axis, scale):
+    """A lattice of spacing R, the support radius, along x and z, with every
+    normal ``scale`` times the unit vector along ``axis``: a keypoint's
+    neighbors one lattice step away sit at beta = +-R along the normal or at
+    alpha = R exactly, and a normal of length 1 + OFF puts beta just past
+    +-R, so some bilinear corners fall outside the (2w, w) histogram."""
+    r = params.support_radius
+    xx, yy, zz = np.meshgrid(np.arange(3) * r, [0.0, r / 2], np.arange(-1, 2) * r)
+    pts = np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
+    return PointCloud(pts, np.tile(scale * np.eye(3)[axis], (len(pts), 1)))
 
 
 def seeded_cloud(n, seed):
@@ -211,6 +226,26 @@ class TestKernel:
     def test_describe_equals_reference(self, make, factor, params):
         cloud = make()
         assert_as_reference(describe(cloud, params, factor), cloud, params, factor)
+
+    @pytest.mark.parametrize("params", [P, SpinParams(0.125, 6)])
+    @pytest.mark.parametrize("axis", [0, 2])
+    @pytest.mark.parametrize("scale", [1 - OFF, 1.0, 1 + OFF, -1 - OFF])
+    def test_corners_at_the_support_edge(self, params, axis, scale):
+        cloud = support_edge_cloud(params, axis, scale)
+        assert_as_reference(describe(cloud, params, 1), cloud, params, 1)
+
+    def test_support_edge_cloud_reaches_past_the_grid(self):
+        """A normal longer than 1 puts a neighbor's beta below -R, so its
+        lower bin row is -1; the unit normal puts alpha = R in column w."""
+        for scale, low_row in ((1 + OFF, -1), (1.0, 0)):
+            cloud = support_edge_cloud(P, 2, scale)
+            origin = np.flatnonzero(~cloud.positions.any(axis=1))[0]
+            rel = cloud.positions - cloud.positions[origin]
+            rel = rel[np.einsum("ij,ij->i", rel, rel) <= P.support_radius**2]
+            beta = rel @ cloud.normals[origin]
+            assert np.floor(beta / P.bin_size + W).min() == low_row
+            alpha = np.sqrt(np.maximum(np.einsum("ij,ij->i", rel, rel) - beta**2, 0))
+            assert np.floor(alpha / P.bin_size).max() == W
 
     def test_many_blocks_with_a_short_last_one(self, monkeypatch):
         blocks = []

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.spatial import cKDTree
 
 from spatialprivacy.geometry import (
     PointCloud,
@@ -520,6 +521,59 @@ class TestGroupedKnn:
             tracemalloc.stop()
         # The 3387 x 14185 key matrix alone would take 192 MB in float32.
         assert peak <= 32 * 2**20
+
+
+def flat_ball_point(points, centers, radius):
+    """The reference for ``SpatialIndex.ball``: the tree's sorted list of
+    each center's points, flattened into (rows, indices)."""
+    hits = cKDTree(points).query_ball_point(centers, radius, return_sorted=True)
+    rows = np.repeat(np.arange(len(hits)), [len(h) for h in hits])
+    return rows, np.array([i for h in hits for i in h], dtype=np.intp)
+
+
+class TestBall:
+    """``SpatialIndex.ball`` against ``cKDTree.query_ball_point``, exactly."""
+
+    def assert_ball(self, points, centers, radius):
+        rows, indices = SpatialIndex(points).ball(centers, radius)
+        expected_rows, expected_indices = flat_ball_point(points, centers, radius)
+        assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(indices, expected_indices)
+        return rows, indices
+
+    def test_random_clouds(self):
+        r = np.random.default_rng(1975)
+        for _ in range(20):
+            pts = r.uniform(-2, 2, (int(r.integers(1, 3000)), 3))
+            centers = np.vstack([pts[::7], r.uniform(-2.5, 2.5, (20, 3))])
+            self.assert_ball(pts, centers, float(r.uniform(0.1, 1.5)))
+
+    @pytest.mark.parametrize("radius", [0.125, 0.25, 0.75, 1.0])
+    def test_grid_with_points_exactly_at_the_radius(self, radius):
+        xx, yy = np.meshgrid(np.arange(12) / 8, np.arange(12) / 8)
+        grid = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
+        pts = np.vstack([grid, grid[::3]])
+        rows, indices = self.assert_ball(pts, grid, radius)
+        # Inclusive: the grid point one radius along x of the first center.
+        assert int(8 * radius) in indices[rows == 0]
+
+    def test_center_far_from_every_point_gets_no_rows(self, random_cloud):
+        centers = np.vstack([random_cloud.positions[:2], [[500.0, 0, 0]],
+                             random_cloud.positions[2:4]])
+        rows, _ = self.assert_ball(random_cloud.positions, centers, 0.8)
+        assert set(rows.tolist()) == {0, 1, 3, 4}
+
+    def test_one_center(self, random_cloud):
+        index = SpatialIndex(random_cloud)
+        center = random_cloud.positions[5]
+        one = index.ball(center, 0.8)
+        assert one.ndim == 1
+        assert np.array_equal(one, flat_ball_point(random_cloud.positions, center[None], 0.8)[1])
+        assert np.array_equal(one, index.ball(center[None], 0.8)[1])
+
+    def test_no_centers_gives_empty_arrays(self, random_cloud):
+        rows, indices = SpatialIndex(random_cloud).ball(np.zeros((0, 3)), 0.8)
+        assert rows.shape == indices.shape == (0,)
 
 
 class TestExtractPartial:
