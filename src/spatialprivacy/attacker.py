@@ -305,7 +305,6 @@ def build_reference(
     desc_params: SpinParams = SpinParams(),
     factor: int = 5,
     seed: int = 0,
-    cache_path=None,
     map_fn=map,
 ) -> ReferenceEnsemble:
     """Describe each labeled space raw plus one generalized variant per spec.
@@ -315,7 +314,6 @@ def build_reference(
     identical ensemble. ``map_fn`` maps the per-space work over the spaces
     and returns the results in order, as the builtin ``map`` does or an
     executor's ``map`` across threads; the ensemble does not depend on it.
-    Optionally writes the cache file.
     """
     labels = [space.label for space in spaces]
     seen: set[str] = set()
@@ -340,10 +338,7 @@ def build_reference(
                 np.vstack([v.positions for v in variants]))
 
     pools = dict(zip(labels, map_fn(pool_of, range(len(spaces)), spaces)))
-    ensemble = ReferenceEnsemble(pools, desc_params, factor)
-    if cache_path is not None:
-        save_ensemble(ensemble, cache_path)
-    return ensemble
+    return ReferenceEnsemble(pools, desc_params, factor)
 
 
 _ENSEMBLE_MAGIC = b"SPEN"

@@ -1,7 +1,24 @@
 """Command-line front end: gen, reference, infer, release, run, report.
 
-``reference`` writes the adversary's ensemble cache, which ``infer`` reads;
-the other subcommands read and write PLY clouds, JSON configs and reports.
+Every subcommand but ``report`` reads its settings from ``--config``, the
+:class:`~spatialprivacy.harness.ExperimentConfig` JSON; only ``run`` needs
+one, the others use ``ExperimentConfig()`` without it. So ``reference
+--config C`` writes exactly the ensemble that ``run --config C`` attacks.
+The fields each reads:
+
+    gen        dataset, written as PLY files
+    reference  dataset, descriptor, factor, variants, generalization, seed, workers
+    infer      dataset.normals_k, attack (descriptor and factor are the ensemble's)
+    release    dataset.normals_k, generalization, seed
+    run        every field
+
+For example::
+
+    {"dataset": {"type": "directory", "path": "spaces"},
+     "variants": 2, "generalization": {"min_inliers": 50}, "workers": 2}
+
+The other options name a command's inputs and outputs, or describe the one
+release that ``release`` makes; ``infer`` reads the cache ``reference`` writes.
 """
 
 from __future__ import annotations
@@ -9,95 +26,85 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from ._checks import require_int
-from .attacker import AttackParams, CacheFormatError, build_reference, infer, load_ensemble
-from .descriptors import SpinParams
+from .attacker import CacheFormatError, infer, load_ensemble, save_ensemble
 from .geometry import extract_partial
-from .harness import (CellMetrics, DatasetError, DatasetSpec, ExperimentConfig, load_cloud,
+from .harness import (CellMetrics, DatasetError, ExperimentConfig, build_ensemble, load_cloud,
                       load_dataset, report, run_experiment, trials_to_jsonl)
-from .mechanisms import (
-    GeneralizationParams,
-    ReleasePolicy,
-    project_to_planes,
-    ransac_planes,
-    release_at,
-    release_sequence,
-)
+from .mechanisms import (ReleasePolicy, project_to_planes, ransac_planes, release_at,
+                         release_sequence)
 from .ply_io import PlyFormatError, save_ply
-from .synthetic import default_space_specs, generate_space
+
+_LOAD_ERRORS = (DatasetError, PlyFormatError, OSError)
 
 
-def _gen_params(args) -> GeneralizationParams:
-    return GeneralizationParams(
-        dist_eps=args.dist_eps,
-        normal_angle_max=args.normal_angle_max,
-        min_inliers=args.min_inliers,
-        candidates_per_round=args.candidates,
-    )
+class _BadInput(Exception):
+    """A bad config, option, dataset, cache or metrics file, an unreadable
+    input or a missing output directory: the input is at fault, not the
+    program. :func:`main` prints it on one line and exits 2."""
+
+
+@contextmanager
+def _input(*errors):
+    """Report any of ``errors`` raised inside as :class:`_BadInput`."""
+    try:
+        yield
+    except errors as err:
+        raise _BadInput(err) from None
+
+
+def _config(args) -> ExperimentConfig:
+    """The config at ``--config``, or ``ExperimentConfig()`` without one."""
+    if args.config is None:
+        return ExperimentConfig()
+    with _input(ValueError, OSError):
+        return ExperimentConfig.from_json(args.config)
+
+
+def _check_writable(*paths) -> None:
+    """Fail before any work on an output path in a missing directory."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise _BadInput(f"cannot write {path}: no directory {Path(path).parent}")
 
 
 def cmd_gen(args) -> int:
+    config = _config(args)
+    with _input(*_LOAD_ERRORS):
+        spaces = load_dataset(config.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    specs = default_space_specs(args.seed, args.density, args.noise_sigma)
-    for label, spec in list(specs.items())[: args.count]:
-        cloud = generate_space(spec, label)
+    for label, cloud in spaces.items():
         save_ply(cloud, out / f"{label}.ply", format=args.format)
         print(f"wrote {out / (label + '.ply')} ({len(cloud)} points)")
     return 0
 
 
-def _input_failure(command: str, err: Exception | str) -> int:
-    """A bad option value, dataset, cache or metrics file, an input file
-    that cannot be opened, or an output directory that does not exist, as
-    one line: the input is at fault, not the program."""
-    print(f"spatialprivacy {command}: {err}", file=sys.stderr)
-    return 2
-
-
 def cmd_reference(args) -> int:
-    try:
-        gen = _gen_params(args)
-        desc_params = SpinParams(args.bin_size, args.image_width)
-        require_int("factor", args.factor, 1)
-        require_int("variants", args.variants, 0)
-    except ValueError as err:
-        return _input_failure("reference", err)
-    # The cache is written only after every space is described.
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        return _input_failure("reference", f"cannot write {args.out}: no directory {out_dir}")
-    try:
-        spaces = load_dataset(DatasetSpec(type="directory", path=args.spaces,
-                                          normals_k=args.normals_k))
-    except (DatasetError, PlyFormatError) as err:
-        return _input_failure("reference", err)
-    build_reference(
-        list(spaces.values()),
-        variant_params=(gen,) * args.variants,
-        desc_params=desc_params,
-        factor=args.factor,
-        seed=args.seed,
-        cache_path=args.out,
-    )
+    config = _config(args)
+    _check_writable(args.out)
+    with _input(*_LOAD_ERRORS):
+        spaces = load_dataset(config.dataset)
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        ensemble = build_ensemble(config, spaces, map_fn=pool.map)
+    save_ensemble(ensemble, args.out)
     print(f"wrote {args.out} ({len(spaces)} labels)")
     return 0
 
 
 def cmd_infer(args) -> int:
-    try:
+    config = _config(args)
+    _check_writable(args.out)
+    with _input(CacheFormatError, *_LOAD_ERRORS):
         ensemble = load_ensemble(args.ensemble)
-    except (CacheFormatError, OSError) as err:
-        return _input_failure("infer", err)
-    try:
-        query = load_cloud(args.query, args.normals_k)
-    except (DatasetError, PlyFormatError, OSError) as err:
-        return _input_failure("infer", err)
-    hyp = infer(ensemble, query, AttackParams(strict_nndr=args.strict))
+        query = load_cloud(args.query, config.dataset.normals_k)
+    hyp = infer(ensemble, query, config.attack)
     payload = {
         "label": hyp.label,
         "centroid": None if hyp.centroid is None else [float(v) for v in hyp.centroid],
@@ -112,26 +119,23 @@ def cmd_infer(args) -> int:
 
 
 def cmd_release(args) -> int:
-    try:
-        gen = _gen_params(args)
+    config = _config(args)
+    with _input(ValueError):
         policy = ReleasePolicy(radius=args.radius, num_releases=args.releases)
         if args.max_planes is not None:
             require_int("max_planes", args.max_planes, 1)
-    except ValueError as err:
-        return _input_failure("release", err)
-    try:
-        cloud = load_cloud(args.cloud, args.normals_k)
-    except (DatasetError, PlyFormatError, OSError) as err:
-        return _input_failure("release", err)
+    _check_writable(args.out, args.manifest)
+    with _input(*_LOAD_ERRORS):
+        cloud = load_cloud(args.cloud, config.dataset.normals_k)
     if args.mechanism == "partial":
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(config.seed)
         center = cloud.positions[int(rng.integers(len(cloud)))]
         released = extract_partial(cloud, center, args.radius)
     elif args.mechanism == "generalize":
-        planes = ransac_planes(cloud, gen, args.seed)
+        planes = ransac_planes(cloud, config.generalization, config.seed)
         released = project_to_planes(cloud, planes)
     elif args.mechanism == "conservative":
-        steps, state = release_sequence(cloud, policy, args.seed, gen)
+        steps, state = release_sequence(cloud, policy, config.seed, config.generalization)
         released = release_at(state, steps[-1], args.max_planes)
         manifest = {
             "releases": [
@@ -158,15 +162,10 @@ def cmd_release(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = ExperimentConfig.from_json(args.config)
-    except (ValueError, OSError) as err:
-        return _input_failure("run", err)
+    config = _config(args)
     # Only the dataset's own errors: a fault in the sweep keeps its traceback.
-    try:
+    with _input(DatasetError, PlyFormatError):
         cells, trials = run_experiment(config)
-    except (DatasetError, PlyFormatError) as err:
-        return _input_failure("run", err)
     out = Path(args.out)
     paths = report(cells, out)
     (out / "trials.jsonl").write_text(trials_to_jsonl(trials))
@@ -188,24 +187,17 @@ def cmd_report(args) -> int:
         if not cells:
             raise ValueError("empty metrics grid")
     except OSError as err:
-        return _input_failure("report", err)
+        raise _BadInput(err) from None
     except (AttributeError, KeyError, TypeError, ValueError) as err:
-        return _input_failure("report", f"{args.metrics} is not a metrics grid: {err!r}")
+        raise _BadInput(f"{args.metrics} is not a metrics grid: {err!r}") from None
     paths = report(cells, args.out)
     print(f"wrote {paths['csv']}, {paths['json']}, {paths['summary']}")
     return 0
 
 
-def _add_normals_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--normals-k", type=int, default=12, dest="normals_k")
-
-
-def _add_generalization_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dist-eps", type=float, default=0.05, dest="dist_eps")
-    p.add_argument("--normal-angle-max", type=float, default=30.0,
-                   dest="normal_angle_max")
-    p.add_argument("--min-inliers", type=int, default=30, dest="min_inliers")
-    p.add_argument("--candidates", type=int, default=100)
+def _add_config_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="an ExperimentConfig JSON file; "
+                   "without one, the settings are ExperimentConfig()'s defaults")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,27 +208,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate synthetic spaces as PLY files")
+    p = sub.add_parser("gen", help="write the config's dataset as PLY files")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=7)
-    p.add_argument("--density", type=float, default=80.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0, dest="noise_sigma")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["ascii", "binary_little_endian"],
                    default="binary_little_endian")
+    _add_config_arg(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("reference", help="build the adversary's reference ensemble")
-    p.add_argument("--spaces", required=True, help="directory of labeled .ply files")
+    p = sub.add_parser("reference", help="build the adversary's reference ensemble "
+                       "for the config's dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--variants", type=int, default=1,
-                   help="generalized variants per space")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bin-size", type=float, default=0.10, dest="bin_size")
-    p.add_argument("--image-width", type=int, default=8, dest="image_width")
-    p.add_argument("--factor", type=int, default=5)
-    _add_normals_arg(p)
-    _add_generalization_args(p)
+    _add_config_arg(p)
     p.set_defaults(func=cmd_reference)
 
     p = sub.add_parser("infer", help="run two-level inference for one query, "
@@ -244,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--out")
-    p.add_argument("--strict", action="store_true",
-                   help="apply the strict NNDR pre-filter")
-    _add_normals_arg(p)
+    _add_config_arg(p)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("release", help="apply a privacy mechanism to a cloud")
@@ -255,16 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", choices=["partial", "generalize", "conservative"],
                    default="generalize")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--releases", type=int, default=1)
+    p.add_argument("--releases", type=int, default=ReleasePolicy.num_releases)
     p.add_argument("--max-planes", type=int, default=None, dest="max_planes")
     p.add_argument("--manifest", help="write a JSON manifest of the release sequence")
-    p.add_argument("--seed", type=int, default=0)
-    _add_normals_arg(p)
-    _add_generalization_args(p)
+    _add_config_arg(p)
     p.set_defaults(func=cmd_release)
 
     p = sub.add_parser("run", help="run a full experiment from a JSON config")
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True, help="an ExperimentConfig JSON file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
@@ -278,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as err:
+        print(f"spatialprivacy {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -46,6 +46,7 @@ __all__ = [
     "CellMetrics",
     "DatasetError",
     "ExperimentConfig",
+    "build_ensemble",
     "load_cloud",
     "load_dataset",
     "report",
@@ -192,7 +193,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The config a JSON object describes; unknown keys raise ``ValueError``."""
+        """The config a JSON object describes; anything else, or unknown keys,
+        raise ``ValueError``."""
+        require("config", data, isinstance(data, dict), "a JSON object")
         data = _known_fields(cls, data, "config")
         for key, klass in _SECTIONS.items():
             if key in data and isinstance(data[key], dict):
@@ -218,6 +221,15 @@ class ExperimentConfig:
         return asdict(self)
 
 
+# metrics.json row key -> (its type check, what the check wants)
+_ROW_TYPES = {
+    **dict.fromkeys(("space_count", "release_idx", "n_trials"), (is_int, "an integer")),
+    **dict.fromkeys(("pi1", "abstain_rate"), (is_real, "a number")),
+    **dict.fromkeys(("pi2_m", "q"), (lambda v: v is None or is_real(v), "a number or null")),
+    "max_planes": (lambda v: v is None or is_int(v), "an integer or null"),
+}
+
+
 @dataclass(frozen=True)
 class CellMetrics:
     """Aggregated metrics for one sweep cell."""
@@ -240,9 +252,11 @@ class CellMetrics:
 
     @classmethod
     def from_row(cls, mode: str, radius: float, row: dict) -> "CellMetrics":
-        """The cell that :meth:`to_row` wrote under ``mode`` and ``radius``."""
-        fields = {k: row[k] for k in ("space_count", "release_idx", "max_planes",
-                                      "pi1", "abstain_rate", "q", "n_trials")}
+        """The cell that :meth:`to_row` wrote under ``mode`` and ``radius``;
+        a value of the wrong type raises ``ValueError`` naming its key."""
+        for key, (ok, what) in _ROW_TYPES.items():
+            require(key, row[key], ok(row[key]), what)
+        fields = {k: row[k] for k in _ROW_TYPES if k != "pi2_m"}
         return cls(mode=mode, radius=radius, pi2=row["pi2_m"], **fields)
 
 
@@ -257,7 +271,7 @@ def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
         specs = default_space_specs(spec.seed, spec.density, spec.noise_sigma)
         chosen = dict(list(specs.items())[: spec.count])
         return {label: generate_space(s, label) for label, s in chosen.items()}
-    paths = sorted(Path(spec.path).glob("*.ply"))
+    paths = sorted(Path(spec.path).glob("*.ply"), key=lambda p: p.stem)
     if not paths:
         raise DatasetError(f"no .ply files under {spec.path}")
     return {p.stem: load_cloud(p, spec.normals_k) for p in paths}
@@ -274,6 +288,18 @@ def load_cloud(path, normals_k: int) -> PointCloud:
                                f"them needs normals_k + 1 = {normals_k + 1}")
         cloud = estimate_normals(cloud, normals_k)
     return cloud.with_label(Path(path).stem)
+
+
+def build_ensemble(config: ExperimentConfig, spaces: dict[str, PointCloud],
+                   map_fn=map) -> ReferenceEnsemble:
+    """The reference ensemble ``config`` describes, built from ``spaces`` in
+    their order: the ``descriptor`` settings and ``factor``, and ``variants``
+    generalized variants per space under ``generalization``, seeded from
+    ``seed``. ``map_fn`` maps the per-space work (see :func:`build_reference`)."""
+    return build_reference(list(spaces.values()),
+                           variant_params=(config.generalization,) * config.variants,
+                           desc_params=config.descriptor, factor=config.factor,
+                           seed=config.seed, map_fn=map_fn)
 
 
 def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
@@ -410,22 +436,15 @@ def run_experiment(config: ExperimentConfig):
     spaces = load_dataset(config.dataset)
     if len(spaces) < 2:
         raise DatasetError("inter-space inference needs at least 2 spaces")
-    spaces_list = [spaces[label] for label in sorted(spaces)]
+    spaces_list = list(spaces.values())
 
     tasks = [(kind, radius, sample) for kind in config.resolved_kinds()
              for radius in config.resolved_radii()
              for sample in range(config.resolved_samples())]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        ensemble = build_reference(
-            spaces_list,
-            variant_params=(config.generalization,) * config.variants,
-            desc_params=config.descriptor,
-            factor=config.factor,
-            seed=config.seed,
-            map_fn=pool.map,
-        )
+        ensemble = build_ensemble(config, spaces, map_fn=pool.map)
         if config.preflight:
-            self_query_check(ensemble, dict(sorted(spaces.items())), config, map_fn=pool.map)
+            self_query_check(ensemble, spaces, config, map_fn=pool.map)
         results = list(pool.map(lambda t: _sequence_trials(ensemble, spaces_list, config, *t),
                                 tasks))
 

@@ -262,7 +262,7 @@ def generate_space(spec: SyntheticSpaceSpec, label: str) -> PointCloud:
 
 
 def default_space_specs(
-    seed: int = 0, density: float = 60.0, noise_sigma: float = 0.005
+    seed: int, density: float, noise_sigma: float
 ) -> dict[str, SyntheticSpaceSpec]:
     """Seven room-scale spaces: near-uniform shells, shared furniture catalog.
 

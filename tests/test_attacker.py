@@ -495,8 +495,9 @@ class TestRawView:
 
     def test_round_tripped_ensemble(self, mini_spaces, tmp_path):
         path = tmp_path / "e.spen"
-        build_reference(mini_spaces, desc_params=SpinParams(bin_size=0.15, image_width=6),
-                        factor=7, seed=0, cache_path=path)
+        save_ensemble(build_reference(mini_spaces, factor=7, seed=0,
+                                      desc_params=SpinParams(bin_size=0.15, image_width=6)),
+                      path)
         loaded = load_ensemble(path)
         for space in mini_spaces:
             self.assert_is_the_raw_description(loaded, space)
@@ -582,9 +583,9 @@ class TestBuildReference:
     ):
         params = SpinParams(bin_size=0.15, image_width=6)
         p1, p2, p3 = (tmp_path / f"e{i}.spen" for i in (1, 2, 3))
-        fresh = build_reference(mini_spaces, desc_params=params, factor=7, seed=0,
-                                cache_path=p1)
-        build_reference(mini_spaces, desc_params=params, factor=7, seed=0, cache_path=p2)
+        fresh = build_reference(mini_spaces, desc_params=params, factor=7, seed=0)
+        save_ensemble(fresh, p1)
+        save_ensemble(build_reference(mini_spaces, desc_params=params, factor=7, seed=0), p2)
         assert p1.read_bytes() == p2.read_bytes()
         loaded = load_ensemble(p1)
         assert loaded.labels == ["mini0", "mini1", "mini2"]

@@ -5,20 +5,31 @@ import json
 import numpy as np
 import pytest
 
+from spatialprivacy import harness
 from spatialprivacy.attacker import build_reference, load_ensemble
 from spatialprivacy.cli import main
 from spatialprivacy.descriptors import SpinParams
-from spatialprivacy.harness import load_cloud
-from spatialprivacy.ply_io import load_ply
+from spatialprivacy.harness import ExperimentConfig, load_cloud, run_experiment
+from spatialprivacy.ply_io import load_ply, save_ply
+
+
+def config_file(directory, config) -> str:
+    """``config`` written as JSON into ``directory``; returns the path."""
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def directory_config(directory) -> dict:
+    return {"dataset": {"type": "directory", "path": str(directory)}}
 
 
 @pytest.fixture(scope="module")
 def space_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("spaces")
-    rc = main(
-        ["gen", "--out", str(out), "--count", "2", "--density", "30",
-         "--seed", "1"]
-    )
+    config = config_file(tmp_path_factory.mktemp("gen"),
+                         {"dataset": {"count": 2, "density": 30, "seed": 1}})
+    rc = main(["gen", "--out", str(out), "--config", config])
     assert rc == 0
     return out
 
@@ -34,9 +45,8 @@ def test_gen_writes_loadable_plys(space_dir):
 @pytest.fixture(scope="module")
 def ensemble_path(space_dir, tmp_path_factory):
     path = tmp_path_factory.mktemp("ens") / "ref.spen"
-    rc = main(
-        ["reference", "--spaces", str(space_dir), "--out", str(path), "--seed", "0"]
-    )
+    config = config_file(path.parent, directory_config(space_dir))
+    rc = main(["reference", "--config", config, "--out", str(path)])
     assert rc == 0
     return path
 
@@ -81,7 +91,7 @@ def test_release_generalize(space_dir, tmp_path):
     out = tmp_path / "gen.ply"
     rc = main(
         ["release", "--cloud", str(space_dir / "space0.ply"), "--out", str(out),
-         "--mechanism", "generalize", "--seed", "2"]
+         "--mechanism", "generalize", "--config", config_file(tmp_path, {"seed": 2})]
     )
     assert rc == 0
     released = load_ply(out)
@@ -94,7 +104,8 @@ def test_release_conservative_with_manifest(space_dir, tmp_path):
     rc = main(
         ["release", "--cloud", str(space_dir / "space0.ply"), "--out", str(out),
          "--mechanism", "conservative", "--radius", "1.0", "--releases", "4",
-         "--max-planes", "2", "--manifest", str(manifest), "--seed", "5"]
+         "--max-planes", "2", "--manifest", str(manifest),
+         "--config", config_file(tmp_path, {"seed": 5})]
     )
     assert rc == 0
     data = json.loads(manifest.read_text())
@@ -139,8 +150,10 @@ def test_run_and_report(space_dir, tmp_path):
     {"mode": "one-time", "attack": {"t1": "x"}},
     {"mode": "one-time", "qos_alpha": "x"},
     {"mode": "one-time", "qos_alpha": 0.7},
+    None,
+    [],
 ], ids=["unknown-key", "rejected-combination", "wrong-type", "descriptor-type",
-        "dataset-type", "dataset-kind", "attack-type", "qos-type", "qos-sum"])
+        "dataset-type", "dataset-kind", "attack-type", "qos-type", "qos-sum", "null", "list"])
 def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -200,7 +213,8 @@ def test_bad_ply_is_one_line_error(command, directory, ensemble_path, tmp_path, 
     write_bad_datasets(tmp_path)
     data, out = tmp_path / directory, tmp_path / "out"
     argv = {
-        "reference": ["reference", "--spaces", str(data), "--out", str(out)],
+        "reference": ["reference", "--config", config_file(tmp_path, directory_config(data)),
+                      "--out", str(out)],
         "infer": ["infer", "--ensemble", str(ensemble_path), "--query",
                   str(data / "space0.ply"), "--out", str(out)],
         "release": ["release", "--cloud", str(data / "space0.ply"), "--out", str(out),
@@ -221,18 +235,22 @@ def test_bad_ply_is_one_line_error(command, directory, ensemble_path, tmp_path, 
     ("release", ["--mechanism", "conservative", "--releases", "0"], "num_releases must be"),
     ("release", ["--mechanism", "conservative", "--max-planes", "0"], "max_planes must be"),
     ("release", ["--mechanism", "partial", "--radius", "-1"], "radius must be"),
-    ("reference", ["--min-inliers", "0"], "min_inliers must be"),
-    ("reference", ["--factor", "0"], "factor must be"),
-    ("reference", ["--variants", "-1"], "variants must be"),
+    ("reference", {"generalization": {"min_inliers": 0}}, "min_inliers must be"),
+    ("reference", {"factor": 0}, "factor must be"),
+    ("reference", {"variants": -1}, "variants must be"),
     ("infer", [], "cache file does not start with b'SPEN'"),
 ], ids=["conservative-radius", "conservative-nan-radius", "releases", "max-planes",
         "partial-radius", "min-inliers", "factor", "variants", "not-an-ensemble"])
 def test_bad_option_is_one_line_error(command, options, message, space_dir, tmp_path,
                                       capsys):
+    """A bad option value, or a bad config value (given as a dict)."""
     out, not_spen = tmp_path / "out", tmp_path / "ref.spen"
     not_spen.write_bytes(b"SPDC" + bytes(16))
+    if isinstance(options, dict):
+        options = ["--config", config_file(tmp_path, {**directory_config(space_dir),
+                                                      **options})]
     argv = {
-        "reference": ["reference", "--spaces", str(space_dir), "--out", str(out)],
+        "reference": ["reference", "--out", str(out)],
         "infer": ["infer", "--ensemble", str(not_spen), "--query",
                   str(space_dir / "space0.ply"), "--out", str(out)],
         "release": ["release", "--cloud", str(space_dir / "space0.ply"), "--out", str(out)],
@@ -275,7 +293,8 @@ ROW = {"space_count": 2, "release_idx": 0, "max_planes": None, "pi1": 1.0,
     ("{}", "empty metrics grid"),
     (json.dumps({"one-time": {"1": [{k: v for k, v in ROW.items() if k != "pi1"}]}}),
      "KeyError('pi1')"),
-], ids=["not-json", "empty-grid", "row-without-pi1"])
+    (json.dumps({"one-time": {"1": [{**ROW, "pi1": "x"}]}}), "pi1 must be a number"),
+], ids=["not-json", "empty-grid", "row-without-pi1", "pi1-not-a-number"])
 def test_unusable_metrics_is_one_line_error(text, message, tmp_path, capsys):
     metrics, out = tmp_path / "metrics.json", tmp_path / "out"
     metrics.write_text(text)
@@ -287,16 +306,86 @@ def test_unusable_metrics_is_one_line_error(text, message, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_reference_into_a_missing_directory_fails_before_any_work(space_dir, tmp_path,
-                                                                  capsys, monkeypatch):
+@pytest.mark.parametrize("command, options", [
+    ("reference", ["--out", "{nodir}/ref.spen"]),
+    ("infer", ["--ensemble", "{ensemble}", "--query", "{space0}", "--out", "{nodir}/h.json"]),
+    ("release", ["--cloud", "{space0}", "--out", "{nodir}/r.ply"]),
+    ("release", ["--cloud", "{space0}", "--out", "{tmp}/r.ply", "--mechanism",
+                 "conservative", "--manifest", "{nodir}/m.json"]),
+], ids=["reference-out", "infer-out", "release-out", "release-manifest"])
+def test_output_in_a_missing_directory_fails_before_any_work(
+        command, options, space_dir, ensemble_path, tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("build_reference called")
+        raise AssertionError("an input was loaded")
 
-    monkeypatch.setattr("spatialprivacy.cli.build_reference", fail)
-    out = tmp_path / "nodir" / "ref.spen"
-    rc = main(["reference", "--spaces", str(space_dir), "--out", str(out)])
+    for loader in ("load_dataset", "load_cloud", "load_ensemble"):
+        monkeypatch.setattr(f"spatialprivacy.cli.{loader}", fail)
+    names = {"nodir": tmp_path / "nodir", "ensemble": ensemble_path,
+             "space0": space_dir / "space0.ply", "tmp": tmp_path}
+    config = config_file(tmp_path, directory_config(space_dir))
+    argv = [command, "--config", config, *(o.format(**names) for o in options)]
+    rc = main(argv)
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("spatialprivacy reference: ") and "nodir" in err
+    assert err.startswith(f"spatialprivacy {command}: ") and "nodir" in err
     assert len(err.splitlines()) == 1
-    assert not out.parent.exists()
+    assert not (tmp_path / "nodir").exists() and not (tmp_path / "r.ply").exists()
+
+
+BAD_CONFIGS = {
+    "unknown-key": ({"walk_step_max": 0.5}, "walk_step_max"),
+    "factor": ({"factor": 0}, "factor must be"),
+    "variants": ({"variants": -1}, "variants must be"),
+    "normals-k": ({"dataset": {"normals_k": 0}}, "normals_k must be"),
+    "min-inliers": ({"generalization": {"min_inliers": 0}}, "min_inliers must be"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+@pytest.mark.parametrize("command", ["gen", "reference", "infer", "release"])
+def test_bad_config_is_one_line_error(command, case, space_dir, ensemble_path, tmp_path,
+                                      capsys):
+    config, message = BAD_CONFIGS[case]
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen"],
+        "reference": ["reference"],
+        "infer": ["infer", "--ensemble", str(ensemble_path), "--query",
+                  str(space_dir / "space0.ply")],
+        "release": ["release", "--cloud", str(space_dir / "space0.ply")],
+    }[command]
+    rc = main([*argv, "--config", config_file(tmp_path, config), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"spatialprivacy {command}: ") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_reference_writes_the_ensemble_run_attacks(space_dir, tmp_path, monkeypatch):
+    """``a-b.ply`` sorts before ``a.ply`` by path, after it by label: both
+    subcommands must seed the variants from the label order."""
+    spaces = tmp_path / "spaces"
+    spaces.mkdir()
+    for src, stem in (("space0", "a"), ("space1", "a-b")):
+        save_ply(load_ply(space_dir / f"{src}.ply"), spaces / f"{stem}.ply")
+    config = {**directory_config(spaces), "samples": 1, "radii": [1.0]}
+    cache = tmp_path / "ref.spen"
+    assert main(["reference", "--config", config_file(tmp_path, config),
+                 "--out", str(cache)]) == 0
+
+    class Built(Exception):
+        pass
+
+    def capture(ensemble, *args, **kwargs):
+        raise Built(ensemble)
+
+    monkeypatch.setattr(harness, "self_query_check", capture)
+    with pytest.raises(Built) as built:
+        run_experiment(ExperimentConfig.from_dict(config))
+    attacked, written = built.value.args[0], load_ensemble(cache)
+    assert written.labels == attacked.labels == ["a", "a-b"]
+    for label in attacked.labels:
+        for name in ("descriptors", "positions"):
+            got = getattr(written.pool(label), name)
+            assert got.tobytes() == getattr(attacked.pool(label), name).tobytes()

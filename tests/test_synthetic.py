@@ -71,7 +71,7 @@ def test_density_scales_point_count():
 
 
 def test_default_specs_distinct_and_labeled():
-    specs = default_space_specs(seed=0)
+    specs = default_space_specs(0, 60.0, 0.005)
     assert len(specs) == 7
     assert sorted(specs) == [f"space{i}" for i in range(7)]
     assert len({s.seed for s in specs.values()}) == 7
