@@ -1,8 +1,9 @@
 """Spatial privacy for mixed-reality 3D point clouds.
 
-Mechanisms (partial release, RANSAC plane generalization with subsumption,
-conservative plane releasing), a two-level descriptor-matching adversary,
-privacy/utility metrics, and a reproducible experiment harness.
+Mechanisms (a walk of partial releases, raw or generalized into RANSAC
+planes with subsumption, under conservative plane caps), a two-level
+descriptor-matching adversary, privacy/utility metrics, and a reproducible
+experiment harness.
 """
 
 from .attacker import (
@@ -31,7 +32,6 @@ from .geometry import (
     apply_transform,
     centroid,
     estimate_normals,
-    extract_partial,
     knn_bruteforce,
     random_rigid_transform,
 )

@@ -18,7 +18,10 @@ For example::
      "variants": 2, "generalization": {"min_inliers": 50}, "workers": 2}
 
 The other options name a command's inputs and outputs, or describe the one
-release that ``release`` makes; ``infer`` reads the cache ``reference`` writes.
+walk that ``release`` runs as a sweep trial does: ``--releases`` balls of
+``--radius``, ``--kind`` raw or generalized, whose last release it writes
+under at most ``--max-planes`` planes; ``--manifest`` lists every release.
+``infer`` reads the cache ``reference`` writes.
 """
 
 from __future__ import annotations
@@ -30,15 +33,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from ._checks import require_int
 from .attacker import CacheFormatError, infer, load_ensemble, save_ensemble
-from .geometry import extract_partial
+from .descriptors import UnusableSpaceError
 from .harness import (CellMetrics, DatasetError, ExperimentConfig, build_ensemble, load_cloud,
                       load_dataset, report, run_experiment, trials_to_jsonl)
-from .mechanisms import (ReleasePolicy, project_to_planes, ransac_planes, release_at,
-                         release_sequence)
+from .mechanisms import ReleasePolicy, release_at, release_sequence
 from .ply_io import PlyFormatError, save_ply
 
 _LOAD_ERRORS = (DatasetError, PlyFormatError, OSError)
@@ -91,7 +91,7 @@ def cmd_reference(args) -> int:
     _check_writable(args.out)
     with _input(*_LOAD_ERRORS):
         spaces = load_dataset(config.dataset)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with ThreadPoolExecutor(max_workers=config.workers) as pool, _input(UnusableSpaceError):
         ensemble = build_ensemble(config, spaces, map_fn=pool.map)
     save_ensemble(ensemble, args.out)
     print(f"wrote {args.out} ({len(spaces)} labels)")
@@ -104,7 +104,8 @@ def cmd_infer(args) -> int:
     with _input(CacheFormatError, *_LOAD_ERRORS):
         ensemble = load_ensemble(args.ensemble)
         query = load_cloud(args.query, config.dataset.normals_k)
-    hyp = infer(ensemble, query, config.attack)
+    with _input(UnusableSpaceError):
+        hyp = infer(ensemble, query, config.attack)
     payload = {
         "label": hyp.label,
         "centroid": None if hyp.centroid is None else [float(v) for v in hyp.centroid],
@@ -124,35 +125,20 @@ def cmd_release(args) -> int:
         policy = ReleasePolicy(radius=args.radius, num_releases=args.releases)
         if args.max_planes is not None:
             require_int("max_planes", args.max_planes, 1)
+            if args.kind == "raw":
+                raise ValueError("bounded plane caps apply only to generalized walks")
     _check_writable(args.out, args.manifest)
     with _input(*_LOAD_ERRORS):
         cloud = load_cloud(args.cloud, config.dataset.normals_k)
-    if args.mechanism == "partial":
-        rng = np.random.default_rng(config.seed)
-        center = cloud.positions[int(rng.integers(len(cloud)))]
-        released = extract_partial(cloud, center, args.radius)
-    elif args.mechanism == "generalize":
-        planes = ransac_planes(cloud, config.generalization, config.seed)
-        released = project_to_planes(cloud, planes)
-    elif args.mechanism == "conservative":
-        steps, state = release_sequence(cloud, policy, config.seed, config.generalization)
-        released = release_at(state, steps[-1], args.max_planes)
-        manifest = {
-            "releases": [
-                {
-                    "center": [float(v) for v in s.center],
-                    "n_planes": s.n_planes,
-                    "n_accumulated": s.n_accumulated,
-                }
-                for s in steps
-            ],
-            "max_planes": args.max_planes,
-            "radius": args.radius,
-        }
-        if args.manifest:
-            Path(args.manifest).write_text(json.dumps(manifest, indent=2) + "\n")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.mechanism)
+    steps, state = release_sequence(cloud, policy, config.seed, config.generalization,
+                                    generalize=args.kind == "generalized")
+    released = release_at(state, steps[-1], args.max_planes)
+    if args.manifest:
+        releases = [{"center": [float(v) for v in s.center], "n_planes": s.n_planes,
+                     "n_accumulated": s.n_accumulated} for s in steps]
+        manifest = {"releases": releases, "kind": args.kind,
+                    "max_planes": args.max_planes, "radius": args.radius}
+        Path(args.manifest).write_text(json.dumps(manifest, indent=2) + "\n")
     if len(released) == 0:
         print("nothing released (no planes accepted)", file=sys.stderr)
         return 1
@@ -163,8 +149,9 @@ def cmd_release(args) -> int:
 
 def cmd_run(args) -> int:
     config = _config(args)
-    # Only the dataset's own errors: a fault in the sweep keeps its traceback.
-    with _input(DatasetError, PlyFormatError):
+    # Only the dataset's own errors, and an unusable space in the reference (trials
+    # abstain on an unusable release): a fault in the sweep keeps its traceback.
+    with _input(DatasetError, PlyFormatError, UnusableSpaceError):
         cells, trials = run_experiment(config)
     out = Path(args.out)
     paths = report(cells, out)
@@ -229,15 +216,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p)
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("release", help="apply a privacy mechanism to a cloud")
+    about = "run one walk over a cloud, as a sweep trial does, and write its last release"
+    p = sub.add_parser("release", help=about, description=about)
     p.add_argument("--cloud", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mechanism", choices=["partial", "generalize", "conservative"],
-                   default="generalize")
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--releases", type=int, default=ReleasePolicy.num_releases)
-    p.add_argument("--max-planes", type=int, default=None, dest="max_planes")
-    p.add_argument("--manifest", help="write a JSON manifest of the release sequence")
+    p.add_argument("--kind", choices=["raw", "generalized"], default="generalized",
+                   help="release the revealed points raw or generalized into planes")
+    p.add_argument("--radius", type=float, default=1.0, help="each ball's radius (m)")
+    p.add_argument("--releases", type=int, default=ReleasePolicy.num_releases,
+                   help="the walk's release count")
+    p.add_argument("--max-planes", type=int, default=None, dest="max_planes",
+                   help="release at most this many planes (generalized walks only)")
+    p.add_argument("--manifest", help="write a JSON manifest of every release of the walk")
     _add_config_arg(p)
     p.set_defaults(func=cmd_release)
 

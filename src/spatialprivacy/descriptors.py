@@ -173,7 +173,8 @@ def describe(
     """
     keys = select_keypoints(cloud, factor)
     if len(keys) == 0:
-        raise UnusableSpaceError("no keypoints with reliable normals")
+        where = "" if cloud.label is None else f" in {cloud.label}"
+        raise UnusableSpaceError(f"no keypoints with reliable normals{where}")
     positions = cloud.positions[keys]
     hist = _spin_histograms(SpatialIndex(cloud), positions, cloud.normals[keys], params)
     # Each row's h @ h is the dot product np.linalg.norm takes of one vector.

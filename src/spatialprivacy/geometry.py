@@ -23,7 +23,6 @@ __all__ = [
     "canonical_order",
     "centroid",
     "estimate_normals",
-    "extract_partial",
     "knn_bruteforce",
     "random_rigid_transform",
     "ranking_copy",
@@ -402,11 +401,6 @@ def ball_indices(cloud: PointCloud, center: np.ndarray, radius: float) -> np.nda
     center = np.asarray(center, dtype=np.float64)
     d = np.linalg.norm(cloud.positions - center, axis=1)
     return np.flatnonzero(d <= radius)
-
-
-def extract_partial(cloud: PointCloud, center: np.ndarray, radius: float) -> PointCloud:
-    """Points with ||p - center|| <= radius (inclusive), normals kept."""
-    return cloud.subset(ball_indices(cloud, center, radius))
 
 
 def canonical_order(positions: np.ndarray) -> np.ndarray:

@@ -108,7 +108,8 @@ class ExperimentConfig:
     takes its mode's paper-scale preset, and unset radii are 0.5/1.0/2.0; a
     set field always wins. Fields that contradict each other are rejected:
     bounded plane caps on raw or one-time releases, or a one-time config with
-    more than one release.
+    more than one release. So are repeated radii (equal to 1e-6 m), caps or
+    kinds.
 
         mode          samples  releases  max_planes      kinds
         one-time      1000     1         inf             raw, generalized
@@ -155,17 +156,21 @@ class ExperimentConfig:
         require_real("qos_beta", self.qos_beta, 0.0, 1.0, closed=True)
         total = self.qos_alpha + self.qos_beta
         require("qos_alpha + qos_beta", total, abs(total - 1.0) <= 1e-12, "1")
-        for name, ok, entries in (
+        # A repeated value counts one walk's trials twice; radii equal to
+        # 1e-6 m share their walks (_radius_key).
+        for name, ok, entries, key in (
             ("radii", lambda v: is_real(v) and math.isfinite(v) and v > 0,
-             "finite positive numbers"),
+             "finite positive numbers", _radius_key),
             ("max_planes", lambda v: v is None or (is_int(v) and v >= 1),
-             "plane caps >= 1 (integers, or null for no cap)"),
-            ("kinds", lambda v: v in _KINDS, f"release kinds {_KINDS}"),
+             "plane caps >= 1 (integers, or null for no cap)", str),
+            ("kinds", lambda v: v in _KINDS, f"release kinds {_KINDS}", str),
         ):
             value = getattr(self, name)
             if value is not None and not (isinstance(value, (tuple, list))
                                           and all(map(ok, value))):
                 raise ValueError(f"{name} must be a list of {entries}, got {value!r}")
+            if value is not None and len(set(map(key, value))) < len(value):
+                raise ValueError(f"{name} must not repeat a value, got {value!r}")
         if self.mode == "one-time" and self.resolved_releases() != 1:
             raise ValueError("a one-time config has exactly 1 release")
         if (any(c is not None for c in self.resolved_caps())
@@ -393,9 +398,8 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     )
     space = spaces_list[int(rng.integers(len(spaces_list)))]
     policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases())
-    generalize = kind == "generalized"
     steps, state = release_sequence(space, policy, rng, config.generalization,
-                                    generalize=generalize)
+                                    generalize=kind == "generalized")
     trials = []
     for idx, step in enumerate(steps, start=1):
         accumulated = state.prefix(step.n_accumulated)
@@ -405,7 +409,7 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
             # Raw walks have no planes and no bounded cap: one key per release.
             effective = step.n_planes if cap is None else min(cap, step.n_planes)
             if effective not in shared:
-                released = release_at(state, step, cap) if generalize else accumulated
+                released = release_at(state, step, cap)
                 shared[effective] = _outcome(ensemble, config, released, accumulated,
                                              step.transform)
             hyp_label, hyp_centroid, abstained, q_value = shared[effective]

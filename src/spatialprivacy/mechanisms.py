@@ -1,9 +1,9 @@
-"""Privacy mechanisms: partial release, plane generalization, conservative caps.
+"""Privacy mechanisms: walks of partial releases, raw or generalized, and caps.
 
-Generalization replaces surfaces by planes fitted with a greedy RANSAC that
-hypothesizes each candidate plane directly from one point and its normal.
-Across successive releases a :class:`ReleaseState` accumulates the raw points
-revealed so far; new points are first subsumed by existing planes (in plane
+A walk reveals one ball per release; a :class:`ReleaseState` accumulates the
+raw points revealed so far. Generalization replaces surfaces by planes fitted
+with a greedy RANSAC that hypothesizes each candidate plane from one point
+and its normal; new points are first subsumed by existing planes (in plane
 creation order) and only the leftovers are offered to RANSAC, so earlier
 generalizations stay stable. Conservative releasing caps how many planes are
 released while the full state is kept for future subsumption.
@@ -12,7 +12,7 @@ Subsumption only appends newer point indices to existing planes and new
 planes take the next creation number, so the state as of any earlier release
 is a prefix of the final one. A walk therefore keeps only the final state
 plus a few counts per release, and :func:`release_at` derives what any
-release emitted under any plane cap.
+release emitted, raw or under any plane cap.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def project_to_planes(cloud: PointCloud, planes: list[Plane]) -> PointCloud:
 
 @dataclass
 class ReleaseState:
-    """Accumulated raw points, accepted planes, and residuals across releases."""
+    """Accumulated raw points, accepted planes, and residuals of a raw or generalized walk."""
 
     positions: np.ndarray
     normals: np.ndarray
@@ -216,15 +216,17 @@ class ReleaseState:
     planes: list[Plane] = field(default_factory=list)
     assignment: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     label: str | None = None
+    generalize: bool = True
 
     @classmethod
-    def empty(cls, label: str | None = None) -> "ReleaseState":
+    def empty(cls, label: str | None = None, generalize: bool = True) -> "ReleaseState":
         return cls(
             positions=np.zeros((0, 3)),
             normals=np.zeros((0, 3)),
             reliable=np.zeros(0, dtype=bool),
             assignment=np.zeros(0, dtype=np.intp),
             label=label,
+            generalize=generalize,
         )
 
     def __len__(self) -> int:
@@ -295,9 +297,8 @@ class ReleaseStep:
 
     ``n_accumulated`` and ``n_planes`` size the walk's state as of this
     release. The raw points revealed so far are ``state.prefix(n_accumulated)``
-    of the final state, in reveal order; that is a raw walk's release and the
-    truth a release stands for. A generalized walk's release is derived from
-    the final state by :func:`release_at`.
+    of the final state, in reveal order: the truth a release stands for.
+    :func:`release_at` derives the release itself from the final state.
     """
 
     center: np.ndarray              # walk center, reference frame
@@ -308,9 +309,11 @@ class ReleaseStep:
 
 def release_at(state: ReleaseState, step: ReleaseStep,
                cap: int | None = None) -> PointCloud:
-    """Generalized cloud released at ``step`` under a plane cap, reference frame.
+    """The cloud released at ``step``, reference frame.
 
-    ``state`` is the walk's final state. The planes live at ``step`` are its
+    ``state`` is the walk's final state. A raw walk releases the raw points
+    revealed so far, ``state.prefix(step.n_accumulated)``, and takes no
+    bounded cap. In a generalized walk the planes live at ``step`` are its
     first ``step.n_planes``, each holding its inliers below
     ``step.n_accumulated``. They rank by inlier count descending, ties by
     creation order, and the top ``cap`` (all when None) are projected. The
@@ -320,6 +323,10 @@ def release_at(state: ReleaseState, step: ReleaseStep,
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1 when bounded")
     n = step.n_accumulated
+    if not state.generalize:
+        if cap is not None:
+            raise ValueError("bounded plane caps apply only to generalized walks")
+        return state.prefix(n)
     live = [
         Plane(p.normal, p.offset,
               p.inlier_indices[: np.searchsorted(p.inlier_indices, n)], p.seq)
@@ -334,19 +341,19 @@ def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
                      generalize: bool = True) -> tuple[list[ReleaseStep], ReleaseState]:
     """Simulate a user revealing a space along a random walk.
 
-    Per release: extract the ball around the walk center (inclusive, as
-    :func:`~spatialprivacy.geometry.extract_partial` cuts it), accumulate the
-    not-yet-seen points and subsume/generalize them. Each release is
-    re-expressed in one random rigid frame shared by the whole sequence. With
-    ``generalize=False`` the points are only accumulated, and a release is
-    the accumulated raw points, for baseline comparisons. Returns the steps
-    and the final state, from which every release is derived.
+    Per release: cut the ball around the walk center (inclusive, by
+    :func:`~spatialprivacy.geometry.ball_indices`), accumulate the
+    not-yet-seen points and, with ``generalize``, subsume/generalize them;
+    without it the walk is raw and the points are only accumulated. Each
+    release is re-expressed in one random rigid frame shared by the whole
+    sequence. Returns the steps and the final state, which records whether
+    the walk generalizes; :func:`release_at` derives every release from it.
     """
     if len(space) == 0:
         raise ValueError("space is empty")
     rng = np.random.default_rng(seed)
     transform = random_rigid_transform(rng)
-    state = ReleaseState.empty(space.label)
+    state = ReleaseState.empty(space.label, generalize)
     seen = np.zeros(len(space), dtype=bool)
     steps: list[ReleaseStep] = []
     center_idx = int(rng.integers(len(space)))

@@ -29,7 +29,7 @@ from spatialprivacy.descriptors import DescribedSpace, SpinParams, describe
 from spatialprivacy.geometry import (
     PointCloud,
     apply_transform,
-    extract_partial,
+    ball_indices,
     knn_bruteforce,
     random_rigid_transform,
 )
@@ -227,7 +227,8 @@ class TestMatchInter:
             match_inter(mini_ensemble, query)
 
     def test_rigid_invariance_of_scores(self, mini_spaces, mini_ensemble, rng):
-        part = extract_partial(mini_spaces[0], mini_spaces[0].positions[100], 1.5)
+        part = mini_spaces[0].subset(ball_indices(mini_spaces[0],
+                                                  mini_spaces[0].positions[100], 1.5))
         base = match_inter(mini_ensemble, describe(part)).scores
         for seed in range(5):
             moved = apply_transform(part, random_rigid_transform(seed))
@@ -441,7 +442,7 @@ class TestInfer:
         self, mini_spaces, mini_ensemble
     ):
         space = mini_spaces[2]
-        part = extract_partial(space, space.positions[50], 2.0)
+        part = space.subset(ball_indices(space, space.positions[50], 2.0))
         moved = apply_transform(part, random_rigid_transform(71))
         hyp = infer(mini_ensemble, moved)
         assert hyp.label == "mini2"

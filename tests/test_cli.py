@@ -10,6 +10,7 @@ from spatialprivacy.attacker import build_reference, load_ensemble
 from spatialprivacy.cli import main
 from spatialprivacy.descriptors import SpinParams
 from spatialprivacy.harness import ExperimentConfig, load_cloud, run_experiment
+from spatialprivacy.mechanisms import ReleasePolicy, release_at, release_sequence
 from spatialprivacy.ply_io import load_ply, save_ply
 
 
@@ -88,10 +89,11 @@ def test_descriptor_settings_not_accepted(command, flag, capsys):
 
 
 def test_release_generalize(space_dir, tmp_path):
+    """Whole-cloud generalization: one release whose ball holds the cloud."""
     out = tmp_path / "gen.ply"
     rc = main(
         ["release", "--cloud", str(space_dir / "space0.ply"), "--out", str(out),
-         "--mechanism", "generalize", "--config", config_file(tmp_path, {"seed": 2})]
+         "--radius", "100", "--config", config_file(tmp_path, {"seed": 2})]
     )
     assert rc == 0
     released = load_ply(out)
@@ -103,7 +105,7 @@ def test_release_conservative_with_manifest(space_dir, tmp_path):
     manifest = tmp_path / "manifest.json"
     rc = main(
         ["release", "--cloud", str(space_dir / "space0.ply"), "--out", str(out),
-         "--mechanism", "conservative", "--radius", "1.0", "--releases", "4",
+         "--radius", "1.0", "--releases", "4",
          "--max-planes", "2", "--manifest", str(manifest),
          "--config", config_file(tmp_path, {"seed": 5})]
     )
@@ -111,6 +113,38 @@ def test_release_conservative_with_manifest(space_dir, tmp_path):
     data = json.loads(manifest.read_text())
     assert len(data["releases"]) == 4
     assert data["max_planes"] == 2
+    assert data["kind"] == "generalized"
+
+
+@pytest.mark.parametrize("kind, releases, max_planes", [
+    ("raw", 4, None), ("generalized", 3, 2), ("generalized", 1, None),
+])
+def test_release_writes_the_walk_a_trial_runs(kind, releases, max_planes, space_dir,
+                                               tmp_path):
+    """``release`` writes ``release_at`` of the walk ``release_sequence`` runs
+    for the same cloud, settings and seed, and lists every release of it."""
+    config = {"seed": 7, "generalization": {"min_inliers": 20}}
+    out, manifest = tmp_path / "out.ply", tmp_path / "m.json"
+    cap = [] if max_planes is None else ["--max-planes", str(max_planes)]
+    rc = main(["release", "--cloud", str(space_dir / "space0.ply"), "--out", str(out),
+               "--kind", kind, "--radius", "1.5", "--releases", str(releases), *cap,
+               "--manifest", str(manifest), "--config", config_file(tmp_path, config)])
+    assert rc == 0
+    cloud = load_cloud(space_dir / "space0.ply", 12)
+    steps, state = release_sequence(cloud, ReleasePolicy(1.5, releases), 7,
+                                    ExperimentConfig.from_dict(config).generalization,
+                                    generalize=kind == "generalized")
+    expected = tmp_path / "expected.ply"
+    save_ply(release_at(state, steps[-1], max_planes), expected)
+    assert out.read_bytes() == expected.read_bytes()
+    data = json.loads(manifest.read_text())
+    assert (data["kind"], data["max_planes"], data["radius"]) == (kind, max_planes, 1.5)
+    assert [r["n_accumulated"] for r in data["releases"]] == [s.n_accumulated for s in steps]
+    assert [r["n_planes"] for r in data["releases"]] == [s.n_planes for s in steps]
+    if kind == "raw":
+        assert all(r["n_planes"] == 0 for r in data["releases"])
+    else:
+        assert steps[-1].n_planes > (max_planes or 0)
 
 
 def test_run_and_report(space_dir, tmp_path):
@@ -152,8 +186,10 @@ def test_run_and_report(space_dir, tmp_path):
     {"mode": "one-time", "qos_alpha": 0.7},
     None,
     [],
+    {"mode": "one-time", "radii": [1.0, 1.0], "samples": 2, "kinds": ["raw"]},
 ], ids=["unknown-key", "rejected-combination", "wrong-type", "descriptor-type",
-        "dataset-type", "dataset-kind", "attack-type", "qos-type", "qos-sum", "null", "list"])
+        "dataset-type", "dataset-kind", "attack-type", "qos-type", "qos-sum", "null", "list",
+        "repeated-radius"])
 def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -167,8 +203,10 @@ def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
 
 
 def write_bad_datasets(root):
-    """Directories ``empty``, ``garbage`` (a non-PLY ``space0.ply``) and
-    ``tiny`` (two 5-point PLYs without normals: too few for normals_k = 12)."""
+    """Directories ``empty``, ``garbage`` (a non-PLY ``space0.ply``), ``tiny``
+    (two 5-point PLYs without normals: too few for normals_k = 12) and
+    ``unusable`` (two 50-point PLYs whose normals all have length zero, so
+    none is reliable and no keypoint can be described)."""
     (root / "empty").mkdir()
     (root / "garbage").mkdir()
     (root / "garbage" / "space0.ply").write_bytes(b"nope\n")
@@ -178,6 +216,13 @@ def write_bad_datasets(root):
     for i in range(2):
         rows = "".join(f"{j} {i} {j * j}\n" for j in range(5))
         (root / "tiny" / f"space{i}.ply").write_text(header + rows)
+    (root / "unusable").mkdir()
+    header = ("ply\nformat ascii 1.0\nelement vertex 50\n"
+              + "".join(f"property float {p}\n" for p in ("x", "y", "z", "nx", "ny", "nz"))
+              + "end_header\n")
+    for i in range(2):
+        rows = "".join(f"{j % 10} {j // 10} {i} 0 0 0\n" for j in range(50))
+        (root / "unusable" / f"space{i}.ply").write_text(header + rows)
 
 
 @pytest.mark.parametrize("dataset, message", [
@@ -185,7 +230,9 @@ def write_bad_datasets(root):
     ({"type": "directory", "path": "{empty}"}, "no .ply files under"),
     ({"type": "directory", "path": "{garbage}"}, "not a PLY file"),
     ({"type": "directory", "path": "{tiny}"}, "estimating them needs normals_k + 1 = 13"),
-], ids=["one-space", "no-ply", "not-ply", "too-few-points"])
+    ({"type": "directory", "path": "{unusable}"},
+     "no keypoints with reliable normals in space0"),
+], ids=["one-space", "no-ply", "not-ply", "too-few-points", "unusable"])
 def test_run_bad_dataset_is_one_line_error(dataset, message, tmp_path, capsys):
     write_bad_datasets(tmp_path)
     if "path" in dataset:
@@ -202,12 +249,14 @@ def test_run_bad_dataset_is_one_line_error(dataset, message, tmp_path, capsys):
 
 
 BAD_PLY_MESSAGES = {"empty": "no .ply files under", "garbage": "not a PLY file",
-                    "tiny": "estimating them needs normals_k + 1 = 13"}
+                    "tiny": "estimating them needs normals_k + 1 = 13",
+                    "unusable": "no keypoints with reliable normals in space0"}
 
 
 @pytest.mark.parametrize("command, directory", [
     ("reference", "empty"), ("reference", "garbage"), ("reference", "tiny"),
-    ("infer", "garbage"), ("infer", "tiny"), ("release", "garbage"), ("release", "tiny"),
+    ("reference", "unusable"), ("infer", "garbage"), ("infer", "tiny"),
+    ("infer", "unusable"), ("release", "garbage"), ("release", "tiny"),
 ])
 def test_bad_ply_is_one_line_error(command, directory, ensemble_path, tmp_path, capsys):
     write_bad_datasets(tmp_path)
@@ -217,8 +266,7 @@ def test_bad_ply_is_one_line_error(command, directory, ensemble_path, tmp_path, 
                       "--out", str(out)],
         "infer": ["infer", "--ensemble", str(ensemble_path), "--query",
                   str(data / "space0.ply"), "--out", str(out)],
-        "release": ["release", "--cloud", str(data / "space0.ply"), "--out", str(out),
-                    "--mechanism", "generalize"],
+        "release": ["release", "--cloud", str(data / "space0.ply"), "--out", str(out)],
     }[command]
     rc = main(argv)
     err = capsys.readouterr().err
@@ -230,20 +278,28 @@ def test_bad_ply_is_one_line_error(command, directory, ensemble_path, tmp_path, 
 
 
 @pytest.mark.parametrize("command, options, message", [
-    ("release", ["--mechanism", "conservative", "--radius", "-1"], "radius must be"),
-    ("release", ["--mechanism", "conservative", "--radius", "nan"], "radius must be"),
-    ("release", ["--mechanism", "conservative", "--releases", "0"], "num_releases must be"),
-    ("release", ["--mechanism", "conservative", "--max-planes", "0"], "max_planes must be"),
-    ("release", ["--mechanism", "partial", "--radius", "-1"], "radius must be"),
+    ("release", ["--max-planes", "2", "--radius", "-1"], "radius must be"),
+    ("release", ["--max-planes", "2", "--radius", "nan"], "radius must be"),
+    ("release", ["--max-planes", "2", "--releases", "0"], "num_releases must be"),
+    ("release", ["--max-planes", "0"], "max_planes must be"),
+    ("release", ["--kind", "raw", "--radius", "-1"], "radius must be"),
+    ("release", ["--kind", "raw", "--max-planes", "2"],
+     "bounded plane caps apply only to generalized walks"),
     ("reference", {"generalization": {"min_inliers": 0}}, "min_inliers must be"),
     ("reference", {"factor": 0}, "factor must be"),
     ("reference", {"variants": -1}, "variants must be"),
     ("infer", [], "cache file does not start with b'SPEN'"),
 ], ids=["conservative-radius", "conservative-nan-radius", "releases", "max-planes",
-        "partial-radius", "min-inliers", "factor", "variants", "not-an-ensemble"])
+        "partial-radius", "raw-max-planes", "min-inliers", "factor", "variants",
+        "not-an-ensemble"])
 def test_bad_option_is_one_line_error(command, options, message, space_dir, tmp_path,
-                                      capsys):
-    """A bad option value, or a bad config value (given as a dict)."""
+                                      capsys, monkeypatch):
+    """A bad option value, or a bad config value (given as a dict); ``release``
+    rejects its options before it loads the cloud."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the cloud was loaded")
+
+    monkeypatch.setattr("spatialprivacy.cli.load_cloud", fail)
     out, not_spen = tmp_path / "out", tmp_path / "ref.spen"
     not_spen.write_bytes(b"SPDC" + bytes(16))
     if isinstance(options, dict):
@@ -310,8 +366,8 @@ def test_unusable_metrics_is_one_line_error(text, message, tmp_path, capsys):
     ("reference", ["--out", "{nodir}/ref.spen"]),
     ("infer", ["--ensemble", "{ensemble}", "--query", "{space0}", "--out", "{nodir}/h.json"]),
     ("release", ["--cloud", "{space0}", "--out", "{nodir}/r.ply"]),
-    ("release", ["--cloud", "{space0}", "--out", "{tmp}/r.ply", "--mechanism",
-                 "conservative", "--manifest", "{nodir}/m.json"]),
+    ("release", ["--cloud", "{space0}", "--out", "{tmp}/r.ply",
+                 "--manifest", "{nodir}/m.json"]),
 ], ids=["reference-out", "infer-out", "release-out", "release-manifest"])
 def test_output_in_a_missing_directory_fails_before_any_work(
         command, options, space_dir, ensemble_path, tmp_path, capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Geometry core: cloud model, transforms, exact knn, partial extraction."""
+"""Geometry core: cloud model, transforms, exact knn, ball cuts."""
 
 import tracemalloc
 
@@ -14,8 +14,8 @@ from spatialprivacy.geometry import (
     apply_transform,
     canonical_order,
     centroid,
+    ball_indices,
     estimate_normals,
-    extract_partial,
     knn_bruteforce,
     random_rigid_transform,
     ranking_copy,
@@ -577,15 +577,17 @@ class TestBall:
 
 
 class TestExtractPartial:
+    """A partial release cuts ``cloud.subset(ball_indices(...))``."""
+
     def test_zero_radius_keeps_center_point(self, random_cloud):
         center = random_cloud.positions[3]
-        out = extract_partial(random_cloud, center, 0.0)
+        out = random_cloud.subset(ball_indices(random_cloud, center, 0.0))
         assert len(out) >= 1
         assert np.any(np.all(out.positions == center, axis=1))
 
     def test_radius_covering_everything(self, random_cloud):
         diameter = 100.0
-        out = extract_partial(random_cloud, np.zeros(3), diameter)
+        out = random_cloud.subset(ball_indices(random_cloud, np.zeros(3), diameter))
         assert len(out) == len(random_cloud)
 
     def test_count_matches_linear_scan_on_cube(self, rng):
@@ -593,14 +595,14 @@ class TestExtractPartial:
         nrm = np.tile([0.0, 0.0, 1.0], (2000, 1))
         cloud = PointCloud(pts, nrm)
         center = np.zeros(3)
-        out = extract_partial(cloud, center, 1.0)
+        out = cloud.subset(ball_indices(cloud, center, 1.0))
         expected = np.sum(np.linalg.norm(pts - center, axis=1) <= 1.0)
         assert len(out) == expected
 
     def test_nested_in_radius(self, random_cloud):
         center = np.zeros(3)
-        small = extract_partial(random_cloud, center, 1.0)
-        large = extract_partial(random_cloud, center, 2.0)
+        small = random_cloud.subset(ball_indices(random_cloud, center, 1.0))
+        large = random_cloud.subset(ball_indices(random_cloud, center, 2.0))
         small_set = {tuple(p) for p in small.positions}
         large_set = {tuple(p) for p in large.positions}
         assert small_set <= large_set

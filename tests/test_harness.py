@@ -97,6 +97,11 @@ class TestConfig:
         ("samples", 0, "samples"),
         ("releases", 0, "releases"), ("workers", 0, "workers"), ("factor", 0, "factor"),
         ("seed", -1, "seed"), ("variants", -1, "variants"),
+        ("radii", (1.0, 1.0), "radii must not repeat"),
+        ("radii", (1.0, 1.0000004), "radii must not repeat"),
+        ("max_planes", (1, 3, 1), "max_planes must not repeat"),
+        ("max_planes", (None, None), "max_planes must not repeat"),
+        ("kinds", ("generalized", "generalized"), "kinds must not repeat"),
     ])
     def test_out_of_range_values_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -117,6 +122,8 @@ class TestConfig:
         cfg = ExperimentConfig(mode="conservative", max_planes=(1, None), radii=(0.1,),
                                samples=1, releases=1, workers=1)
         assert cfg.resolved_caps() == (1, None)
+        # Radii 2e-6 m apart keep distinct walks (see _radius_key).
+        assert ExperimentConfig(radii=(1.0, 1.000002)).resolved_radii() == (1.0, 1.000002)
 
     def test_max_planes_inf_token(self):
         cfg = ExperimentConfig.from_dict(

@@ -6,8 +6,8 @@ import pytest
 from spatialprivacy import mechanisms
 from spatialprivacy.geometry import (
     PointCloud,
+    ball_indices,
     centroid,
-    extract_partial,
     random_rigid_transform,
 )
 from spatialprivacy.mechanisms import (
@@ -433,15 +433,15 @@ class TestReleaseSequence:
         assert np.array_equal(state.prefix(step.n_accumulated).positions,
                               space.positions[ball])
 
-    def test_ball_boundary_is_inclusive_as_extract_partial(self):
+    def test_ball_boundary_is_inclusive_as_ball_indices(self):
         # A 0.5 m grid: every point has an axis neighbour at exactly r = 0.5.
         grid = 0.5 * np.array([(i, j, 0) for i in range(5) for j in range(5)], float)
         cloud = PointCloud(grid, np.tile([0.0, 0.0, 1.0], (len(grid), 1)))
         for seed in range(4):
             steps, state = release_sequence(cloud, ReleasePolicy(0.5, 1), seed=seed,
                                             generalize=False)
-            first = state.prefix(steps[0].n_accumulated)
-            cut = extract_partial(cloud, steps[0].center, 0.5)
+            first = release_at(state, steps[0])
+            cut = cloud.subset(ball_indices(cloud, steps[0].center, 0.5))
             assert np.array_equal(first.positions, cut.positions)
             assert np.array_equal(first.normals, cut.normals)
             assert np.any(np.linalg.norm(first.positions - steps[0].center, axis=1) == 0.5)
@@ -496,11 +496,17 @@ class TestReleaseSequence:
         steps, state = release_sequence(
             space, ReleasePolicy(0.5, 4), seed=13, generalize=False
         )
+        assert not state.generalize
         for step, union in zip(steps, revealed_union(space, steps, 0.5)):
-            released = state.prefix(step.n_accumulated)
+            released = release_at(state, step)
+            prefix = state.prefix(step.n_accumulated)
+            for name in ("positions", "normals", "reliable"):
+                assert getattr(released, name).tobytes() == getattr(prefix, name).tobytes()
             assert len(released) == union.sum()
             assert np.array_equal(sorted_rows(released.positions),
                                   sorted_rows(space.positions[union]))
+            with pytest.raises(ValueError, match="only to generalized walks"):
+                release_at(state, step, 1)
         assert steps[-1].n_planes == 0
 
     def test_empty_space_rejected(self):
