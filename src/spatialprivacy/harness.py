@@ -10,6 +10,13 @@ master seed and stable cell coordinates, never from sweep position or
 scheduling, so runs are reproducible byte-for-byte at any worker count and
 removing one sweep cell leaves the others unchanged. One pool of ``workers``
 threads builds the reference, runs the preflight and runs the sweep.
+
+A walk attacks its distinct release clouds in batches
+(:class:`QueryBatch`): the clouds queued until they hold ``_BATCH_ROWS``
+descriptor rows are 2-nn matched by one exact kNN call, which makes one
+large GEMM of many small ones and ranks a row that several releases share
+once. ``_BATCH_ROWS`` bounds the memory a walk holds for this; a batch never
+spans walks. ``infer`` is still called once per release, with its cloud.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from ._checks import is_int, is_real, require, require_bool, require_int, require_real
-from .attacker import (AttackParams, ReferenceEnsemble, build_reference, infer, match,
-                       raw_view)
+from .attacker import (AttackParams, QueryBatch, ReferenceEnsemble, build_reference, infer,
+                       match, raw_view)
 from .descriptors import SpinParams, UnusableSpaceError
 from .geometry import PointCloud, apply_transform, centroid, estimate_normals
 from .mechanisms import GeneralizationParams, ReleasePolicy, release_at, release_sequence
@@ -55,6 +62,7 @@ __all__ = [
 ]
 
 _KINDS = ("raw", "generalized")
+_BATCH_ROWS = 512  # descriptor rows queued per QueryBatch of a walk's releases
 _WALK_FAMILY = 2  # spawn-key family of every trial's walk, whatever the mode
 _PRESETS = {  # mode -> the values of the sweep fields a config leaves unset
     "one-time": dict(samples=1000, releases=1, max_planes=(None,), kinds=_KINDS),
@@ -353,11 +361,12 @@ def _kind_tag(kind: str) -> str:
     return "gen" if kind == "generalized" else "raw"
 
 
-def _infer_or_abstain(ensemble, query, config) -> tuple[str | None, np.ndarray | None, bool]:
+def _infer_or_abstain(ensemble, query, config,
+                      batch: QueryBatch | None = None) -> tuple[str | None, np.ndarray | None, bool]:
     if len(query) == 0:
         return None, None, True
     try:
-        hyp = infer(ensemble, query, config.attack)
+        hyp = infer(ensemble, query, config.attack, batch)
     except UnusableSpaceError:
         return None, None, True
     return hyp.label, hyp.centroid, hyp.abstained
@@ -368,20 +377,6 @@ def _cell_q(trials: list[TrialRecord]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
-def _outcome(ensemble, config, released, truth, transform):
-    """``(hyp_label, hyp_centroid, abstained, q)`` of one released cloud.
-
-    ``truth`` is the raw cloud the release stands for, which Q compares it
-    with; the attacker sees the release moved by ``transform``.
-    """
-    q_value = None
-    if len(released) and len(truth):
-        q_value = qos(released, truth, config.qos_alpha, config.qos_beta,
-                      config.qos_symmetric)
-    query = apply_transform(released, transform) if len(released) else released
-    return (*_infer_or_abstain(ensemble, query, config), q_value)
-
-
 def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     """Trials for one trajectory, shared across every cap in the sweep.
 
@@ -390,8 +385,20 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     depends on the cap (the cap only filters which planes get projected at
     release time), so one walk is run and each release under each sweep cap
     is derived from its final state. Each release's truth, the raw points
-    revealed so far, is the state's prefix. Caps at or above a release's
-    plane count all emit the same cloud and share one inference result.
+    revealed so far, is the state's prefix, which Q compares it with; the
+    attacker sees the release moved by the step's transform. Caps at or
+    above a release's plane count all emit the same cloud and share one
+    inference result.
+
+    The distinct releases, in walk order, are queued in one
+    :class:`QueryBatch`, described as they are queued. Once the batch holds
+    at least ``_BATCH_ROWS`` descriptor rows, and at the walk's end, it is
+    drained: one ``knn_bruteforce`` call ranks its bit-distinct rows, and
+    ``infer`` is called once per queued cloud, with that cloud, so each
+    release still counts as one query and abstains on its own. The batch
+    bounds the memory this holds, and never spans walks, so no state is
+    shared across threads; the exact kNN ranks each row on its own, so the
+    trials do not depend on how the releases fall into batches.
     """
     rng = _trial_rng(
         config.seed, (_WALK_FAMILY, _KINDS.index(kind), _radius_key(radius), sample)
@@ -400,32 +407,53 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases())
     steps, state = release_sequence(space, policy, rng, config.generalization,
                                     generalize=kind == "generalized")
-    trials = []
+    outcomes = []   # per distinct release: (hyp_label, hyp_centroid, abstained, q)
+    queued = []     # (query, q) per distinct release not yet attacked
+    batch = QueryBatch(ensemble)
+
+    def attack_queued():
+        for query, q_value in queued:
+            outcomes.append((*_infer_or_abstain(ensemble, query, config, batch), q_value))
+        queued.clear()
+
+    records = []    # per trial record: (release_idx, cap, true_centroid, outcome slot)
     for idx, step in enumerate(steps, start=1):
         accumulated = state.prefix(step.n_accumulated)
         true_centroid = centroid(accumulated)
-        shared: dict[int, tuple] = {}
+        shared: dict[int, int] = {}
         for cap in config.resolved_caps():
             # Raw walks have no planes and no bounded cap: one key per release.
             effective = step.n_planes if cap is None else min(cap, step.n_planes)
             if effective not in shared:
+                shared[effective] = len(outcomes) + len(queued)
                 released = release_at(state, step, cap)
-                shared[effective] = _outcome(ensemble, config, released, accumulated,
-                                             step.transform)
-            hyp_label, hyp_centroid, abstained, q_value = shared[effective]
-            trials.append(
-                TrialRecord(
-                    true_label=space.label,
-                    true_centroid=true_centroid,
-                    hyp_label=hyp_label,
-                    hyp_centroid=hyp_centroid,
-                    abstained=abstained,
-                    radius=radius,
-                    release_idx=idx,
-                    max_planes=cap,
-                    q=q_value,
-                )
+                q_value = None
+                if len(released):
+                    q_value = qos(released, accumulated, config.qos_alpha, config.qos_beta,
+                                  config.qos_symmetric)
+                    released = apply_transform(released, step.transform)
+                    batch.add(released)
+                queued.append((released, q_value))
+                if batch.rows >= _BATCH_ROWS:
+                    attack_queued()
+            records.append((idx, cap, true_centroid, shared[effective]))
+    attack_queued()
+    trials = []
+    for idx, cap, true_centroid, slot in records:
+        hyp_label, hyp_centroid, abstained, q_value = outcomes[slot]
+        trials.append(
+            TrialRecord(
+                true_label=space.label,
+                true_centroid=true_centroid,
+                hyp_label=hyp_label,
+                hyp_centroid=hyp_centroid,
+                abstained=abstained,
+                radius=radius,
+                release_idx=idx,
+                max_planes=cap,
+                q=q_value,
             )
+        )
     return trials
 
 

@@ -25,7 +25,7 @@ from spatialprivacy.attacker import (
     raw_view,
     save_ensemble,
 )
-from spatialprivacy.descriptors import DescribedSpace, SpinParams, describe
+from spatialprivacy.descriptors import DescribedSpace, SpinParams, UnusableSpaceError, describe
 from spatialprivacy.geometry import (
     PointCloud,
     apply_transform,
@@ -474,6 +474,104 @@ class TestInfer:
                               describe(mini_spaces[1], params, 7).indices)
         assert hyp.query.params == params
         assert hyp.inter.scores["mini1"] == pytest.approx(1.0, abs=1e-9)
+
+
+def counted_knn(monkeypatch):
+    """Wrap the attacker's ``knn_bruteforce``; return the row counts it got."""
+    rows = []
+    original = attacker.knn_bruteforce
+
+    def counted(references, queries, *args, **kwargs):
+        rows.append(len(queries))
+        return original(references, queries, *args, **kwargs)
+
+    monkeypatch.setattr(attacker, "knn_bruteforce", counted)
+    return rows
+
+
+class TestQueryBatch:
+    @pytest.fixture(scope="class")
+    def clouds(self, mini_spaces):
+        """Two overlapping balls of one space, which share descriptor rows
+        bit for bit, the first one again, and a ball of another space."""
+        space = mini_spaces[0]
+        first = space.subset(ball_indices(space, space.positions[40], 2.0))
+        second = space.subset(ball_indices(space, space.positions[40] + 0.5, 2.0))
+        other = mini_spaces[1].subset(ball_indices(mini_spaces[1], mini_spaces[1].positions[7], 2.0))
+        return [first, second, first, other]
+
+    def test_scores_and_pairs_are_each_cloud_alone(self, clouds, mini_ensemble, monkeypatch):
+        rows = np.concatenate([describe(c).descriptors for c in clouds])
+        distinct = len(np.unique(rows, axis=0))
+        assert distinct < len(rows) - len(describe(clouds[0]))  # rows shared across clouds
+        knn_rows = counted_knn(monkeypatch)
+        batch = attacker.QueryBatch(mini_ensemble)
+        for cloud in clouds:
+            batch.add(cloud)
+        assert batch.rows == len(rows)
+        results = []
+        for cloud in clouds:
+            described, neighbours = batch.take(cloud)
+            results.append(match_inter(mini_ensemble, described, AttackParams(), neighbours))
+        assert knn_rows == [distinct]
+        assert batch.rows == 0
+        for cloud, result in zip(clouds, results):
+            alone = match_inter(mini_ensemble, describe(cloud))
+            assert result.scores == alone.scores and result.winner == alone.winner
+            for label in mini_ensemble.labels:
+                for name in ("query_indices", "reference_indices", "nndr"):
+                    got, want = getattr(result.pairs[label], name), getattr(alone.pairs[label], name)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_infer_reads_the_batch(self, clouds, mini_ensemble, monkeypatch):
+        batch = attacker.QueryBatch(mini_ensemble)
+        for cloud in clouds:
+            batch.add(cloud)
+        knn_rows = counted_knn(monkeypatch)
+        monkeypatch.setattr(attacker, "describe", None)   # infer describes nothing
+        hyps = [infer(mini_ensemble, cloud, batch=batch) for cloud in clouds]
+        assert len(knn_rows) == 1
+        monkeypatch.undo()
+        for cloud, hyp in zip(clouds, hyps):
+            alone = infer(mini_ensemble, cloud)
+            assert (hyp.label, hyp.abstained) == (alone.label, alone.abstained)
+            assert np.array_equal(hyp.centroid, alone.centroid)
+            assert np.array_equal(hyp.intra.similarity, alone.intra.similarity)
+
+    def test_unusable_cloud_raises_from_its_own_take(self, clouds, mini_ensemble):
+        unusable = PointCloud(clouds[0].positions, clouds[0].normals,
+                              reliable=np.zeros(len(clouds[0]), dtype=bool))
+        batch = attacker.QueryBatch(mini_ensemble)
+        for cloud in (clouds[0], unusable, clouds[3]):
+            batch.add(cloud)
+        assert batch.rows == len(describe(clouds[0])) + len(describe(clouds[3]))
+        assert infer(mini_ensemble, clouds[0], batch=batch).label == "mini0"
+        with pytest.raises(UnusableSpaceError):
+            infer(mini_ensemble, unusable, batch=batch)
+        assert infer(mini_ensemble, clouds[3], batch=batch).label == "mini1"
+
+    def test_queue_order_and_reuse(self, clouds, mini_ensemble):
+        batch = attacker.QueryBatch(mini_ensemble)
+        with pytest.raises(ValueError, match="empty cloud"):
+            batch.add(PointCloud(np.zeros((0, 3)), np.zeros((0, 3))))
+        batch.add(clouds[0])
+        batch.add(clouds[1])
+        with pytest.raises(ValueError, match="next queued cloud"):
+            batch.take(clouds[1])
+        batch.take(clouds[0])
+        with pytest.raises(RuntimeError, match="until it is empty"):
+            batch.add(clouds[2])
+        batch.take(clouds[1])
+        batch.add(clouds[3])   # drained: queues again
+        described, _ = batch.take(clouds[3])
+        assert np.array_equal(described.descriptors, describe(clouds[3]).descriptors)
+
+    def test_no_ranked_pool_gives_no_neighbours(self, clouds):
+        one_row = ReferenceEnsemble({"a": (describe(clouds[0]).descriptors[:1], np.zeros((1, 3)))},
+                                    SpinParams(), 5)
+        batch = attacker.QueryBatch(one_row)
+        batch.add(clouds[0])
+        assert batch.take(clouds[0])[1] is None
 
 
 class TestRawView:

@@ -576,7 +576,7 @@ class TestBall:
         assert rows.shape == indices.shape == (0,)
 
 
-class TestExtractPartial:
+class TestBallIndices:
     """A partial release cuts ``cloud.subset(ball_indices(...))``."""
 
     def test_zero_radius_keeps_center_point(self, random_cloud):

@@ -1,6 +1,7 @@
 """Experiment harness: configs, determinism, cells, reports."""
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -22,7 +23,8 @@ from spatialprivacy.harness import (
     self_query_check,
     trials_to_jsonl,
 )
-from spatialprivacy.mechanisms import GeneralizationParams
+from spatialprivacy.mechanisms import (GeneralizationParams, ReleasePolicy, release_at,
+                                       release_sequence)
 from spatialprivacy.ply_io import save_ply
 from spatialprivacy.synthetic import SyntheticSpaceSpec, generate_space
 
@@ -238,11 +240,21 @@ class TestRunExperiment:
         ],
         ids=["one-time", "conservative", "successive", "conservative-preflight"],
     )
-    def test_deterministic_across_runs_and_workers(self, overrides):
-        a = cells_to_csv(run_experiment(tiny_config(**overrides))[0])
-        b = cells_to_csv(run_experiment(tiny_config(**overrides))[0])
-        c = cells_to_csv(run_experiment(tiny_config(workers=3, **overrides))[0])
-        assert a == b == c
+    def test_deterministic_across_runs_and_workers(self, overrides, monkeypatch):
+        def outputs(**more):
+            cells, trials = run_experiment(tiny_config(**overrides, **more))
+            return cells_to_csv(cells), trials_to_jsonl(trials)
+
+        a = outputs()
+        assert outputs() == a
+        assert outputs(workers=3) == a
+        # These walks' release clouds hold 10 to 30 rows. Batches of 1 row
+        # split the caps of one release, batches of 30 rows span releases,
+        # and one of 10**9 rows takes a whole walk.
+        for rows in (1, 30, 10**9):
+            monkeypatch.setattr(harness, "_BATCH_ROWS", rows)
+            assert outputs() == a, rows
+            assert outputs(workers=3) == a, rows
 
     def test_sweep_cell_independence(self):
         both = run_experiment(
@@ -307,6 +319,81 @@ class TestRunExperiment:
     def test_raw_one_time_queries_have_zero_q(self, one_time_result):
         _, trials = one_time_result
         assert all(t.q == 0.0 for t in trials if t.q is not None)
+
+
+def count_infer_calls(monkeypatch) -> list[int]:
+    """Wrap ``attacker.infer`` wherever a ``spatialprivacy`` module looks it
+    up, as the benchmark counts sweep query points; collect query sizes."""
+    sizes = []
+    original = attacker.infer
+
+    def counted(ensemble, query, *args, **kwargs):
+        sizes.append(len(query))
+        return original(ensemble, query, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "spatialprivacy":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return sizes
+
+
+def distinct_release_sizes(config: ExperimentConfig) -> list[int]:
+    """The size of every non-empty distinct release of the sweep's walks, in
+    sweep order, derived from the walks themselves."""
+    spaces = list(load_dataset(config.dataset).values())
+    sizes = []
+    for kind in config.resolved_kinds():
+        for radius in config.resolved_radii():
+            for sample in range(config.resolved_samples()):
+                rng = harness._trial_rng(config.seed, (harness._WALK_FAMILY,
+                                                       harness._KINDS.index(kind),
+                                                       harness._radius_key(radius), sample))
+                space = spaces[int(rng.integers(len(spaces)))]
+                policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases())
+                steps, state = release_sequence(space, policy, rng, config.generalization,
+                                                generalize=kind == "generalized")
+                for step in steps:
+                    released = {}
+                    for cap in config.resolved_caps():
+                        effective = step.n_planes if cap is None else min(cap, step.n_planes)
+                        released.setdefault(effective, len(release_at(state, step, cap)))
+                    sizes.extend(n for n in released.values() if n)
+    return sizes
+
+
+class TestBatchedSweep:
+    CONSERVATIVE = dict(mode="conservative", radii=(0.8,), samples=3, releases=3,
+                        max_planes=(1, 3), kinds=None)
+
+    @pytest.mark.parametrize("rows", [1, 30, 512])
+    def test_one_infer_call_per_distinct_release(self, rows, monkeypatch):
+        monkeypatch.setattr(harness, "_BATCH_ROWS", rows)
+        config = tiny_config(**self.CONSERVATIVE)
+        sizes = count_infer_calls(monkeypatch)
+        run_experiment(config)
+        assert sizes == distinct_release_sizes(config)
+
+    def test_unusable_cloud_abstains_alone(self):
+        spaces = load_dataset(TINY)
+        ensemble = build_reference(list(spaces.values()), seed=3)
+        config = tiny_config()
+        space = spaces["space1"]
+        part = space.subset(np.arange(0, len(space), 2))
+        unusable = PointCloud(part.positions, part.normals,
+                              reliable=np.zeros(len(part), dtype=bool))
+        queries = [spaces["space0"], unusable, part]
+        alone = [harness._infer_or_abstain(ensemble, q, config) for q in queries]
+        batch = attacker.QueryBatch(ensemble)
+        for query in queries:
+            batch.add(query)
+        batched = [harness._infer_or_abstain(ensemble, q, config, batch) for q in queries]
+        assert alone[1] == batched[1] == (None, None, True)
+        for got, want in (zip(batched[::2], alone[::2])):
+            assert got[0] == want[0] and got[2] == want[2]
+            assert np.array_equal(got[1], want[1])
+        assert batched[0][0] == "space0" and batched[2][0] == "space1"
 
 
 class TestPreflight:
