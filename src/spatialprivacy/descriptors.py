@@ -19,8 +19,11 @@ bincount fills a grid per keypoint padded by a bin row above and below and
 two bin columns beyond alpha = R, so that every bilinear corner of a unit
 normal lands in it without a mask, and the (2w, w) histogram is cropped out.
 Its temporaries stay at a few MB for any cloud, in each thread that
-describes at once; describing a 16.9k-point space peaks at about 6.8 MB
-(``tracemalloc``), the cloud's own copies included.
+describes at once. Describing ``space0`` of the default specs at density 80
+(16.9k points, 3387 keypoints), read back from a PLY file without normals so
+that its normals are estimated, peaks at about 6.4 MiB (6.7 MB,
+``tracemalloc``), the cloud's own copies and the descriptors included; the
+same space with its true normals peaks at the same figure.
 """
 
 from __future__ import annotations
@@ -168,7 +171,8 @@ def describe(
 
     Each keypoint is a point of the cloud and so its own neighbor: its
     histogram holds weight 1 in the alpha = beta = 0 bin, and no descriptor
-    is zero.
+    is zero. The histograms are normalized in place, each row divided by its
+    L2 norm, so no second (m, length) array is made.
     Raises :class:`UnusableSpaceError` if no keypoint has a reliable normal.
     """
     keys = select_keypoints(cloud, factor)
@@ -178,5 +182,5 @@ def describe(
     positions = cloud.positions[keys]
     hist = _spin_histograms(SpatialIndex(cloud), positions, cloud.normals[keys], params)
     # Each row's h @ h is the dot product np.linalg.norm takes of one vector.
-    norms = np.sqrt(hist[:, None, :] @ hist[:, :, None])[:, 0]
-    return DescribedSpace(keys.astype(np.int64), positions, hist / norms, params)
+    hist /= np.sqrt(hist[:, None, :] @ hist[:, :, None])[:, 0]
+    return DescribedSpace(keys.astype(np.int64), positions, hist, params)

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 UNIT_NORM_TOL = 1e-6
+_NORMAL_BLOCK_ENTRIES = 1 << 15  # neighbor entries per estimate_normals row block
 
 
 def _as_points(a, name: str = "positions") -> np.ndarray:
@@ -451,24 +452,54 @@ def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
     neighbors. Normals are oriented away from the bounding-box center
     (n . (p - c) >= 0). Points whose neighborhood is degenerate (collinear or
     coincident) keep an arbitrary unit normal but are flagged unreliable.
+
+    One :class:`SpatialIndex` serves the whole cloud; the (k+1)-NN query,
+    the neighborhood covariances and their ``eigh`` run in row blocks of
+    ``_NORMAL_BLOCK_ENTRIES`` (2**15) neighbor entries, about 2.5k rows at
+    k = 12, and fill preallocated outputs. So beyond the O(n) outputs, the
+    index and the O(n) orientation and unit-length passes over the whole
+    cloud, memory is bounded by the block. Every step works per row, so the
+    normals and reliable flags equal, bitwise, those of the same computation
+    over the whole cloud at once.
     """
     n = len(cloud)
     if n < k + 1:
         raise ValueError(f"need at least k+1={k + 1} points, have {n}")
-    index = SpatialIndex(cloud)
-    _, idx = index.query(cloud.positions, k + 1)
-    neigh = cloud.positions[idx]  # (n, k+1, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    normals = eigvecs[:, :, 0].copy()
-    # Collinear or coincident neighborhoods have two vanishing eigenvalues.
-    reliable = eigvals[:, 1] > 1e-9 * np.maximum(eigvals[:, 2], 1e-30)
+    # Each helper's temporaries (the index, the O(n) pass's arrays) are freed
+    # when it returns, before PointCloud checks the normals' lengths.
+    normals, reliable = _plane_fits(cloud, k)
+    _orient_unit(cloud.positions, normals, reliable)
+    return PointCloud(cloud.positions, normals, cloud.label, reliable)
 
-    bbox_center = 0.5 * (cloud.positions.min(axis=0) + cloud.positions.max(axis=0))
-    outward = np.einsum("ni,ni->n", normals, cloud.positions - bbox_center)
-    flip = outward < 0
-    normals[flip] = -normals[flip]
+
+def _plane_fits(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's smallest-eigenvalue eigenvector of the covariance of its
+    k + 1 nearest points, and whether the neighborhood spans a plane; one
+    block of ``_NORMAL_BLOCK_ENTRIES`` neighbor entries at a time."""
+    index = SpatialIndex(cloud)
+    pts = cloud.positions
+    normals = np.empty((len(pts), 3))
+    reliable = np.empty(len(pts), dtype=bool)
+    block = max(1, _NORMAL_BLOCK_ENTRIES // (k + 1))
+    for s in range(0, len(pts), block):
+        _, idx = index.query(pts[s:s + block], k + 1)
+        neigh = pts[idx]  # (rows, k+1, 3)
+        centered = neigh - neigh.mean(axis=1, keepdims=True)
+        cov = np.einsum("nki,nkj->nij", centered, centered)
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        normals[s:s + block] = eigvecs[:, :, 0]
+        # Collinear or coincident neighborhoods have two vanishing eigenvalues.
+        reliable[s:s + block] = eigvals[:, 1] > 1e-9 * np.maximum(eigvals[:, 2], 1e-30)
+    return normals, reliable
+
+
+def _orient_unit(positions: np.ndarray, normals: np.ndarray, reliable: np.ndarray) -> None:
+    """In place: flip each normal away from the bounding-box center, scale it
+    to unit length, and set an unreliable or zero normal to (0, 0, 1),
+    flagged unreliable."""
+    bbox_center = 0.5 * (positions.min(axis=0) + positions.max(axis=0))
+    outward = np.einsum("ni,ni->n", normals, positions - bbox_center)
+    np.negative(normals, out=normals, where=(outward < 0)[:, None])
     # Points on a plane through the bbox center get a sign-free fallback:
     # make the dominant component positive.
     ambiguous = np.abs(outward) < 1e-12
@@ -478,10 +509,7 @@ def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
         sign = np.sign(sub[np.arange(len(sub)), dom])
         sign[sign == 0] = 1.0
         normals[ambiguous] = sub * sign[:, None]
-
     lens = np.linalg.norm(normals, axis=1)
-    safe = np.where(lens > 0, lens, 1.0)
-    normals /= safe[:, None]
-    reliable = reliable & (lens > 0)
+    reliable &= lens > 0
+    normals /= np.where(lens > 0, lens, 1.0)[:, None]
     normals[~reliable] = np.array([0.0, 0.0, 1.0])
-    return PointCloud(cloud.positions, normals, cloud.label, reliable)

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.spatial import cKDTree
 
+from spatialprivacy import geometry
 from spatialprivacy.geometry import (
     PointCloud,
     RigidTransform,
@@ -632,7 +633,102 @@ class TestCentroid:
             centroid(PointCloud(np.zeros((0, 3))))
 
 
+def whole_cloud_normals(cloud, k):
+    """The normals and reliable flags of estimate_normals as it was before
+    row blocks: every step over the whole cloud at once."""
+    index = SpatialIndex(cloud)
+    _, idx = index.query(cloud.positions, k + 1)
+    neigh = cloud.positions[idx]  # (n, k+1, 3)
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    normals = eigvecs[:, :, 0].copy()
+    reliable = eigvals[:, 1] > 1e-9 * np.maximum(eigvals[:, 2], 1e-30)
+
+    bbox_center = 0.5 * (cloud.positions.min(axis=0) + cloud.positions.max(axis=0))
+    outward = np.einsum("ni,ni->n", normals, cloud.positions - bbox_center)
+    flip = outward < 0
+    normals[flip] = -normals[flip]
+    ambiguous = np.abs(outward) < 1e-12
+    if np.any(ambiguous):
+        sub = normals[ambiguous]
+        dom = np.abs(sub).argmax(axis=1)
+        sign = np.sign(sub[np.arange(len(sub)), dom])
+        sign[sign == 0] = 1.0
+        normals[ambiguous] = sub * sign[:, None]
+
+    lens = np.linalg.norm(normals, axis=1)
+    safe = np.where(lens > 0, lens, 1.0)
+    normals /= safe[:, None]
+    reliable = reliable & (lens > 0)
+    normals[~reliable] = np.array([0.0, 0.0, 1.0])
+    return normals, reliable
+
+
+def normals_case(kind, n):
+    """n points of a random cube, a noisy plane, or an exact integer grid
+    (4 x 4 x 4, whose equal distances tie at the k-th place)."""
+    rng = np.random.default_rng(11)
+    if kind == "random":
+        return rng.uniform(-1, 1, (n, 3))
+    if kind == "plane":
+        return np.column_stack([rng.uniform(-1, 1, (n, 2)), rng.normal(0, 1e-3, n)])
+    return np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)[:n]
+
+
 class TestEstimateNormals:
+    BLOCK = 16  # rows per block in the blocked-kernel tests
+
+    @pytest.mark.parametrize("kind", ["random", "plane", "grid"])
+    @pytest.mark.parametrize("k", [2, 12])
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_row_blocks_equal_the_whole_cloud_bitwise(self, kind, k, n, monkeypatch):
+        """Blocks of 16 rows around a block boundary and over a short last
+        block give the bytes of the whole-cloud computation. On the grid the
+        tied rows are re-resolved by SpatialIndex.query's ball fallback
+        inside a block."""
+        monkeypatch.setattr(geometry, "_NORMAL_BLOCK_ENTRIES", self.BLOCK * (k + 1))
+        balls = []
+        ball = SpatialIndex.ball
+
+        def counting_ball(index, centers, radius):
+            balls.append(centers)
+            return ball(index, centers, radius)
+
+        monkeypatch.setattr(SpatialIndex, "ball", counting_ball)
+        cloud = PointCloud(normals_case(kind, n))
+        out = estimate_normals(cloud, k)
+        monkeypatch.undo()
+        if kind == "grid":
+            assert balls
+        normals, reliable = whole_cloud_normals(cloud, k)
+        assert out.normals.tobytes() == normals.tobytes()
+        assert out.reliable.tobytes() == reliable.tobytes()
+
+    def test_default_blocks_equal_the_whole_cloud_bitwise(self):
+        """A cloud of several default blocks (2520 rows at k = 12)."""
+        cloud = PointCloud(normals_case("random", 6000))
+        out = estimate_normals(cloud, 12)
+        normals, reliable = whole_cloud_normals(cloud, 12)
+        assert out.normals.tobytes() == normals.tobytes()
+        assert out.reliable.tobytes() == reliable.tobytes()
+
+    def test_memory_grows_by_the_outputs_not_the_neighborhoods(self):
+        """From 20k to 80k points the traced peak grows by under 100 B per
+        added point: the outputs, the index and the O(n) passes. Whole-cloud
+        (n, k+1, 3) temporaries grew it by 1128 B per point."""
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n in (20_000, 80_000):
+            cloud = PointCloud(rng.uniform(-5, 5, (n, 3)))
+            tracemalloc.start()
+            try:
+                estimate_normals(cloud, 12)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 60_000 < 100
+
     def test_planar_cloud(self, rng):
         pts = np.column_stack(
             [rng.uniform(-2, 2, 200), rng.uniform(-2, 2, 200), np.zeros(200)]
