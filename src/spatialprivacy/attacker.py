@@ -10,26 +10,25 @@ only geometrically consistent keypoint pairs (pairwise distances and internal
 angles of the matched complete graphs must agree) and reports the centroid of
 the surviving reference keypoints as the location hypothesis.
 
-A caller attacking many query clouds can queue them in a :class:`QueryBatch`:
-each is described once on arrival, and the batch 2-nn matches the rows of
-all of them in one ``knn_bruteforce`` call, one large GEMM instead of many
-small ones. :func:`infer` then reads each cloud's description and neighbours
-from the batch; the results are bitwise those of a lone call.
+:func:`infer` is the one entry point of the attack. A caller attacking many
+query clouds describes them first and passes their descriptions to
+:func:`two_nn`, which 2-nn matches the rows of all of them in one
+``knn_bruteforce`` call, one large GEMM instead of many small ones; each
+cloud's ``infer`` call then takes its description and neighbours, and the
+results are bitwise those of a lone call.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import require_bool, require_real
-from .descriptors import (DescribedSpace, SpinParams, UnusableSpaceError, describe,
-                          select_keypoints)
+from .descriptors import DescribedSpace, SpinParams, describe, select_keypoints
 from .geometry import PointCloud, knn_bruteforce, ranking_copy
 from .mechanisms import GeneralizationParams, project_to_planes, ransac_planes
 
@@ -39,16 +38,15 @@ __all__ = [
     "Hypothesis",
     "InterSpaceResult",
     "IntraSpaceResult",
-    "QueryBatch",
     "ReferenceEnsemble",
     "build_reference",
     "load_ensemble",
-    "match",
     "match_inter",
     "match_intra",
     "infer",
     "raw_view",
     "save_ensemble",
+    "two_nn",
 ]
 
 
@@ -159,7 +157,7 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     One ``knn_bruteforce`` call 2-nn matches every query descriptor in
     every label's pool. ``neighbours``, if given, is that call's
     ``(distances, indices)``, each ``(len(ensemble.ranked), len(query), 2)``,
-    computed by the caller, as :class:`QueryBatch` does for many queries at
+    computed by the caller, as :func:`two_nn` does for many queries at
     once; the exact kNN ranks each row on its own, so they are bitwise the
     rows this call would compute. Per label, each query keypoint gets its
     NNDR (0 for the 0/0 of exact duplicates: closer is better); with
@@ -181,7 +179,7 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     scores = dict.fromkeys(ensemble.labels, 0.0)
     pairs = dict.fromkeys(ensemble.labels, empty)
     if ensemble.ranked:
-        dist, idx = _two_nn(ensemble, query.descriptors) if neighbours is None else neighbours
+        dist, idx = _ranked_knn(ensemble, query.descriptors) if neighbours is None else neighbours
         second = dist[:, :, 1].ravel()
         nndr = np.divide(dist[:, :, 0].ravel(), second, out=np.zeros(len(second)),
                          where=second > 0)
@@ -210,10 +208,28 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     return InterSpaceResult(scores, winner, pairs)
 
 
-def _two_nn(ensemble: ReferenceEnsemble, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ranked_knn(ensemble: ReferenceEnsemble, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each descriptor row's 2 nearest neighbours in every ranked pool."""
     return knn_bruteforce([ensemble.pool(label).descriptors for label in ensemble.ranked],
                           rows, k=2, prepared=ensemble.prepared)
+
+
+def two_nn(ensemble: ReferenceEnsemble,
+           described_list: list[DescribedSpace]) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Each described query's 2-nn ``(distances, indices)`` over the
+    ensemble's ranked pools, as :func:`match_inter` takes them (``None`` if
+    no pool is ranked). One ``knn_bruteforce`` call ranks the bit-distinct
+    rows, so a row that several queries share is ranked once; the caller
+    bounds the rows of one call, which set the memory it holds."""
+    if not (described_list and ensemble.ranked):
+        return [None] * len(described_list)
+    rows = np.concatenate([d.descriptors for d in described_list])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    dist, idx = _ranked_knn(ensemble, rows[first])
+    bounds = np.cumsum([0] + [len(d) for d in described_list])
+    return [(dist[:, inverse[lo:hi]], idx[:, inverse[lo:hi]])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
@@ -274,105 +290,26 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
     return IntraSpaceResult(False, survivors, similarity, r[survivors].mean(axis=0))
 
 
-def match(ensemble: ReferenceEnsemble, described: DescribedSpace,
+def infer(ensemble: ReferenceEnsemble, query: PointCloud,
           params: AttackParams = AttackParams(),
+          described: DescribedSpace | None = None,
           neighbours: tuple[np.ndarray, np.ndarray] | None = None) -> Hypothesis:
-    """Two-level inference for a query described with the ensemble's
-    spin-image settings: :func:`match_inter` picks the label, from
-    ``neighbours`` if given, then :func:`match_intra` checks its pairs
-    against that label's pool."""
+    """Two-level inference for one query cloud: :func:`match_inter` picks
+    the label, then :func:`match_intra` checks its pairs against that
+    label's pool. The query is described with the ensemble's spin-image
+    settings and keypoint factor (``UnusableSpaceError`` if no keypoint
+    is reliable), unless ``described`` is that description already, as
+    :func:`raw_view` gives it. ``neighbours``, if given, are its 2-nn rows
+    from :func:`two_nn`, which :func:`match_inter` then reads, not computes.
+    """
+    if described is None:
+        described = describe(query, ensemble.params, ensemble.factor)
     inter = match_inter(ensemble, described, params, neighbours)
     matched = inter.pairs[inter.winner]
     pool = ensemble.pool(inter.winner)
-    intra = match_intra(
-        described.positions[matched.query_indices],
-        pool.positions[matched.reference_indices],
-        matched.nndr,
-        params,
-    )
-    return Hypothesis(inter.winner, intra.centroid, intra.abstained, inter, intra,
-                      described)
-
-
-def infer(ensemble: ReferenceEnsemble, query: PointCloud,
-          params: AttackParams = AttackParams(),
-          batch: QueryBatch | None = None) -> Hypothesis:
-    """Full two-level inference for one query cloud, described with the
-    ensemble's spin-image settings and keypoint factor.
-
-    With ``batch``, ``query`` must be the next cloud queued there: its
-    description and 2-nn rows are read from the batch, not computed, and
-    an :class:`UnusableSpaceError` from describing it is raised here.
-    Each queued cloud still gets its own call, so a caller that counts or
-    wraps ``infer`` sees every query cloud it attacks.
-    """
-    if batch is None:
-        return match(ensemble, describe(query, ensemble.params, ensemble.factor), params)
-    described, neighbours = batch.take(query)
-    return match(ensemble, described, params, neighbours)
-
-
-class QueryBatch:
-    """Query clouds queued for :func:`infer`, 2-nn matched together.
-
-    :meth:`add` describes a cloud once, as :func:`infer` would. The first
-    :meth:`take` makes one ``knn_bruteforce`` call over the queued rows
-    that are bit-for-bit distinct, so a row that several clouds share is
-    ranked once; each :meth:`take` then hands the next cloud its own
-    description and rows of that call, in queue order. Once every queued
-    cloud is taken the batch is empty and can queue again. ``rows`` counts
-    the queued descriptor rows, so a caller can bound the batch: the
-    distinct rows' neighbours and the clouds' descriptions are its memory.
-    A batch belongs to one thread.
-    """
-
-    def __init__(self, ensemble: ReferenceEnsemble):
-        self.ensemble = ensemble
-        self.rows = 0
-        self._queue: deque = deque()   # (query, DescribedSpace or the UnusableSpaceError)
-        self._neighbours: deque | None = None
-
-    def add(self, query: PointCloud) -> None:
-        """Describe ``query`` and queue it; an empty cloud raises
-        ``ValueError``, as :func:`describe` does."""
-        if self._neighbours is not None:
-            raise RuntimeError("a matched batch takes no cloud until it is empty")
-        try:
-            described = describe(query, self.ensemble.params, self.ensemble.factor)
-        except UnusableSpaceError as err:
-            described = err
-        else:
-            self.rows += len(described)
-        self._queue.append((query, described))
-
-    def _match(self) -> deque:
-        described = [d for _, d in self._queue if isinstance(d, DescribedSpace)]
-        if not (described and self.ensemble.ranked):
-            return deque([None] * len(described))
-        rows = np.concatenate([d.descriptors for d in described])
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-        _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-        dist, idx = _two_nn(self.ensemble, rows[first])
-        bounds = np.cumsum([0] + [len(d) for d in described])
-        return deque((dist[:, inverse[lo:hi]], idx[:, inverse[lo:hi]])
-                     for lo, hi in zip(bounds[:-1], bounds[1:]))
-
-    def take(self, query: PointCloud) -> tuple[DescribedSpace, tuple | None]:
-        """The description of ``query``, the next queued cloud, and its 2-nn
-        ``(distances, indices)`` over the ensemble's ranked pools (``None``
-        if there are none). Raises the :class:`UnusableSpaceError` that
-        describing it raised."""
-        if not self._queue or self._queue[0][0] is not query:
-            raise ValueError("query is not the batch's next queued cloud")
-        if self._neighbours is None:
-            self._neighbours = self._match()
-        _, described = self._queue.popleft()
-        neighbours = self._neighbours
-        if not self._queue:
-            self._neighbours, self.rows = None, 0
-        if isinstance(described, UnusableSpaceError):
-            raise described
-        return described, neighbours.popleft()
+    intra = match_intra(described.positions[matched.query_indices],
+                        pool.positions[matched.reference_indices], matched.nndr, params)
+    return Hypothesis(inter.winner, intra.centroid, intra.abstained, inter, intra, described)
 
 
 def raw_view(ensemble: ReferenceEnsemble, space: PointCloud) -> DescribedSpace:

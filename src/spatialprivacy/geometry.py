@@ -69,8 +69,10 @@ class PointCloud:
                 rel = np.asarray(rel, dtype=bool).copy()
                 if rel.shape != (len(pos),):
                     raise ValueError("reliable mask has wrong shape")
-            lens = np.linalg.norm(nrm[rel], axis=1)
-            if len(lens) and np.max(np.abs(lens - 1.0), initial=0.0) > UNIT_NORM_TOL:
+            # One float per point, in place: no gathered (n, 3) copy of the rows.
+            off = np.einsum("ij,ij->i", nrm, nrm)
+            np.abs(np.subtract(np.sqrt(off, out=off), 1.0, out=off), out=off)
+            if off.max(initial=0.0, where=rel) > UNIT_NORM_TOL:
                 raise ValueError("reliable normals must have unit length within 1e-6")
             nrm.flags.writeable = False
             rel.flags.writeable = False

@@ -11,12 +11,12 @@ scheduling, so runs are reproducible byte-for-byte at any worker count and
 removing one sweep cell leaves the others unchanged. One pool of ``workers``
 threads builds the reference, runs the preflight and runs the sweep.
 
-A walk attacks its distinct release clouds in batches
-(:class:`QueryBatch`): the clouds queued until they hold ``_BATCH_ROWS``
-descriptor rows are 2-nn matched by one exact kNN call, which makes one
-large GEMM of many small ones and ranks a row that several releases share
-once. ``_BATCH_ROWS`` bounds the memory a walk holds for this; a batch never
-spans walks. ``infer`` is still called once per release, with its cloud.
+A walk attacks its distinct release clouds in batches: the clouds queued,
+each described once, until they hold ``_BATCH_ROWS`` descriptor rows are
+2-nn matched by one ``attacker.two_nn`` call, which makes one large GEMM of
+many small ones and ranks a row that several releases share once.
+``_BATCH_ROWS`` bounds the memory a walk holds for this; a batch never spans
+walks. ``infer`` is still called once per release, with its cloud.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from ._checks import is_int, is_real, require, require_bool, require_int, require_real
-from .attacker import (AttackParams, QueryBatch, ReferenceEnsemble, build_reference, infer,
-                       match, raw_view)
-from .descriptors import SpinParams, UnusableSpaceError
+from .attacker import (AttackParams, ReferenceEnsemble, build_reference, infer, raw_view,
+                       two_nn)
+from .descriptors import DescribedSpace, SpinParams, UnusableSpaceError, describe
 from .geometry import PointCloud, apply_transform, centroid, estimate_normals
 from .mechanisms import GeneralizationParams, ReleasePolicy, release_at, release_sequence
 from .metrics import (
@@ -47,7 +47,7 @@ from .metrics import (
     qos,
 )
 from .ply_io import load_ply
-from .synthetic import default_space_specs, generate_space
+from .synthetic import DEFAULT_SPACE_COUNT, default_space_specs, generate_space
 
 __all__ = [
     "CellMetrics",
@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _KINDS = ("raw", "generalized")
-_BATCH_ROWS = 512  # descriptor rows queued per QueryBatch of a walk's releases
+_BATCH_ROWS = 512  # descriptor rows of a walk's releases per two_nn call
 _WALK_FAMILY = 2  # spawn-key family of every trial's walk, whatever the mode
 _PRESETS = {  # mode -> the values of the sweep fields a config leaves unset
     "one-time": dict(samples=1000, releases=1, max_planes=(None,), kinds=_KINDS),
@@ -79,7 +79,7 @@ _DATASET_TYPES = ("synthetic", "directory")
 class DatasetSpec:
     type: str = "synthetic"      # "synthetic" or "directory"
     path: str | None = None      # the directory of PLY files
-    count: int = 7
+    count: int = 7               # synthetic: at most DEFAULT_SPACE_COUNT
     density: float = 80.0
     noise_sigma: float = 0.0
     seed: int = 0
@@ -90,6 +90,8 @@ class DatasetSpec:
         require("path", self.path, isinstance(self.path, str)
                 or (self.path is None and self.type != "directory"), "a directory path")
         require_int("count", self.count, 1)
+        require("count", self.count, self.type != "synthetic" or self.count <= DEFAULT_SPACE_COUNT,
+                f"at most {DEFAULT_SPACE_COUNT}, the number of synthetic rooms")
         require_real("density", self.density, 0.0)
         require_real("noise_sigma", self.noise_sigma, 0.0, closed=True)
         require_int("seed", self.seed, 0)
@@ -282,8 +284,8 @@ def load_dataset(spec: DatasetSpec) -> dict[str, PointCloud]:
     """Labeled spaces, ordered by label; synthetic or a directory of PLYs."""
     if spec.type == "synthetic":
         specs = default_space_specs(spec.seed, spec.density, spec.noise_sigma)
-        chosen = dict(list(specs.items())[: spec.count])
-        return {label: generate_space(s, label) for label, s in chosen.items()}
+        chosen = list(specs.items())[: spec.count]
+        return {label: generate_space(s, label) for label, s in chosen}
     paths = sorted(Path(spec.path).glob("*.ply"), key=lambda p: p.stem)
     if not paths:
         raise DatasetError(f"no .ply files under {spec.path}")
@@ -319,9 +321,9 @@ def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
                      config: ExperimentConfig, map_fn=map) -> None:
     """Pre-flight sanity gate: each raw space must match itself perfectly.
 
-    It checks the ensemble and both matchers on the pool's own raw rows
-    (:func:`raw_view`), which are ``describe``'s description of the space
-    if the ensemble was built from it; nothing is described again. The
+    Each space is one :func:`infer` call that matches the pool's own raw
+    rows (:func:`raw_view`), which are ``describe``'s description of the
+    space if the ensemble was built from it; nothing is described again. The
     label must come back exactly, and because a self-query's surviving
     reference keypoints coincide with its own matched keypoints, the
     location hypothesis must sit on the centroid of those keypoints of the
@@ -331,7 +333,7 @@ def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
     raised.
     """
     def failure(label: str, space: PointCloud) -> str | None:
-        hyp = match(ensemble, raw_view(ensemble, space), config.attack)
+        hyp = infer(ensemble, space, config.attack, raw_view(ensemble, space))
         if hyp.label != label:
             return f"self-query check failed: {label!r} classified as {hyp.label!r}"
         if hyp.abstained:
@@ -361,12 +363,12 @@ def _kind_tag(kind: str) -> str:
     return "gen" if kind == "generalized" else "raw"
 
 
-def _infer_or_abstain(ensemble, query, config,
-                      batch: QueryBatch | None = None) -> tuple[str | None, np.ndarray | None, bool]:
+def _infer_or_abstain(ensemble, query, config, described: DescribedSpace | None = None,
+                      neighbours=None) -> tuple[str | None, np.ndarray | None, bool]:
     if len(query) == 0:
         return None, None, True
     try:
-        hyp = infer(ensemble, query, config.attack, batch)
+        hyp = infer(ensemble, query, config.attack, described, neighbours)
     except UnusableSpaceError:
         return None, None, True
     return hyp.label, hyp.centroid, hyp.abstained
@@ -390,15 +392,14 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     above a release's plane count all emit the same cloud and share one
     inference result.
 
-    The distinct releases, in walk order, are queued in one
-    :class:`QueryBatch`, described as they are queued. Once the batch holds
-    at least ``_BATCH_ROWS`` descriptor rows, and at the walk's end, it is
-    drained: one ``knn_bruteforce`` call ranks its bit-distinct rows, and
-    ``infer`` is called once per queued cloud, with that cloud, so each
-    release still counts as one query and abstains on its own. The batch
-    bounds the memory this holds, and never spans walks, so no state is
-    shared across threads; the exact kNN ranks each row on its own, so the
-    trials do not depend on how the releases fall into batches.
+    The distinct releases, in walk order, are described and queued (a cloud
+    with no reliable keypoint without a description). Once the queue holds
+    ``_BATCH_ROWS`` descriptor rows, and at the walk's end, one
+    :func:`two_nn` call ranks its bit-distinct rows and ``infer`` is called
+    once per queued cloud, so each release counts as one query and abstains
+    on its own. The queue bounds the memory this holds and never spans
+    walks; the exact kNN ranks each row on its own, so the trials do not
+    depend on how the releases fall into batches.
     """
     rng = _trial_rng(
         config.seed, (_WALK_FAMILY, _KINDS.index(kind), _radius_key(radius), sample)
@@ -408,12 +409,15 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     steps, state = release_sequence(space, policy, rng, config.generalization,
                                     generalize=kind == "generalized")
     outcomes = []   # per distinct release: (hyp_label, hyp_centroid, abstained, q)
-    queued = []     # (query, q) per distinct release not yet attacked
-    batch = QueryBatch(ensemble)
+    queued = []     # (query, description or None, q) per distinct release not yet attacked
+    queued_rows = 0
 
     def attack_queued():
-        for query, q_value in queued:
-            outcomes.append((*_infer_or_abstain(ensemble, query, config, batch), q_value))
+        neighbours = iter(two_nn(ensemble, [d for _, d, _ in queued if d is not None]))
+        for query, described, q_value in queued:
+            rows = None if described is None else next(neighbours)
+            outcomes.append((*_infer_or_abstain(ensemble, query, config, described, rows),
+                             q_value))
         queued.clear()
 
     records = []    # per trial record: (release_idx, cap, true_centroid, outcome slot)
@@ -427,15 +431,21 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
             if effective not in shared:
                 shared[effective] = len(outcomes) + len(queued)
                 released = release_at(state, step, cap)
-                q_value = None
+                q_value = described = None
                 if len(released):
                     q_value = qos(released, accumulated, config.qos_alpha, config.qos_beta,
                                   config.qos_symmetric)
                     released = apply_transform(released, step.transform)
-                    batch.add(released)
-                queued.append((released, q_value))
-                if batch.rows >= _BATCH_ROWS:
+                    try:
+                        described = describe(released, ensemble.params, ensemble.factor)
+                    except UnusableSpaceError:
+                        pass   # queued undescribed: its infer call raises, and it abstains
+                    else:
+                        queued_rows += len(described)
+                queued.append((released, described, q_value))
+                if queued_rows >= _BATCH_ROWS:
                     attack_queued()
+                    queued_rows = 0
             records.append((idx, cap, true_centroid, shared[effective]))
     attack_queued()
     trials = []

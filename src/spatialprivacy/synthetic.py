@@ -16,6 +16,7 @@ import numpy as np
 from .geometry import PointCloud
 
 __all__ = [
+    "DEFAULT_SPACE_COUNT",
     "SpaceTruth",
     "SyntheticSpaceSpec",
     "default_space_specs",
@@ -261,26 +262,30 @@ def generate_space(spec: SyntheticSpaceSpec, label: str) -> PointCloud:
     return cloud
 
 
+# (extents, clutter count range) of each default room, in label order.
+_ROOMS = (
+    ((6.0, 7.0, 2.6), (8, 12)),
+    ((6.5, 6.5, 2.6), (9, 13)),
+    ((7.0, 6.0, 2.6), (10, 14)),
+    ((6.0, 6.5, 2.6), (7, 11)),
+    ((6.5, 7.0, 2.6), (9, 13)),
+    ((7.0, 6.5, 2.6), (8, 12)),
+    ((6.5, 7.5, 2.6), (10, 14)),
+)
+DEFAULT_SPACE_COUNT = len(_ROOMS)
+
+
 def default_space_specs(
     seed: int, density: float, noise_sigma: float
 ) -> dict[str, SyntheticSpaceSpec]:
-    """Seven room-scale spaces: near-uniform shells, shared furniture catalog.
+    """The default room-scale spaces: near-uniform shells, shared furniture catalog.
 
     Man-made interiors repeat both architecture and furnishings, so the
     spaces differ mainly in how many catalog objects they hold and where;
     that is what makes partial views ambiguous and full layouts distinctive.
     """
-    shapes = [
-        ((6.0, 7.0, 2.6), (8, 12)),
-        ((6.5, 6.5, 2.6), (9, 13)),
-        ((7.0, 6.0, 2.6), (10, 14)),
-        ((6.0, 6.5, 2.6), (7, 11)),
-        ((6.5, 7.0, 2.6), (9, 13)),
-        ((7.0, 6.5, 2.6), (8, 12)),
-        ((6.5, 7.5, 2.6), (10, 14)),
-    ]
     specs = {}
-    for i, (extents, clutter) in enumerate(shapes):
+    for i, (extents, clutter) in enumerate(_ROOMS):
         specs[f"space{i}"] = SyntheticSpaceSpec(
             extents=extents,
             clutter_count=clutter,

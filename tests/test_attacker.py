@@ -19,11 +19,11 @@ from spatialprivacy.attacker import (
     build_reference,
     infer,
     load_ensemble,
-    match,
     match_inter,
     match_intra,
     raw_view,
     save_ensemble,
+    two_nn,
 )
 from spatialprivacy.descriptors import DescribedSpace, SpinParams, UnusableSpaceError, describe
 from spatialprivacy.geometry import (
@@ -490,6 +490,9 @@ def counted_knn(monkeypatch):
 
 
 class TestQueryBatch:
+    """Query clouds matched together: :func:`two_nn` ranks their rows in one
+    kNN call, then one :func:`infer` call per cloud reads its rows."""
+
     @pytest.fixture(scope="class")
     def clouds(self, mini_spaces):
         """Two overlapping balls of one space, which share descriptor rows
@@ -501,21 +504,19 @@ class TestQueryBatch:
         return [first, second, first, other]
 
     def test_scores_and_pairs_are_each_cloud_alone(self, clouds, mini_ensemble, monkeypatch):
-        rows = np.concatenate([describe(c).descriptors for c in clouds])
+        described = [describe(c) for c in clouds]
+        rows = np.concatenate([d.descriptors for d in described])
         distinct = len(np.unique(rows, axis=0))
-        assert distinct < len(rows) - len(describe(clouds[0]))  # rows shared across clouds
+        assert distinct < len(rows) - len(described[0])  # rows shared across clouds
         knn_rows = counted_knn(monkeypatch)
-        batch = attacker.QueryBatch(mini_ensemble)
-        for cloud in clouds:
-            batch.add(cloud)
-        assert batch.rows == len(rows)
-        results = []
-        for cloud in clouds:
-            described, neighbours = batch.take(cloud)
-            results.append(match_inter(mini_ensemble, described, AttackParams(), neighbours))
+        neighbours = two_nn(mini_ensemble, described)
         assert knn_rows == [distinct]
-        assert batch.rows == 0
-        for cloud, result in zip(clouds, results):
+        ranked = [mini_ensemble.pool(label).descriptors for label in mini_ensemble.ranked]
+        for cloud, d, rows in zip(clouds, described, neighbours):
+            lone = knn_bruteforce(ranked, d.descriptors, k=2, prepared=mini_ensemble.prepared)
+            for got, want in zip(rows, lone):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            result = match_inter(mini_ensemble, d, AttackParams(), rows)
             alone = match_inter(mini_ensemble, describe(cloud))
             assert result.scores == alone.scores and result.winner == alone.winner
             for label in mini_ensemble.labels:
@@ -524,13 +525,13 @@ class TestQueryBatch:
                     assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_infer_reads_the_batch(self, clouds, mini_ensemble, monkeypatch):
-        batch = attacker.QueryBatch(mini_ensemble)
-        for cloud in clouds:
-            batch.add(cloud)
+        described = [describe(c) for c in clouds]
+        neighbours = two_nn(mini_ensemble, described)
         knn_rows = counted_knn(monkeypatch)
         monkeypatch.setattr(attacker, "describe", None)   # infer describes nothing
-        hyps = [infer(mini_ensemble, cloud, batch=batch) for cloud in clouds]
-        assert len(knn_rows) == 1
+        hyps = [infer(mini_ensemble, cloud, described=d, neighbours=rows)
+                for cloud, d, rows in zip(clouds, described, neighbours)]
+        assert knn_rows == []
         monkeypatch.undo()
         for cloud, hyp in zip(clouds, hyps):
             alone = infer(mini_ensemble, cloud)
@@ -538,40 +539,27 @@ class TestQueryBatch:
             assert np.array_equal(hyp.centroid, alone.centroid)
             assert np.array_equal(hyp.intra.similarity, alone.intra.similarity)
 
-    def test_unusable_cloud_raises_from_its_own_take(self, clouds, mini_ensemble):
+    def test_unusable_cloud_raises_from_its_own_infer(self, clouds, mini_ensemble):
         unusable = PointCloud(clouds[0].positions, clouds[0].normals,
                               reliable=np.zeros(len(clouds[0]), dtype=bool))
-        batch = attacker.QueryBatch(mini_ensemble)
-        for cloud in (clouds[0], unusable, clouds[3]):
-            batch.add(cloud)
-        assert batch.rows == len(describe(clouds[0])) + len(describe(clouds[3]))
-        assert infer(mini_ensemble, clouds[0], batch=batch).label == "mini0"
         with pytest.raises(UnusableSpaceError):
-            infer(mini_ensemble, unusable, batch=batch)
-        assert infer(mini_ensemble, clouds[3], batch=batch).label == "mini1"
+            describe(unusable)
+        described = [describe(clouds[0]), describe(clouds[3])]
+        first, last = two_nn(mini_ensemble, described)
+        assert infer(mini_ensemble, clouds[0], described=described[0],
+                     neighbours=first).label == "mini0"
+        with pytest.raises(UnusableSpaceError):
+            infer(mini_ensemble, unusable)
+        assert infer(mini_ensemble, clouds[3], described=described[1],
+                     neighbours=last).label == "mini1"
 
-    def test_queue_order_and_reuse(self, clouds, mini_ensemble):
-        batch = attacker.QueryBatch(mini_ensemble)
-        with pytest.raises(ValueError, match="empty cloud"):
-            batch.add(PointCloud(np.zeros((0, 3)), np.zeros((0, 3))))
-        batch.add(clouds[0])
-        batch.add(clouds[1])
-        with pytest.raises(ValueError, match="next queued cloud"):
-            batch.take(clouds[1])
-        batch.take(clouds[0])
-        with pytest.raises(RuntimeError, match="until it is empty"):
-            batch.add(clouds[2])
-        batch.take(clouds[1])
-        batch.add(clouds[3])   # drained: queues again
-        described, _ = batch.take(clouds[3])
-        assert np.array_equal(described.descriptors, describe(clouds[3]).descriptors)
-
-    def test_no_ranked_pool_gives_no_neighbours(self, clouds):
+    def test_no_ranked_pool_gives_no_neighbours(self, clouds, mini_ensemble, monkeypatch):
         one_row = ReferenceEnsemble({"a": (describe(clouds[0]).descriptors[:1], np.zeros((1, 3)))},
                                     SpinParams(), 5)
-        batch = attacker.QueryBatch(one_row)
-        batch.add(clouds[0])
-        assert batch.take(clouds[0])[1] is None
+        knn_rows = counted_knn(monkeypatch)
+        assert two_nn(one_row, [describe(clouds[0]), describe(clouds[1])]) == [None, None]
+        assert two_nn(mini_ensemble, []) == []
+        assert knn_rows == []
 
 
 class TestRawView:
@@ -602,7 +590,8 @@ class TestRawView:
             self.assert_is_the_raw_description(loaded, space)
 
     def test_matching_the_view_is_inferring_the_space(self, mini_spaces, mini_ensemble):
-        viewed = match(mini_ensemble, raw_view(mini_ensemble, mini_spaces[1]))
+        viewed = infer(mini_ensemble, mini_spaces[1],
+                       described=raw_view(mini_ensemble, mini_spaces[1]))
         inferred = infer(mini_ensemble, mini_spaces[1])
         assert viewed.label == inferred.label == "mini1"
         assert viewed.inter.scores == inferred.inter.scores

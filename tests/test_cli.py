@@ -227,12 +227,13 @@ def write_bad_datasets(root):
 
 @pytest.mark.parametrize("dataset, message", [
     ({"count": 1, "density": 10}, "needs at least 2 spaces"),
+    ({"count": 10, "density": 10}, "count must be at most 7"),
     ({"type": "directory", "path": "{empty}"}, "no .ply files under"),
     ({"type": "directory", "path": "{garbage}"}, "not a PLY file"),
     ({"type": "directory", "path": "{tiny}"}, "estimating them needs normals_k + 1 = 13"),
     ({"type": "directory", "path": "{unusable}"},
      "no keypoints with reliable normals in space0"),
-], ids=["one-space", "no-ply", "not-ply", "too-few-points", "unusable"])
+], ids=["one-space", "more-spaces-than-rooms", "no-ply", "not-ply", "too-few-points", "unusable"])
 def test_run_bad_dataset_is_one_line_error(dataset, message, tmp_path, capsys):
     write_bad_datasets(tmp_path)
     if "path" in dataset:

@@ -38,6 +38,29 @@ class TestPointCloud:
         )
         assert not cloud.reliable[0]
 
+    def test_only_reliable_normals_are_checked(self):
+        normals = np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 1.0 + 2e-6], [0.0, 0.0, 1.0 + 5e-7]])
+        PointCloud(np.zeros((3, 3)), normals, reliable=np.array([False, False, True]))
+        with pytest.raises(ValueError, match="unit length"):
+            PointCloud(np.zeros((3, 3)), normals, reliable=np.array([False, True, True]))
+
+    def test_unit_check_holds_about_one_float_per_point(self):
+        """The check runs for every subset and transform, so its memory grows
+        by one float per point, not by a gathered (n, 3) copy of the rows."""
+        def peak(n):
+            r = np.random.default_rng(n)
+            normals = r.normal(size=(n, 3))
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            positions = r.normal(size=(n, 3))
+            tracemalloc.start()
+            try:
+                PointCloud(positions, normals)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert (peak(80_000) - peak(20_000)) / 60_000 < 20
+
     def test_immutable_arrays(self, random_cloud):
         with pytest.raises(ValueError):
             random_cloud.positions[0, 0] = 99.0

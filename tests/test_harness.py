@@ -26,7 +26,7 @@ from spatialprivacy.harness import (
 from spatialprivacy.mechanisms import (GeneralizationParams, ReleasePolicy, release_at,
                                        release_sequence)
 from spatialprivacy.ply_io import save_ply
-from spatialprivacy.synthetic import SyntheticSpaceSpec, generate_space
+from spatialprivacy.synthetic import DEFAULT_SPACE_COUNT, SyntheticSpaceSpec, generate_space
 
 TINY = DatasetSpec(type="synthetic", count=3, density=40.0, noise_sigma=0.005)
 
@@ -186,6 +186,9 @@ class TestConfig:
             GeneralizationParams(min_inliers=True)
         with pytest.raises(ValueError, match="count must be"):
             DatasetSpec(count=0)
+        with pytest.raises(ValueError, match=f"count must be at most {DEFAULT_SPACE_COUNT}"):
+            DatasetSpec(count=DEFAULT_SPACE_COUNT + 1)
+        DatasetSpec(type="directory", path="spaces", count=DEFAULT_SPACE_COUNT + 1)
         cfg = ExperimentConfig.from_dict({"qos_alpha": 0.25, "qos_beta": 0.75,
                                           "attack": {"t2": 1.5}})
         assert cfg.attack.t2 == 1.5
@@ -321,15 +324,15 @@ class TestRunExperiment:
         assert all(t.q == 0.0 for t in trials if t.q is not None)
 
 
-def count_infer_calls(monkeypatch) -> list[int]:
-    """Wrap ``attacker.infer`` wherever a ``spatialprivacy`` module looks it
-    up, as the benchmark counts sweep query points; collect query sizes."""
+def count_calls(monkeypatch, original, position) -> list[int]:
+    """Wrap ``original`` wherever a ``spatialprivacy`` module looks it up, as
+    the benchmark wraps its layers; collect the size of each call's
+    argument at ``position``."""
     sizes = []
-    original = attacker.infer
 
-    def counted(ensemble, query, *args, **kwargs):
-        sizes.append(len(query))
-        return original(ensemble, query, *args, **kwargs)
+    def counted(*args, **kwargs):
+        sizes.append(len(args[position]))
+        return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if module is not None and name.split(".")[0] == "spatialprivacy":
@@ -371,8 +374,20 @@ class TestBatchedSweep:
     def test_one_infer_call_per_distinct_release(self, rows, monkeypatch):
         monkeypatch.setattr(harness, "_BATCH_ROWS", rows)
         config = tiny_config(**self.CONSERVATIVE)
-        sizes = count_infer_calls(monkeypatch)
+        sizes = count_calls(monkeypatch, attacker.infer, 1)
         run_experiment(config)
+        assert sizes == distinct_release_sizes(config)
+
+    @pytest.mark.parametrize("rows", [1, 30, 512])
+    def test_each_distinct_release_described_once(self, rows, monkeypatch):
+        monkeypatch.setattr(harness, "_BATCH_ROWS", rows)
+        config = tiny_config(**self.CONSERVATIVE, preflight=True)
+        ensemble = harness.build_ensemble(config, load_dataset(config.dataset))
+        monkeypatch.setattr(harness, "build_ensemble", lambda *args, **kwargs: ensemble)
+        sizes = count_calls(monkeypatch, descriptors.describe, 0)
+        run_experiment(config)
+        # Every release of these walks has a reliable keypoint, so none is
+        # described again by its infer call.
         assert sizes == distinct_release_sizes(config)
 
     def test_unusable_cloud_abstains_alone(self):
@@ -385,10 +400,12 @@ class TestBatchedSweep:
                               reliable=np.zeros(len(part), dtype=bool))
         queries = [spaces["space0"], unusable, part]
         alone = [harness._infer_or_abstain(ensemble, q, config) for q in queries]
-        batch = attacker.QueryBatch(ensemble)
-        for query in queries:
-            batch.add(query)
-        batched = [harness._infer_or_abstain(ensemble, q, config, batch) for q in queries]
+        described = [descriptors.describe(q, ensemble.params, ensemble.factor)
+                     for q in queries[::2]]
+        first, last = attacker.two_nn(ensemble, described)
+        batched = [harness._infer_or_abstain(ensemble, queries[0], config, described[0], first),
+                   harness._infer_or_abstain(ensemble, unusable, config),
+                   harness._infer_or_abstain(ensemble, queries[2], config, described[1], last)]
         assert alone[1] == batched[1] == (None, None, True)
         for got, want in (zip(batched[::2], alone[::2])):
             assert got[0] == want[0] and got[2] == want[2]
