@@ -4,7 +4,9 @@ Every subcommand but ``report`` reads its settings from ``--config``, the
 :class:`~spatialprivacy.harness.ExperimentConfig` JSON; only ``run`` needs
 one, the others use ``ExperimentConfig()`` without it. So ``reference
 --config C`` writes exactly the ensemble that ``run --config C`` attacks.
-The fields each reads:
+``run`` writes its record, ``trials.jsonl``, then the files ``report
+--trials`` rebuilds from it alone: ``metrics.csv``, ``metrics.json`` and
+``summary.txt``. The fields each reads:
 
     gen        dataset, written as PLY files
     reference  dataset, descriptor, factor, variants, generalization, seed, workers
@@ -36,8 +38,8 @@ from pathlib import Path
 from ._checks import require_int
 from .attacker import CacheFormatError, infer, load_ensemble, save_ensemble
 from .descriptors import UnusableSpaceError
-from .harness import (CellMetrics, DatasetError, ExperimentConfig, build_ensemble, load_cloud,
-                      load_dataset, report, run_experiment, trials_to_jsonl)
+from .harness import (DatasetError, ExperimentConfig, aggregate, build_ensemble, load_cloud,
+                      load_dataset, report, run_experiment, trials_from_jsonl, trials_to_jsonl)
 from .mechanisms import ReleasePolicy, release_at, release_sequence
 from .ply_io import PlyFormatError, save_ply
 
@@ -45,7 +47,7 @@ _LOAD_ERRORS = (DatasetError, PlyFormatError, OSError)
 
 
 class _BadInput(Exception):
-    """A bad config, option, dataset, cache or metrics file, an unreadable
+    """A bad config, option, dataset, cache or trials file, an unreadable
     input or a missing output directory: the input is at fault, not the
     program. :func:`main` prints it on one line and exits 2."""
 
@@ -154,30 +156,18 @@ def cmd_run(args) -> int:
     with _input(DatasetError, PlyFormatError, UnusableSpaceError):
         cells, trials = run_experiment(config)
     out = Path(args.out)
-    paths = report(cells, out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "trials.jsonl").write_text(trials_to_jsonl(trials))
-    print(f"wrote {paths['csv']}, {paths['json']}, {paths['summary']}")
+    paths = report(cells, out)
+    print(f"wrote {out / 'trials.jsonl'}, {paths['csv']}, {paths['json']}, {paths['summary']}")
     return 0
 
 
 def cmd_report(args) -> int:
-    # Only reading the file and building its cells: a fault while writing the
-    # report keeps its traceback. metrics.json sorts radius keys as text; the
-    # sweep orders them by value.
-    try:
-        with open(args.metrics) as fh:
-            nested = json.load(fh)
-        cells = [CellMetrics.from_row(mode, float(radius), row)
-                 for mode, by_radius in nested.items()
-                 for radius, rows in sorted(by_radius.items(), key=lambda kv: float(kv[0]))
-                 for row in rows]
-        if not cells:
-            raise ValueError("empty metrics grid")
-    except OSError as err:
-        raise _BadInput(err) from None
-    except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise _BadInput(f"{args.metrics} is not a metrics grid: {err!r}") from None
-    paths = report(cells, args.out)
+    # Only reading the record: a fault while aggregating or writing keeps its traceback.
+    with _input(OSError, ValueError):
+        trials = trials_from_jsonl(Path(args.trials).read_text())
+    paths = report(aggregate(trials), args.out)
     print(f"wrote {paths['csv']}, {paths['json']}, {paths['summary']}")
     return 0
 
@@ -236,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("report", help="regenerate report files from metrics.json")
-    p.add_argument("--metrics", required=True)
+    p = sub.add_parser("report", help="rebuild a run's metrics.csv, metrics.json and "
+                       "summary.txt from its trials.jsonl")
+    p.add_argument("--trials", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -11,12 +11,15 @@ scheduling, so runs are reproducible byte-for-byte at any worker count and
 removing one sweep cell leaves the others unchanged. One pool of ``workers``
 threads builds the reference, runs the preflight and runs the sweep.
 
-A walk attacks its distinct release clouds in batches: the clouds queued,
-each described once, until they hold ``_BATCH_ROWS`` descriptor rows are
-2-nn matched by one ``attacker.two_nn`` call, which makes one large GEMM of
-many small ones and ranks a row that several releases share once.
+A walk attacks each of its distinct release clouds once (a step that
+reveals no new point repeats an earlier release), in batches: the clouds
+queued, each described once, until they hold ``_BATCH_ROWS`` descriptor rows
+are 2-nn matched by one ``attacker.two_nn`` call, which makes one large GEMM
+of many small ones and ranks a row that several releases share once.
 ``_BATCH_ROWS`` bounds the memory a walk holds for this; a batch never spans
-walks. ``infer`` is still called once per release, with its cloud.
+walks. ``infer`` is still called once per distinct release, with its cloud.
+A run's record is its trials (:func:`trials_to_jsonl`, read back by
+:func:`trials_from_jsonl`); its cells are :func:`aggregate` of them.
 """
 
 from __future__ import annotations
@@ -53,15 +56,18 @@ __all__ = [
     "CellMetrics",
     "DatasetError",
     "ExperimentConfig",
+    "aggregate",
     "build_ensemble",
     "load_cloud",
     "load_dataset",
     "report",
     "run_experiment",
     "self_query_check",
+    "trials_from_jsonl",
 ]
 
 _KINDS = ("raw", "generalized")
+_KIND_TAGS = {"raw": "raw", "generalized": "gen"}  # kind -> its suffix in a cell's mode
 _BATCH_ROWS = 512  # descriptor rows of a walk's releases per two_nn call
 _WALK_FAMILY = 2  # spawn-key family of every trial's walk, whatever the mode
 _PRESETS = {  # mode -> the values of the sweep fields a config leaves unset
@@ -236,15 +242,6 @@ class ExperimentConfig:
         return asdict(self)
 
 
-# metrics.json row key -> (its type check, what the check wants)
-_ROW_TYPES = {
-    **dict.fromkeys(("space_count", "release_idx", "n_trials"), (is_int, "an integer")),
-    **dict.fromkeys(("pi1", "abstain_rate"), (is_real, "a number")),
-    **dict.fromkeys(("pi2_m", "q"), (lambda v: v is None or is_real(v), "a number or null")),
-    "max_planes": (lambda v: v is None or is_int(v), "an integer or null"),
-}
-
-
 @dataclass(frozen=True)
 class CellMetrics:
     """Aggregated metrics for one sweep cell."""
@@ -259,20 +256,6 @@ class CellMetrics:
     abstain_rate: float
     q: float | None
     n_trials: int
-
-    def to_row(self) -> dict:
-        """The cell's ``metrics.json`` row, which sits under its mode and radius."""
-        row = {k: v for k, v in asdict(self).items() if k not in ("mode", "radius", "pi2")}
-        return {**row, "pi2_m": self.pi2, "privacy_band": privacy_band(self.pi1)}
-
-    @classmethod
-    def from_row(cls, mode: str, radius: float, row: dict) -> "CellMetrics":
-        """The cell that :meth:`to_row` wrote under ``mode`` and ``radius``;
-        a value of the wrong type raises ``ValueError`` naming its key."""
-        for key, (ok, what) in _ROW_TYPES.items():
-            require(key, row[key], ok(row[key]), what)
-        fields = {k: row[k] for k in _ROW_TYPES if k != "pi2_m"}
-        return cls(mode=mode, radius=radius, pi2=row["pi2_m"], **fields)
 
 
 class DatasetError(ValueError):
@@ -359,10 +342,6 @@ def _radius_key(radius: float) -> int:
     return int(round(radius * 1_000_000))
 
 
-def _kind_tag(kind: str) -> str:
-    return "gen" if kind == "generalized" else "raw"
-
-
 def _infer_or_abstain(ensemble, query, config, described: DescribedSpace | None = None,
                       neighbours=None) -> tuple[str | None, np.ndarray | None, bool]:
     if len(query) == 0:
@@ -374,11 +353,6 @@ def _infer_or_abstain(ensemble, query, config, described: DescribedSpace | None 
     return hyp.label, hyp.centroid, hyp.abstained
 
 
-def _cell_q(trials: list[TrialRecord]) -> float | None:
-    values = [t.q for t in trials if t.q is not None]
-    return float(np.mean(values)) if values else None
-
-
 def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     """Trials for one trajectory, shared across every cap in the sweep.
 
@@ -388,9 +362,10 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     release time), so one walk is run and each release under each sweep cap
     is derived from its final state. Each release's truth, the raw points
     revealed so far, is the state's prefix, which Q compares it with; the
-    attacker sees the release moved by the step's transform. Caps at or
-    above a release's plane count all emit the same cloud and share one
-    inference result.
+    attacker sees the release moved by the walk's one transform. A release is
+    fixed by its step's ``(n_accumulated, n_planes, min(cap, n_planes))``, and
+    the walk's trials with one such key share one outcome: caps at or above a
+    plane count, and later steps that revealed no new point, run once.
 
     The distinct releases, in walk order, are described and queued (a cloud
     with no reliable keypoint without a description). Once the queue holds
@@ -421,15 +396,16 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
         queued.clear()
 
     records = []    # per trial record: (release_idx, cap, true_centroid, outcome slot)
+    shared: dict[tuple[int, int, int], int] = {}   # release key -> outcome slot
     for idx, step in enumerate(steps, start=1):
         accumulated = state.prefix(step.n_accumulated)
         true_centroid = centroid(accumulated)
-        shared: dict[int, int] = {}
         for cap in config.resolved_caps():
             # Raw walks have no planes and no bounded cap: one key per release.
             effective = step.n_planes if cap is None else min(cap, step.n_planes)
-            if effective not in shared:
-                shared[effective] = len(outcomes) + len(queued)
+            key = (step.n_accumulated, step.n_planes, effective)
+            if key not in shared:
+                shared[key] = len(outcomes) + len(queued)
                 released = release_at(state, step, cap)
                 q_value = described = None
                 if len(released):
@@ -446,24 +422,16 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
                 if queued_rows >= _BATCH_ROWS:
                     attack_queued()
                     queued_rows = 0
-            records.append((idx, cap, true_centroid, shared[effective]))
+            records.append((idx, cap, true_centroid, shared[key]))
     attack_queued()
     trials = []
     for idx, cap, true_centroid, slot in records:
         hyp_label, hyp_centroid, abstained, q_value = outcomes[slot]
-        trials.append(
-            TrialRecord(
-                true_label=space.label,
-                true_centroid=true_centroid,
-                hyp_label=hyp_label,
-                hyp_centroid=hyp_centroid,
-                abstained=abstained,
-                radius=radius,
-                release_idx=idx,
-                max_planes=cap,
-                q=q_value,
-            )
-        )
+        trials.append(TrialRecord(
+            true_label=space.label, true_centroid=true_centroid, hyp_label=hyp_label,
+            hyp_centroid=hyp_centroid, abstained=abstained, radius=radius, release_idx=idx,
+            max_planes=cap, q=q_value, kind=kind, sample=sample, mode=config.mode,
+            space_count=len(spaces_list)))
     return trials
 
 
@@ -472,8 +440,9 @@ def run_experiment(config: ExperimentConfig):
 
     One pool of ``workers`` threads builds the reference (one task per
     space), runs the preflight (one self-query per space) and runs the
-    sweep (one task per walk). Returns ``(cells, trials)``. Deterministic
-    for a given (config, seed) regardless of ``workers``.
+    sweep (one task per walk). Returns ``aggregate(trials), trials``, the
+    trials in cell order and by walk within a cell. Deterministic for a
+    given (config, seed) regardless of ``workers``.
     """
     spaces = load_dataset(config.dataset)
     if len(spaces) < 2:
@@ -489,37 +458,33 @@ def run_experiment(config: ExperimentConfig):
             self_query_check(ensemble, spaces, config, map_fn=pool.map)
         results = list(pool.map(lambda t: _sequence_trials(ensemble, spaces_list, config, *t),
                                 tasks))
+    # A stable sort: the walks come in task order, so each cell keeps it.
+    trials = sorted((t for walk in results for t in walk), key=_cell_key)
+    return aggregate(trials), trials
 
+
+def _cell_key(trial: TrialRecord) -> tuple:
+    cap = -1 if trial.max_planes is None else trial.max_planes
+    return trial.kind, trial.radius, cap, trial.release_idx
+
+
+def aggregate(trials: list[TrialRecord]) -> list[CellMetrics]:
+    """One cell per (kind, radius, plane cap, release) of ``trials``, in that
+    order (no cap first), each over its trials in the order given."""
     by_cell: dict[tuple, list[TrialRecord]] = {}
-    for (kind, radius, _sample), trial_list in zip(tasks, results):
-        for trial in trial_list:
-            key = (kind, radius, trial.max_planes, trial.release_idx)
-            by_cell.setdefault(key, []).append(trial)
-
+    for trial in trials:
+        by_cell.setdefault(_cell_key(trial), []).append(trial)
     cells = []
-    all_trials = []
-    for key in sorted(
-        by_cell,
-        key=lambda k: (k[0], k[1], -1 if k[2] is None else k[2], k[3]),
-    ):
-        kind, radius, cap, release_idx = key
-        trials = by_cell[key]
-        all_trials.extend(trials)
-        cells.append(
-            CellMetrics(
-                mode=f"{config.mode}-{_kind_tag(kind)}",
-                space_count=len(spaces_list),
-                radius=radius,
-                release_idx=release_idx,
-                max_planes=cap,
-                pi1=inter_privacy(trials),
-                pi2=intra_privacy(trials),
-                abstain_rate=abstention_rate(trials),
-                q=_cell_q(trials),
-                n_trials=len(trials),
-            )
-        )
-    return cells, all_trials
+    for key in sorted(by_cell):
+        cell = by_cell[key]
+        first = cell[0]
+        qs = [t.q for t in cell if t.q is not None]
+        cells.append(CellMetrics(
+            mode=f"{first.mode}-{_KIND_TAGS[first.kind]}", space_count=first.space_count,
+            radius=first.radius, release_idx=first.release_idx, max_planes=first.max_planes,
+            pi1=inter_privacy(cell), pi2=intra_privacy(cell), abstain_rate=abstention_rate(cell),
+            q=float(np.mean(qs)) if qs else None, n_trials=len(cell)))
+    return cells
 
 
 def _fmt(value) -> str:
@@ -533,17 +498,12 @@ def _fmt(value) -> str:
 def cells_to_csv(cells: list[CellMetrics]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["mode", "space_count", "radius_m", "release_idx", "max_planes",
-         "pi1", "pi2_m", "abstain_rate", "q", "n_trials"]
-    )
+    writer.writerow(["mode", "space_count", "radius_m", "release_idx", "max_planes",
+                     "pi1", "pi2_m", "abstain_rate", "q", "n_trials"])
     for c in cells:
-        writer.writerow(
-            [c.mode, c.space_count, _fmt(c.radius), c.release_idx,
-             "inf" if c.max_planes is None else c.max_planes,
-             _fmt(c.pi1), _fmt(c.pi2), _fmt(c.abstain_rate), _fmt(c.q),
-             c.n_trials]
-        )
+        writer.writerow([c.mode, c.space_count, _fmt(c.radius), c.release_idx,
+                         "inf" if c.max_planes is None else c.max_planes, _fmt(c.pi1),
+                         _fmt(c.pi2), _fmt(c.abstain_rate), _fmt(c.q), c.n_trials])
     return buf.getvalue()
 
 
@@ -553,63 +513,90 @@ def report(cells: list[CellMetrics], out_dir) -> dict[str, Path]:
         raise ValueError("empty metrics grid")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "csv": out / "metrics.csv",
-        "json": out / "metrics.json",
-        "summary": out / "summary.txt",
-    }
+    paths = {"csv": out / "metrics.csv", "json": out / "metrics.json",
+             "summary": out / "summary.txt"}
     paths["csv"].write_text(cells_to_csv(cells))
 
-    nested: dict = {}
+    nested: dict = {}   # mode -> radius -> the cells' rows
     for c in cells:
-        nested.setdefault(c.mode, {}).setdefault(_fmt(c.radius), []).append(c.to_row())
+        row = {k: v for k, v in asdict(c).items() if k not in ("mode", "radius", "pi2")}
+        nested.setdefault(c.mode, {}).setdefault(_fmt(c.radius), []).append(
+            {**row, "pi2_m": c.pi2, "privacy_band": privacy_band(c.pi1)})
     paths["json"].write_text(json.dumps(nested, indent=2, sort_keys=True) + "\n")
 
-    lines = []
-    for c in cells:
-        cap = "inf" if c.max_planes is None else c.max_planes
-        lines.append(
-            f"{c.mode} r={_fmt(c.radius)} release={c.release_idx} "
-            f"max_planes={cap} pi1={c.pi1:.4f} band={privacy_band(c.pi1)} "
-            f"pi2={_fmt(c.pi2) or 'n/a'} q={_fmt(c.q) or 'n/a'} n={c.n_trials}"
-        )
-    # Headline statistic: the largest cap whose release-averaged pi1 stays
-    # at or above the coin-flip bound.
+    lines = [f"{c.mode} r={_fmt(c.radius)} release={c.release_idx} "
+             f"max_planes={'inf' if c.max_planes is None else c.max_planes} "
+             f"pi1={c.pi1:.4f} band={privacy_band(c.pi1)} pi2={_fmt(c.pi2) or 'n/a'} "
+             f"q={_fmt(c.q) or 'n/a'} n={c.n_trials}" for c in cells]
+    # Headline: the largest cap whose release-averaged pi1 is at least a coin flip's.
     by_mode_radius: dict = {}
     for c in cells:
         if c.max_planes is not None:
             by_mode_radius.setdefault((c.mode, c.radius), {}).setdefault(
-                c.max_planes, []
-            ).append(c.pi1)
+                c.max_planes, []).append(c.pi1)
     for (mode, radius), caps in sorted(by_mode_radius.items()):
-        safe = [
-            cap for cap, values in sorted(caps.items())
-            if float(np.mean(values)) >= 0.5
-        ]
-        verdict = max(safe) if safe else "none"
-        lines.append(
-            f"{mode} r={_fmt(radius)}: largest max_planes with mean pi1 >= 0.5: {verdict}"
-        )
+        safe = [cap for cap, values in caps.items() if np.mean(values) >= 0.5]
+        lines.append(f"{mode} r={_fmt(radius)}: largest max_planes with mean pi1 >= 0.5: "
+                     f"{max(safe) if safe else 'none'}")
     paths["summary"].write_text("\n".join(lines) + "\n")
     return paths
 
 
 def trials_to_jsonl(trials: list[TrialRecord]) -> str:
+    """One JSON object per trial, keyed by the :class:`TrialRecord` fields,
+    and no header line: a run's record, which :func:`trials_from_jsonl` reads."""
     rows = []
     for t in trials:
-        rows.append(json.dumps(
-            {
-                "true_label": t.true_label,
-                "true_centroid": [float(v) for v in t.true_centroid],
-                "hyp_label": t.hyp_label,
-                "hyp_centroid": None if t.hyp_centroid is None
-                else [float(v) for v in t.hyp_centroid],
-                "abstained": t.abstained,
-                "radius": t.radius,
-                "release_idx": t.release_idx,
-                "max_planes": t.max_planes,
-                "q": t.q,
-            },
-            sort_keys=True,
-        ))
-    return "\n".join(rows) + ("\n" if rows else "")
+        row = {f.name: getattr(t, f.name) for f in fields(TrialRecord)}
+        for key in ("true_centroid", "hyp_centroid"):
+            row[key] = None if row[key] is None else [float(v) for v in row[key]]
+        rows.append(json.dumps(row, sort_keys=True) + "\n")
+    return "".join(rows)
+
+
+# trials.jsonl key -> (its check, what it wants); a row holds exactly these keys
+_TRIAL_KEYS = {
+    **dict.fromkeys(("true_label", "hyp_label"), (lambda v: isinstance(v, str), "a string")),
+    **dict.fromkeys(("true_centroid", "hyp_centroid"), (
+        lambda v: isinstance(v, list) and len(v) == 3
+        and all(is_real(x) and math.isfinite(x) for x in v), "a list of 3 finite numbers")),
+    **dict.fromkeys(("radius", "q"), (lambda v: is_real(v) and math.isfinite(v) and v >= 0,
+                                      "a finite number >= 0")),
+    **dict.fromkeys(("release_idx", "max_planes"), (lambda v: is_int(v) and v >= 1,
+                                                    "an integer >= 1")),
+    "abstained": (lambda v: isinstance(v, bool), "true or false"),
+    "kind": (lambda v: v in _KINDS, f"one of {_KINDS}"),
+    "sample": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "mode": (lambda v: isinstance(v, str) and v in _PRESETS, f"one of {tuple(_PRESETS)}"),
+    "space_count": (lambda v: is_int(v) and v >= 2, "an integer >= 2"),
+}
+_NULLABLE = ("hyp_label", "hyp_centroid", "max_planes", "q")
+
+
+def trials_from_jsonl(text: str) -> list[TrialRecord]:
+    """The trials that :func:`trials_to_jsonl` wrote, in file order. Each line
+    must be a JSON object of exactly its keys, each value of its type, and of
+    one run: line 1's ``mode`` and ``space_count``. Anything else, or no line,
+    raises ``ValueError`` naming the line and the key."""
+    trials = []
+    for n, line in enumerate(text.splitlines(), start=1):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"line {n}: not JSON ({err.msg} at column {err.colno})") from None
+        require(f"line {n}", row, isinstance(row, dict), "a JSON object")
+        for key in sorted(_TRIAL_KEYS.keys() ^ row.keys()):
+            raise ValueError(f"line {n}: {'no' if key in _TRIAL_KEYS else 'unknown'} key {key!r}")
+        for key, (ok, what) in _TRIAL_KEYS.items():
+            if not (key in _NULLABLE and row[key] is None):
+                require(f"line {n}: {key}", row[key], ok(row[key]), what)
+        for key in ("mode", "space_count"):
+            if trials and row[key] != getattr(trials[0], key):
+                raise ValueError(f"line {n}: {key} {row[key]!r} is not line 1's "
+                                 f"{getattr(trials[0], key)!r}; a file holds one run")
+        for key in ("true_centroid", "hyp_centroid"):
+            row[key] = None if row[key] is None else np.array(row[key], float)
+        trials.append(TrialRecord(**row))
+    if not trials:
+        raise ValueError("no trials")
+    return trials

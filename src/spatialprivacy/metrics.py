@@ -8,7 +8,7 @@ nearest raw point and mixes position error with normal deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one inference trial against a known ground truth."""
+    """Outcome of one inference trial against a known ground truth, placed in
+    its sweep (release ``kind``, ``radius``, walk ``sample``, release, cap)
+    and its run (``mode``, and the ``space_count`` its adversary chose among)."""
 
     true_label: str
     true_centroid: np.ndarray
@@ -38,6 +40,10 @@ class TrialRecord:
     release_idx: int = 1
     max_planes: int | None = None
     q: float | None = None
+    kind: str = "raw"
+    sample: int = 0
+    mode: str = "one-time"
+    space_count: int = 2
 
     @property
     def correct(self) -> bool:

@@ -9,10 +9,12 @@ optional Gaussian noise displaces points along their normals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import is_int, is_real, require, require_int, require_real
 from .geometry import PointCloud
 
 __all__ = [
@@ -41,14 +43,27 @@ class SyntheticSpaceSpec:
     catalog_size: int = 8
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise ValueError("density must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be >= 0")
-        if min(self.extents) <= 0:
-            raise ValueError("extents must be positive")
-        if self.catalog_size < 1:
-            raise ValueError("catalog_size must be >= 1")
+        require("extents", self.extents, isinstance(self.extents, (tuple, list))
+                and len(self.extents) == 3 and all(map(_positive, self.extents)),
+                "3 finite numbers > 0")
+        require("clutter_count", self.clutter_count,
+                _range(self.clutter_count, lambda v: is_int(v) and v >= 0),
+                "an ordered pair of integers >= 0")
+        require("clutter_size", self.clutter_size, _range(self.clutter_size, _positive),
+                "an ordered pair of finite numbers > 0")
+        require_real("density", self.density, 0.0)
+        require_real("noise_sigma", self.noise_sigma, 0.0, closed=True)
+        require_int("catalog_size", self.catalog_size, 1)
+
+
+def _positive(value) -> bool:
+    return is_real(value) and math.isfinite(value) and value > 0
+
+
+def _range(value, ok) -> bool:
+    """An inclusive (low, high) range of values that pass ``ok``."""
+    return (isinstance(value, (tuple, list)) and len(value) == 2 and all(map(ok, value))
+            and value[0] <= value[1])
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ from spatialprivacy import harness
 from spatialprivacy.attacker import build_reference, load_ensemble
 from spatialprivacy.cli import main
 from spatialprivacy.descriptors import SpinParams
-from spatialprivacy.harness import ExperimentConfig, load_cloud, run_experiment
+from spatialprivacy.harness import ExperimentConfig, load_cloud, run_experiment, trials_to_jsonl
 from spatialprivacy.mechanisms import ReleasePolicy, release_at, release_sequence
+from spatialprivacy.metrics import TrialRecord
 from spatialprivacy.ply_io import load_ply, save_ply
 
 
@@ -147,31 +148,39 @@ def test_release_writes_the_walk_a_trial_runs(kind, releases, max_planes, space_
         assert steps[-1].n_planes > (max_planes or 0)
 
 
+def run_then_report(config: dict, tmp_path) -> None:
+    """``run`` the config, then ``report --trials`` on its record alone: the
+    three files derived from it are rebuilt byte for byte."""
+    out_dir, rerun = tmp_path / "results", tmp_path / "rereport"
+    assert main(["run", "--config", config_file(tmp_path, config), "--out", str(out_dir)]) == 0
+    assert main(["report", "--trials", str(out_dir / "trials.jsonl"), "--out", str(rerun)]) == 0
+    for name in ("metrics.csv", "metrics.json", "summary.txt"):
+        assert (rerun / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+
 def test_run_and_report(space_dir, tmp_path):
-    config = {
+    run_then_report({
         "mode": "one-time",
-        "radii": [2.0, 10.0],  # metrics.json orders the keys "10" < "2"
+        "radii": [2.0, 10.0],  # "10" sorts before "2" as text; cells order radii by value
         "samples": 3,
-        "kinds": ["raw"],
+        "kinds": ["raw", "generalized"],
         "seed": 2,
         "preflight": False,
-        "dataset": {"type": "directory", "path": str(space_dir)},
-    }
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
-    out_dir = tmp_path / "results"
-    rc = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
-    assert rc == 0
-    assert (out_dir / "metrics.csv").exists()
-    assert (out_dir / "trials.jsonl").exists()
+        **directory_config(space_dir),
+    }, tmp_path)
 
-    rerun = tmp_path / "rereport"
-    rc = main(
-        ["report", "--metrics", str(out_dir / "metrics.json"), "--out", str(rerun)]
-    )
-    assert rc == 0
-    assert (rerun / "summary.txt").exists()
-    assert (rerun / "metrics.csv").read_bytes() == (out_dir / "metrics.csv").read_bytes()
+
+def test_run_and_report_conservative(space_dir, tmp_path):
+    run_then_report({
+        "mode": "conservative",
+        "radii": [1.0, 2.0],
+        "samples": 2,
+        "releases": 3,
+        "max_planes": [1, None],
+        "seed": 2,
+        "workers": 2,
+        **directory_config(space_dir),
+    }, tmp_path)
 
 
 @pytest.mark.parametrize("config", [
@@ -323,7 +332,7 @@ def test_bad_option_is_one_line_error(command, options, message, space_dir, tmp_
 
 @pytest.mark.parametrize("command, missing", [
     ("infer", "ensemble"), ("infer", "query"), ("release", "cloud"), ("run", "config"),
-    ("report", "metrics"),
+    ("report", "trials"),
 ])
 def test_missing_input_is_one_line_error(command, missing, space_dir, ensemble_path,
                                          tmp_path, capsys):
@@ -331,7 +340,7 @@ def test_missing_input_is_one_line_error(command, missing, space_dir, ensemble_p
     paths = {"ensemble": ensemble_path, "query": space_dir / "space0.ply",
              "cloud": space_dir / "space0.ply", missing: gone}
     options = {"infer": ["ensemble", "query"], "release": ["cloud"], "run": ["config"],
-               "report": ["metrics"]}[command]
+               "report": ["trials"]}[command]
     argv = [command, *(arg for name in options for arg in (f"--{name}", str(paths[name])))]
     rc = main([*argv, "--out", str(out)])
     err = capsys.readouterr().err
@@ -341,21 +350,22 @@ def test_missing_input_is_one_line_error(command, missing, space_dir, ensemble_p
     assert not out.exists()
 
 
-ROW = {"space_count": 2, "release_idx": 0, "max_planes": None, "pi1": 1.0,
-       "abstain_rate": 0.0, "q": None, "n_trials": 3, "pi2_m": None}
+ROW = json.loads(trials_to_jsonl([TrialRecord("space0", np.zeros(3), "space0", np.zeros(3),
+                                             radius=1.0, q=0.0)]))
 
 
 @pytest.mark.parametrize("text, message", [
-    ("not json", "JSONDecodeError"),
-    ("{}", "empty metrics grid"),
-    (json.dumps({"one-time": {"1": [{k: v for k, v in ROW.items() if k != "pi1"}]}}),
-     "KeyError('pi1')"),
-    (json.dumps({"one-time": {"1": [{**ROW, "pi1": "x"}]}}), "pi1 must be a number"),
-], ids=["not-json", "empty-grid", "row-without-pi1", "pi1-not-a-number"])
-def test_unusable_metrics_is_one_line_error(text, message, tmp_path, capsys):
-    metrics, out = tmp_path / "metrics.json", tmp_path / "out"
-    metrics.write_text(text)
-    rc = main(["report", "--metrics", str(metrics), "--out", str(out)])
+    ("not json", "line 1: not JSON"),
+    (json.dumps({k: v for k, v in ROW.items() if k != "kind"}), "line 1: no key 'kind'"),
+    (json.dumps({**ROW, "q": "0.1"}), "line 1: q must be a finite number >= 0, got '0.1'"),
+    (json.dumps(ROW) + "\n" + json.dumps({**ROW, "mode": "successive"}),
+     "line 2: mode 'successive' is not line 1's 'one-time'"),
+    ("", "no trials"),
+], ids=["not-json", "row-without-kind", "q-a-string", "rows-of-two-runs", "empty-file"])
+def test_unusable_trials_is_one_line_error(text, message, tmp_path, capsys):
+    trials, out = tmp_path / "trials.jsonl", tmp_path / "out"
+    trials.write_text(text)
+    rc = main(["report", "--trials", str(trials), "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("spatialprivacy report: ") and message in err

@@ -3,7 +3,7 @@
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,10 +21,12 @@ from spatialprivacy.harness import (
     report,
     run_experiment,
     self_query_check,
+    trials_from_jsonl,
     trials_to_jsonl,
 )
 from spatialprivacy.mechanisms import (GeneralizationParams, ReleasePolicy, release_at,
                                        release_sequence)
+from spatialprivacy.metrics import TrialRecord
 from spatialprivacy.ply_io import save_ply
 from spatialprivacy.synthetic import DEFAULT_SPACE_COUNT, SyntheticSpaceSpec, generate_space
 
@@ -314,7 +316,8 @@ class TestRunExperiment:
         sweep = dict(radii=(1.0, 1.5), samples=3, kinds=("raw", "generalized"))
         one_time = run_experiment(tiny_config(mode="one-time", **sweep))
         walk = run_experiment(tiny_config(mode="successive", releases=1, **sweep))
-        assert trials_to_jsonl(one_time[1]) == trials_to_jsonl(walk[1])
+        assert (trials_to_jsonl([replace(t, mode="successive") for t in one_time[1]])
+                == trials_to_jsonl(walk[1]))
         assert (cells_to_csv(one_time[0]).replace("\none-time-", "\n")
                 == cells_to_csv(walk[0]).replace("\nsuccessive-", "\n"))
         assert {c.mode for c in one_time[0]} == {"one-time-raw", "one-time-gen"}
@@ -344,7 +347,8 @@ def count_calls(monkeypatch, original, position) -> list[int]:
 
 def distinct_release_sizes(config: ExperimentConfig) -> list[int]:
     """The size of every non-empty distinct release of the sweep's walks, in
-    sweep order, derived from the walks themselves."""
+    sweep order, derived from the walks themselves: a walk's release is fixed
+    by its step's accumulated points and planes and its effective cap."""
     spaces = list(load_dataset(config.dataset).values())
     sizes = []
     for kind in config.resolved_kinds():
@@ -357,12 +361,13 @@ def distinct_release_sizes(config: ExperimentConfig) -> list[int]:
                 policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases())
                 steps, state = release_sequence(space, policy, rng, config.generalization,
                                                 generalize=kind == "generalized")
+                released = {}
                 for step in steps:
-                    released = {}
                     for cap in config.resolved_caps():
                         effective = step.n_planes if cap is None else min(cap, step.n_planes)
-                        released.setdefault(effective, len(release_at(state, step, cap)))
-                    sizes.extend(n for n in released.values() if n)
+                        released.setdefault((step.n_accumulated, step.n_planes, effective),
+                                            len(release_at(state, step, cap)))
+                sizes.extend(n for n in released.values() if n)
     return sizes
 
 
@@ -389,6 +394,16 @@ class TestBatchedSweep:
         # Every release of these walks has a reliable keypoint, so none is
         # described again by its infer call.
         assert sizes == distinct_release_sizes(config)
+
+    def test_a_step_with_no_new_point_is_not_attacked_again(self, monkeypatch):
+        # A ball wider than any room reveals the whole space at the first
+        # step; the two later steps reveal nothing and repeat its release.
+        config = tiny_config(mode="successive", radii=(50.0,), samples=2, releases=3)
+        sizes = count_calls(monkeypatch, attacker.infer, 1)
+        cells, trials = run_experiment(config)
+        assert len(sizes) == 2 and len(trials) == 6
+        assert [c.release_idx for c in cells] == [1, 2, 3]
+        assert len({(c.pi1, c.pi2, c.abstain_rate, c.q) for c in cells}) == 1
 
     def test_unusable_cloud_abstains_alone(self):
         spaces = load_dataset(TINY)
@@ -517,11 +532,24 @@ class TestReporting:
         summary = report(cells, tmp_path)["summary"].read_text()
         assert "largest max_planes with mean pi1 >= 0.5: 3" in summary
 
-    @pytest.mark.parametrize("overrides", [{}, dict(max_planes=3, pi2=None, q=None)])
-    def test_metrics_json_row_round_trip(self, overrides):
-        cell = self.make_cell(**overrides)
-        row = json.loads(json.dumps(cell.to_row()))
-        assert CellMetrics.from_row(cell.mode, cell.radius, row) == cell
+    def test_trials_jsonl_round_trip(self, one_time_result):
+        point = np.array([0.1, 1 / 3, -2e-17])
+        made = [
+            TrialRecord("space0", point, "space1", point * 7, False, 1.5, 2, 3, 1 / 7,
+                        "generalized", 4, "successive", 3),
+            TrialRecord("space2", -point, None, None, True, 1.5, 2, None, None, "raw", 0,
+                        "successive", 3),
+        ]
+        for trials in (one_time_result[1], made):
+            back = trials_from_jsonl(trials_to_jsonl(trials))
+            assert len(back) == len(trials)
+            for got, want in zip(back, trials):
+                for f in fields(TrialRecord):
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    if isinstance(b, np.ndarray):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+                    else:
+                        assert type(a) is type(b) and a == b, f.name
 
     def test_empty_grid_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -536,4 +564,4 @@ class TestReporting:
         lines = trials_to_jsonl(trials).strip().split("\n")
         assert len(lines) == len(trials)
         row = json.loads(lines[0])
-        assert set(row) >= {"true_label", "hyp_label", "radius", "q"}
+        assert set(row) == {f.name for f in fields(TrialRecord)}

@@ -82,3 +82,21 @@ def test_validation():
         SyntheticSpaceSpec(density=0)
     with pytest.raises(ValueError):
         SyntheticSpaceSpec(noise_sigma=-0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_sigma", float("nan")),
+    ("noise_sigma", -0.1),
+    ("density", float("nan")),
+    ("density", 0),
+    ("extents", (float("inf"), 5.0, 2.5)),
+    ("extents", (4.0, 0.0, 2.5)),
+    ("extents", (4.0, 5.0)),
+    ("clutter_count", (6, 3)),
+    ("clutter_count", (1.5, 3)),
+    ("clutter_size", (1.5, 0.7)),
+    ("clutter_size", (0.0, 0.7)),
+])
+def test_bad_values_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SyntheticSpaceSpec(**{field: value})
