@@ -26,7 +26,7 @@ from spatialprivacy.harness import (
 )
 from spatialprivacy.mechanisms import (GeneralizationParams, ReleasePolicy, release_at,
                                        release_sequence)
-from spatialprivacy.metrics import TrialRecord
+from spatialprivacy.metrics import TrialRecord, privacy_band
 from spatialprivacy.ply_io import save_ply
 from spatialprivacy.synthetic import DEFAULT_SPACE_COUNT, SyntheticSpaceSpec, generate_space
 
@@ -531,6 +531,19 @@ class TestReporting:
         ]
         summary = report(cells, tmp_path)["summary"].read_text()
         assert "largest max_planes with mean pi1 >= 0.5: 3" in summary
+
+    @pytest.mark.parametrize("overrides", [{}, dict(max_planes=3, pi2=None, q=None)])
+    def test_metrics_json_row_round_trip(self, overrides, tmp_path):
+        # A metrics.json row, keyed by mode and radius, holds every field of
+        # its cell: nulls stay null and floats come back exactly.
+        cell = self.make_cell(pi1=1 / 7, **overrides)
+        nested = json.loads(report([cell], tmp_path)["json"].read_text())
+        (mode, by_radius), = nested.items()
+        (radius, rows), = by_radius.items()
+        (row,) = rows
+        assert row.pop("privacy_band") == privacy_band(cell.pi1)
+        row["pi2"] = row.pop("pi2_m")
+        assert CellMetrics(mode=mode, radius=float(radius), **row) == cell
 
     def test_trials_jsonl_round_trip(self, one_time_result):
         point = np.array([0.1, 1 / 3, -2e-17])
