@@ -46,7 +46,6 @@ from .harness import (
 from .mechanisms import (
     GeneralizationParams,
     Plane,
-    ReleasePolicy,
     ReleaseState,
     project_to_planes,
     ransac_planes,

@@ -35,12 +35,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
-from ._checks import require_int
+from ._checks import require_int, require_real
 from .attacker import CacheFormatError, infer, load_ensemble, save_ensemble
 from .descriptors import UnusableSpaceError
 from .harness import (DatasetError, ExperimentConfig, aggregate, build_ensemble, load_cloud,
-                      load_dataset, report, run_experiment, trials_from_jsonl, trials_to_jsonl)
-from .mechanisms import ReleasePolicy, release_at, release_sequence
+                      load_dataset, report, run_experiment, trial_lines, trials_from_jsonl)
+from .mechanisms import release_at, release_sequence
 from .ply_io import PlyFormatError, save_ply
 
 _LOAD_ERRORS = (DatasetError, PlyFormatError, OSError)
@@ -124,7 +124,8 @@ def cmd_infer(args) -> int:
 def cmd_release(args) -> int:
     config = _config(args)
     with _input(ValueError):
-        policy = ReleasePolicy(radius=args.radius, num_releases=args.releases)
+        require_real("radius", args.radius, 0.0)
+        require_int("releases", args.releases, 1)
         if args.max_planes is not None:
             require_int("max_planes", args.max_planes, 1)
             if args.kind == "raw":
@@ -132,8 +133,8 @@ def cmd_release(args) -> int:
     _check_writable(args.out, args.manifest)
     with _input(*_LOAD_ERRORS):
         cloud = load_cloud(args.cloud, config.dataset.normals_k)
-    steps, state = release_sequence(cloud, policy, config.seed, config.generalization,
-                                    generalize=args.kind == "generalized")
+    steps, state = release_sequence(cloud, args.radius, args.releases, config.seed,
+                                    config.generalization, generalize=args.kind == "generalized")
     released = release_at(state, steps[-1], args.max_planes)
     if args.manifest:
         releases = [{"center": [float(v) for v in s.center], "n_planes": s.n_planes,
@@ -157,7 +158,8 @@ def cmd_run(args) -> int:
         cells, trials = run_experiment(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "trials.jsonl").write_text(trials_to_jsonl(trials))
+    with open(out / "trials.jsonl", "w") as fh:
+        fh.writelines(trial_lines(trials))
     paths = report(cells, out)
     print(f"wrote {out / 'trials.jsonl'}, {paths['csv']}, {paths['json']}, {paths['summary']}")
     return 0
@@ -213,8 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["raw", "generalized"], default="generalized",
                    help="release the revealed points raw or generalized into planes")
     p.add_argument("--radius", type=float, default=1.0, help="each ball's radius (m)")
-    p.add_argument("--releases", type=int, default=ReleasePolicy.num_releases,
-                   help="the walk's release count")
+    p.add_argument("--releases", type=int, default=1, help="the walk's release count")
     p.add_argument("--max-planes", type=int, default=None, dest="max_planes",
                    help="release at most this many planes (generalized walks only)")
     p.add_argument("--manifest", help="write a JSON manifest of every release of the walk")

@@ -173,11 +173,14 @@ def describe(
     histogram holds weight 1 in the alpha = beta = 0 bin, and no descriptor
     is zero. The histograms are normalized in place, each row divided by its
     L2 norm, so no second (m, length) array is made.
-    Raises :class:`UnusableSpaceError` if no keypoint has a reliable normal.
+    Raises :class:`UnusableSpaceError` if the cloud is empty or no keypoint
+    has a reliable normal.
     """
+    where = "" if cloud.label is None else f" in {cloud.label}"
+    if len(cloud) == 0:
+        raise UnusableSpaceError(f"no points to describe{where}")
     keys = select_keypoints(cloud, factor)
     if len(keys) == 0:
-        where = "" if cloud.label is None else f" in {cloud.label}"
         raise UnusableSpaceError(f"no keypoints with reliable normals{where}")
     positions = cloud.positions[keys]
     hist = _spin_histograms(SpatialIndex(cloud), positions, cloud.normals[keys], params)

@@ -18,7 +18,7 @@ are 2-nn matched by one ``attacker.two_nn`` call, which makes one large GEMM
 of many small ones and ranks a row that several releases share once.
 ``_BATCH_ROWS`` bounds the memory a walk holds for this; a batch never spans
 walks. ``infer`` is still called once per distinct release, with its cloud.
-A run's record is its trials (:func:`trials_to_jsonl`, read back by
+A run's record is its trials (:func:`trial_lines`, read back by
 :func:`trials_from_jsonl`); its cells are :func:`aggregate` of them.
 """
 
@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -39,7 +40,7 @@ from .attacker import (AttackParams, ReferenceEnsemble, build_reference, infer, 
                        two_nn)
 from .descriptors import DescribedSpace, SpinParams, UnusableSpaceError, describe
 from .geometry import PointCloud, apply_transform, centroid, estimate_normals
-from .mechanisms import GeneralizationParams, ReleasePolicy, release_at, release_sequence
+from .mechanisms import GeneralizationParams, release_at, release_sequence
 from .metrics import (
     TrialRecord,
     abstention_rate,
@@ -380,9 +381,8 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
         config.seed, (_WALK_FAMILY, _KINDS.index(kind), _radius_key(radius), sample)
     )
     space = spaces_list[int(rng.integers(len(spaces_list)))]
-    policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases())
-    steps, state = release_sequence(space, policy, rng, config.generalization,
-                                    generalize=kind == "generalized")
+    steps, state = release_sequence(space, radius, config.resolved_releases(), rng,
+                                    config.generalization, generalize=kind == "generalized")
     outcomes = []   # per distinct release: (hyp_label, hyp_centroid, abstained, q)
     queued = []     # (query, description or None, q) per distinct release not yet attacked
     queued_rows = 0
@@ -542,16 +542,15 @@ def report(cells: list[CellMetrics], out_dir) -> dict[str, Path]:
     return paths
 
 
-def trials_to_jsonl(trials: list[TrialRecord]) -> str:
+def trial_lines(trials: list[TrialRecord]) -> Iterator[str]:
     """One JSON object per trial, keyed by the :class:`TrialRecord` fields,
-    and no header line: a run's record, which :func:`trials_from_jsonl` reads."""
-    rows = []
+    and no header line: a run's record, which :func:`trials_from_jsonl` reads.
+    The lines are made one at a time, as they are written."""
     for t in trials:
         row = {f.name: getattr(t, f.name) for f in fields(TrialRecord)}
         for key in ("true_centroid", "hyp_centroid"):
             row[key] = None if row[key] is None else [float(v) for v in row[key]]
-        rows.append(json.dumps(row, sort_keys=True) + "\n")
-    return "".join(rows)
+        yield json.dumps(row, sort_keys=True) + "\n"
 
 
 # trials.jsonl key -> (its check, what it wants); a row holds exactly these keys
@@ -574,7 +573,7 @@ _NULLABLE = ("hyp_label", "hyp_centroid", "max_planes", "q")
 
 
 def trials_from_jsonl(text: str) -> list[TrialRecord]:
-    """The trials that :func:`trials_to_jsonl` wrote, in file order. Each line
+    """The trials that :func:`trial_lines` wrote, in file order. Each line
     must be a JSON object of exactly its keys, each value of its type, and of
     one run: line 1's ``mode`` and ``space_count``. Anything else, or no line,
     raises ``ValueError`` naming the line and the key."""

@@ -8,11 +8,12 @@ creation order) and only the leftovers are offered to RANSAC, so earlier
 generalizations stay stable. Conservative releasing caps how many planes are
 released while the full state is kept for future subsumption.
 
-Subsumption only appends newer point indices to existing planes and new
-planes take the next creation number, so the state as of any earlier release
-is a prefix of the final one. A walk therefore keeps only the final state
-plus a few counts per release, and :func:`release_at` derives what any
-release emitted, raw or under any plane cap.
+Subsumption only appends newer point indices to existing planes, and
+planes are appended, so a plane's index is its creation number and the state
+as of any earlier release is a prefix of the final one. A walk therefore
+keeps only the final state plus a few counts per release, and
+:func:`release_at` derives what any release emitted, raw or under any plane
+cap.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .geometry import PointCloud, RigidTransform, ball_indices, random_rigid_tra
 __all__ = [
     "GeneralizationParams",
     "Plane",
-    "ReleasePolicy",
     "ReleaseState",
     "ReleaseStep",
     "project_to_planes",
@@ -64,7 +64,6 @@ class Plane:
     normal: np.ndarray
     offset: float
     inlier_indices: np.ndarray
-    seq: int
 
     def distances(self, positions: np.ndarray) -> np.ndarray:
         return np.abs(positions @ self.normal - self.offset)
@@ -74,19 +73,6 @@ class Plane:
         near = self.distances(positions) <= params.dist_eps
         aligned = np.abs(normals @ self.normal) >= params.cos_angle_max
         return near & aligned
-
-
-@dataclass(frozen=True)
-class ReleasePolicy:
-    """How a space is revealed: the ball radius and the release count. The
-    walk's next center is a point within one radius of the current one."""
-
-    radius: float
-    num_releases: int = 1
-
-    def __post_init__(self):
-        require_real("radius", self.radius, 0.0)
-        require_int("num_releases", self.num_releases, 1)
 
 
 def _fit_plane_lsq(positions: np.ndarray, guide_normal: np.ndarray):
@@ -104,11 +90,12 @@ def _fit_plane_lsq(positions: np.ndarray, guide_normal: np.ndarray):
 _BLOCK_PAIRS = 1 << 16  # (pool point, candidate) pairs per _greedy_extract block
 
 
-def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
+def _greedy_extract(positions, normals, eligible, pool, params, rng):
     """Repeatedly commit the best one-point-plus-normal plane hypothesis.
 
-    ``pool`` holds the currently unassigned point indices; committed planes
-    remove their inliers from it. Returns the committed planes.
+    ``pool`` holds the point indices no plane holds yet; committed planes
+    remove their inliers from it. Returns the committed planes in commit
+    order.
 
     Each round draws up to ``candidates_per_round`` candidates and counts
     the pool points each one accepts. The candidates go in blocks of
@@ -121,7 +108,6 @@ def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
     planes: list[Plane] = []
     pool = np.asarray(pool, dtype=np.intp)
     pool = pool[eligible[pool]]
-    seq = start_seq
     while len(pool) >= params.min_inliers:
         n_cand = min(params.candidates_per_round, len(pool))
         candidates = rng.choice(pool, size=n_cand, replace=False)
@@ -150,7 +136,7 @@ def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
             break
         inliers = pool[best_mask]
         normal, offset = _fit_plane_lsq(positions[inliers], normals[best_candidate])
-        refit = Plane(normal, offset, inliers, seq)
+        refit = Plane(normal, offset, inliers)
         refit_mask = refit.accepts(pool_pos, pool_nrm, params)
         if int(refit_mask.sum()) >= params.min_inliers:
             refit.inlier_indices = np.sort(pool[refit_mask])
@@ -159,11 +145,9 @@ def _greedy_extract(positions, normals, eligible, pool, params, rng, start_seq):
             # The refit drifted off the consensus set; keep the raw hypothesis.
             n_c = normals[best_candidate]
             plane = Plane(n_c.copy(), float(n_c @ positions[best_candidate]),
-                          np.sort(inliers), seq)
+                          np.sort(inliers))
         planes.append(plane)
-        keep = ~np.isin(pool, plane.inlier_indices, assume_unique=False)
-        pool = pool[keep]
-        seq += 1
+        pool = pool[~np.isin(pool, plane.inlier_indices)]
     return planes
 
 
@@ -177,22 +161,20 @@ def ransac_planes(cloud: PointCloud, params: GeneralizationParams = Generalizati
         return []
     if not cloud.has_normals:
         raise ValueError("cloud has no normals; run estimate_normals first")
-    return _greedy_extract(
-        cloud.positions, cloud.normals, cloud.reliable,
-        np.arange(len(cloud)), params, np.random.default_rng(seed), start_seq=0,
-    )
+    return _greedy_extract(cloud.positions, cloud.normals, cloud.reliable,
+                           np.arange(len(cloud)), params, np.random.default_rng(seed))
 
 
 def project_to_planes(cloud: PointCloud, planes: list[Plane]) -> PointCloud:
-    """Replace each assigned point by its orthogonal projection onto its plane.
+    """Replace each point a plane holds by its orthogonal projection onto it.
 
     Projected normals take the plane normal, signed to agree with the point's
-    own normal. Points claimed by no plane are dropped. Output order is plane
-    creation order, then ascending point index within a plane.
+    own normal. Points held by no plane are dropped. Output order is the
+    order of ``planes``, then ascending point index within a plane.
     """
     chunks_pos = []
     chunks_nrm = []
-    for plane in sorted(planes, key=lambda p: p.seq):
+    for plane in planes:
         idx = plane.inlier_indices
         pos = cloud.positions[idx]
         resid = pos @ plane.normal - plane.offset
@@ -208,33 +190,19 @@ def project_to_planes(cloud: PointCloud, planes: list[Plane]) -> PointCloud:
 
 @dataclass
 class ReleaseState:
-    """Accumulated raw points, accepted planes, and residuals of a raw or generalized walk."""
+    """What a raw or generalized walk has revealed: the raw points, in
+    reveal order, and the planes, in creation order. A point no plane holds
+    is a residual; a new state is ``ReleaseState(label=..., generalize=...)``."""
 
-    positions: np.ndarray
-    normals: np.ndarray
-    reliable: np.ndarray
+    positions: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    normals: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
+    reliable: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     planes: list[Plane] = field(default_factory=list)
-    assignment: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     label: str | None = None
     generalize: bool = True
 
-    @classmethod
-    def empty(cls, label: str | None = None, generalize: bool = True) -> "ReleaseState":
-        return cls(
-            positions=np.zeros((0, 3)),
-            normals=np.zeros((0, 3)),
-            reliable=np.zeros(0, dtype=bool),
-            assignment=np.zeros(0, dtype=np.intp),
-            label=label,
-            generalize=generalize,
-        )
-
     def __len__(self) -> int:
         return len(self.positions)
-
-    @property
-    def residual_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.assignment < 0)
 
     def prefix(self, n: int) -> PointCloud:
         """The first ``n`` accumulated raw points."""
@@ -242,15 +210,12 @@ class ReleaseState:
                           self.reliable[:n])
 
     def append(self, points: PointCloud) -> None:
-        """Accumulate raw points as unassigned residuals."""
+        """Accumulate raw points as residuals."""
         if not points.has_normals:
             raise ValueError("new points need normals")
         self.positions = np.vstack([self.positions, points.positions])
         self.normals = np.vstack([self.normals, points.normals])
         self.reliable = np.concatenate([self.reliable, points.reliable])
-        self.assignment = np.concatenate(
-            [self.assignment, np.full(len(points), -1, dtype=np.intp)]
-        )
 
 
 def subsume(state: ReleaseState, new_points: PointCloud,
@@ -259,35 +224,28 @@ def subsume(state: ReleaseState, new_points: PointCloud,
     """Fold newly revealed points into the state.
 
     Each new point goes to the first existing plane (creation order) that
-    accepts it; the leftovers join the state's residuals and a RANSAC pass may
-    mint additional planes from that pool. Existing planes are never refit, so
-    previously released projections stay fixed.
+    accepts it. The residuals, every accumulated point that no plane then
+    holds, are the pool of a RANSAC pass that may append new planes. Existing
+    planes are never refit, so previously released projections stay fixed.
     """
     rng = np.random.default_rng(seed)
     base = len(state)
     state.append(new_points)
-
-    fresh = np.arange(base, len(state), dtype=np.intp)
-    unclaimed = fresh[state.reliable[fresh]]
+    unclaimed = base + np.flatnonzero(new_points.reliable)
     for plane in state.planes:
         if len(unclaimed) == 0:
             break
         mask = plane.accepts(state.positions[unclaimed], state.normals[unclaimed], params)
         claimed = unclaimed[mask]
         if len(claimed):
-            plane.inlier_indices = np.sort(
-                np.concatenate([plane.inlier_indices, claimed])
-            )
-            state.assignment[claimed] = plane.seq
+            plane.inlier_indices = np.sort(np.concatenate([plane.inlier_indices, claimed]))
             unclaimed = unclaimed[~mask]
 
-    new_planes = _greedy_extract(
-        state.positions, state.normals, state.reliable, state.residual_indices,
-        params, rng, start_seq=len(state.planes),
-    )
-    for plane in new_planes:
-        state.assignment[plane.inlier_indices] = plane.seq
-        state.planes.append(plane)
+    held = np.zeros(len(state), dtype=bool)
+    for plane in state.planes:
+        held[plane.inlier_indices] = True
+    state.planes += _greedy_extract(state.positions, state.normals, state.reliable,
+                                    np.flatnonzero(~held), params, rng)
     return state
 
 
@@ -316,9 +274,9 @@ def release_at(state: ReleaseState, step: ReleaseStep,
     bounded cap. In a generalized walk the planes live at ``step`` are its
     first ``step.n_planes``, each holding its inliers below
     ``step.n_accumulated``. They rank by inlier count descending, ties by
-    creation order, and the top ``cap`` (all when None) are projected. The
-    state itself is untouched; withheld planes remain available for
-    subsumption.
+    index (the older plane first), and the top ``cap`` (all when None) are
+    projected in index order. The state itself is untouched; withheld planes
+    remain available for subsumption.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1 when bounded")
@@ -328,38 +286,40 @@ def release_at(state: ReleaseState, step: ReleaseStep,
             raise ValueError("bounded plane caps apply only to generalized walks")
         return state.prefix(n)
     live = [
-        Plane(p.normal, p.offset,
-              p.inlier_indices[: np.searchsorted(p.inlier_indices, n)], p.seq)
+        Plane(p.normal, p.offset, p.inlier_indices[: np.searchsorted(p.inlier_indices, n)])
         for p in state.planes[: step.n_planes]
     ]
-    chosen = sorted(live, key=lambda p: (-len(p.inlier_indices), p.seq))[:cap]
-    return project_to_planes(state.prefix(n), chosen)
+    top = sorted(range(len(live)), key=lambda i: (-len(live[i].inlier_indices), i))[:cap]
+    return project_to_planes(state.prefix(n), [live[i] for i in sorted(top)])
 
 
-def release_sequence(space: PointCloud, policy: ReleasePolicy, seed=0,
+def release_sequence(space: PointCloud, radius: float, releases: int = 1, seed=0,
                      params: GeneralizationParams = GeneralizationParams(),
                      generalize: bool = True) -> tuple[list[ReleaseStep], ReleaseState]:
-    """Simulate a user revealing a space along a random walk.
+    """Simulate a user revealing a space along a random walk of ``releases``.
 
-    Per release: cut the ball around the walk center (inclusive, by
-    :func:`~spatialprivacy.geometry.ball_indices`), accumulate the
-    not-yet-seen points and, with ``generalize``, subsume/generalize them;
-    without it the walk is raw and the points are only accumulated. Each
-    release is re-expressed in one random rigid frame shared by the whole
-    sequence. Returns the steps and the final state, which records whether
-    the walk generalizes; :func:`release_at` derives every release from it.
+    Per release: cut the ball of ``radius`` around the walk center
+    (inclusive, by :func:`~spatialprivacy.geometry.ball_indices`), accumulate
+    the not-yet-seen points and, with ``generalize``, subsume/generalize
+    them; without it the walk is raw and the points are only accumulated.
+    The next center is a point of the ball. Each release is re-expressed in
+    one random rigid frame shared by the whole walk. Returns the steps and
+    the final state, which records whether the walk generalizes;
+    :func:`release_at` derives every release from it.
     """
+    require_real("radius", radius, 0.0)
+    require_int("releases", releases, 1)
     if len(space) == 0:
         raise ValueError("space is empty")
     rng = np.random.default_rng(seed)
     transform = random_rigid_transform(rng)
-    state = ReleaseState.empty(space.label, generalize)
+    state = ReleaseState(label=space.label, generalize=generalize)
     seen = np.zeros(len(space), dtype=bool)
     steps: list[ReleaseStep] = []
     center_idx = int(rng.integers(len(space)))
-    for _ in range(policy.num_releases):
+    for _ in range(releases):
         center = space.positions[center_idx]
-        ball = ball_indices(space, center, policy.radius)
+        ball = ball_indices(space, center, radius)
         new_idx = ball[~seen[ball]]
         seen[new_idx] = True
         if len(new_idx):

@@ -375,8 +375,8 @@ class TestDescribe:
         assert np.max(np.abs(a.descriptors - b.descriptors)) < 1e-6
 
     def test_empty_cloud_errors(self):
-        with pytest.raises(ValueError):
-            describe(PointCloud(np.zeros((0, 3)), np.zeros((0, 3))), P, 5)
+        with pytest.raises(UnusableSpaceError, match="in room"):
+            describe(PointCloud(np.zeros((0, 3)), np.zeros((0, 3)), "room"), P, 5)
 
     def test_all_unreliable_errors(self, rng):
         pts = rng.uniform(0, 1, (10, 3))

@@ -21,11 +21,10 @@ from spatialprivacy.harness import (
     report,
     run_experiment,
     self_query_check,
+    trial_lines,
     trials_from_jsonl,
-    trials_to_jsonl,
 )
-from spatialprivacy.mechanisms import (GeneralizationParams, ReleasePolicy, release_at,
-                                       release_sequence)
+from spatialprivacy.mechanisms import GeneralizationParams, release_at, release_sequence
 from spatialprivacy.metrics import TrialRecord, privacy_band
 from spatialprivacy.ply_io import save_ply
 from spatialprivacy.synthetic import DEFAULT_SPACE_COUNT, SyntheticSpaceSpec, generate_space
@@ -248,7 +247,7 @@ class TestRunExperiment:
     def test_deterministic_across_runs_and_workers(self, overrides, monkeypatch):
         def outputs(**more):
             cells, trials = run_experiment(tiny_config(**overrides, **more))
-            return cells_to_csv(cells), trials_to_jsonl(trials)
+            return cells_to_csv(cells), "".join(trial_lines(trials))
 
         a = outputs()
         assert outputs() == a
@@ -316,8 +315,8 @@ class TestRunExperiment:
         sweep = dict(radii=(1.0, 1.5), samples=3, kinds=("raw", "generalized"))
         one_time = run_experiment(tiny_config(mode="one-time", **sweep))
         walk = run_experiment(tiny_config(mode="successive", releases=1, **sweep))
-        assert (trials_to_jsonl([replace(t, mode="successive") for t in one_time[1]])
-                == trials_to_jsonl(walk[1]))
+        assert (list(trial_lines([replace(t, mode="successive") for t in one_time[1]]))
+                == list(trial_lines(walk[1])))
         assert (cells_to_csv(one_time[0]).replace("\none-time-", "\n")
                 == cells_to_csv(walk[0]).replace("\nsuccessive-", "\n"))
         assert {c.mode for c in one_time[0]} == {"one-time-raw", "one-time-gen"}
@@ -358,8 +357,8 @@ def distinct_release_sizes(config: ExperimentConfig) -> list[int]:
                                                        harness._KINDS.index(kind),
                                                        harness._radius_key(radius), sample))
                 space = spaces[int(rng.integers(len(spaces)))]
-                policy = ReleasePolicy(radius=radius, num_releases=config.resolved_releases())
-                steps, state = release_sequence(space, policy, rng, config.generalization,
+                steps, state = release_sequence(space, radius, config.resolved_releases(),
+                                                rng, config.generalization,
                                                 generalize=kind == "generalized")
                 released = {}
                 for step in steps:
@@ -554,7 +553,7 @@ class TestReporting:
                         "successive", 3),
         ]
         for trials in (one_time_result[1], made):
-            back = trials_from_jsonl(trials_to_jsonl(trials))
+            back = trials_from_jsonl("".join(trial_lines(trials)))
             assert len(back) == len(trials)
             for got, want in zip(back, trials):
                 for f in fields(TrialRecord):
@@ -574,7 +573,7 @@ class TestReporting:
 
     def test_trials_jsonl(self, one_time_result):
         _, trials = one_time_result
-        lines = trials_to_jsonl(trials).strip().split("\n")
+        lines = "".join(trial_lines(trials)).strip().split("\n")
         assert len(lines) == len(trials)
         row = json.loads(lines[0])
         assert set(row) == {f.name for f in fields(TrialRecord)}

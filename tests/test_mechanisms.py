@@ -13,7 +13,6 @@ from spatialprivacy.geometry import (
 from spatialprivacy.mechanisms import (
     GeneralizationParams,
     Plane,
-    ReleasePolicy,
     ReleaseState,
     ReleaseStep,
     project_to_planes,
@@ -86,12 +85,11 @@ class TestRansacPlanes:
         assert len(all_idx) == len(np.unique(all_idx))
 
 
-def greedy_extract_oracle(positions, normals, eligible, pool, params, rng, start_seq):
+def greedy_extract_oracle(positions, normals, eligible, pool, params, rng):
     """``_greedy_extract`` scoring one candidate at a time, two products each."""
     planes = []
     pool = np.asarray(pool, dtype=np.intp)
     pool = pool[eligible[pool]]
-    seq = start_seq
     while len(pool) >= params.min_inliers:
         n_cand = min(params.candidates_per_round, len(pool))
         candidates = rng.choice(pool, size=n_cand, replace=False)
@@ -115,7 +113,7 @@ def greedy_extract_oracle(positions, normals, eligible, pool, params, rng, start
             break
         inliers = pool[best_mask]
         normal, offset = mechanisms._fit_plane_lsq(positions[inliers], normals[best_candidate])
-        refit = Plane(normal, offset, inliers, seq)
+        refit = Plane(normal, offset, inliers)
         refit_mask = refit.accepts(pool_pos, pool_nrm, params)
         if int(refit_mask.sum()) >= params.min_inliers:
             refit.inlier_indices = np.sort(pool[refit_mask])
@@ -123,20 +121,19 @@ def greedy_extract_oracle(positions, normals, eligible, pool, params, rng, start
         else:
             n_c = normals[best_candidate]
             plane = Plane(n_c.copy(), float(n_c @ positions[best_candidate]),
-                          np.sort(inliers), seq)
+                          np.sort(inliers))
         planes.append(plane)
         pool = pool[~np.isin(pool, plane.inlier_indices)]
-        seq += 1
     return planes
 
 
 def assert_same_planes(got, expected):
+    """The same planes, bitwise, in the same order."""
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
         assert a.normal.tobytes() == b.normal.tobytes()
         assert a.offset == b.offset
         assert np.array_equal(a.inlier_indices, b.inlier_indices)
-        assert a.seq == b.seq
 
 
 def two_equal_planes(n):
@@ -152,11 +149,11 @@ class TestBlockedRansac:
     """``_greedy_extract`` scores a round's candidates in blocks; its planes
     equal, bitwise, those of the per-candidate loop above."""
 
-    def extract_both(self, cloud, seed, params=GP, pool=None, start_seq=0):
+    def extract_both(self, cloud, seed, params=GP, pool=None):
         pool = np.arange(len(cloud)) if pool is None else pool
         args = (cloud.positions, cloud.normals, cloud.reliable, pool, params)
-        got = mechanisms._greedy_extract(*args, np.random.default_rng(seed), start_seq)
-        expected = greedy_extract_oracle(*args, np.random.default_rng(seed), start_seq)
+        got = mechanisms._greedy_extract(*args, np.random.default_rng(seed))
+        expected = greedy_extract_oracle(*args, np.random.default_rng(seed))
         assert_same_planes(got, expected)
         return got
 
@@ -179,18 +176,17 @@ class TestBlockedRansac:
         walks = {}
         for extract in (greedy_extract_oracle, mechanisms._greedy_extract):
             monkeypatch.setattr(mechanisms, "_greedy_extract", extract)
-            walks[extract] = release_sequence(space, ReleasePolicy(0.8, 6), seed=4)[1]
+            walks[extract] = release_sequence(space, 0.8, 6, seed=4)[1]
         expected, got = walks.values()
         assert len(got.planes) > 1
         assert_same_planes(got.planes, expected.planes)
-        assert np.array_equal(got.assignment, expected.assignment)
 
     def test_pool_smaller_than_candidates_per_round(self):
         cloud = make_plane_cloud(60)
         params = GeneralizationParams(min_inliers=20, candidates_per_round=100)
         pool = np.arange(10, 50)
-        planes = self.extract_both(cloud, 2, params, pool=pool, start_seq=4)
-        assert [p.seq for p in planes] == [4]
+        planes = self.extract_both(cloud, 2, params, pool=pool)
+        assert len(planes) == 1
         assert np.array_equal(planes[0].inlier_indices, pool)
 
     def test_pool_spanning_several_blocks(self):
@@ -232,7 +228,7 @@ class TestProjectToPlanes:
         cloud = PointCloud(pts, nrm)
         from spatialprivacy.mechanisms import Plane
 
-        plane = Plane(np.array([0.0, 0, 1.0]), 0.0, np.arange(2), 0)
+        plane = Plane(np.array([0.0, 0, 1.0]), 0.0, np.arange(2))
         out = project_to_planes(cloud, [plane])
         assert np.array_equal(out.normals[0], [0, 0, 1])
         assert np.array_equal(out.normals[1], [0, 0, -1])
@@ -252,8 +248,17 @@ class TestProjectToPlanes:
         assert len(out) == sum(len(p.inlier_indices) for p in planes)
 
 
+def residuals(state, n=None):
+    """Indices of the first ``n`` (all) accumulated points that no plane holds."""
+    n = len(state) if n is None else n
+    held = np.zeros(n, dtype=bool)
+    for plane in state.planes:
+        held[plane.inlier_indices[plane.inlier_indices < n]] = True
+    return np.flatnonzero(~held)
+
+
 def fresh_state(cloud, seed=0):
-    state = ReleaseState.empty(cloud.label)
+    state = ReleaseState(label=cloud.label)
     subsume(state, cloud, GP, seed)
     return state
 
@@ -266,7 +271,7 @@ class TestSubsume:
         subsume(state, newcomers, GP, seed=1)
         assert len(state.planes) == 1
         assert len(state.planes[0].inlier_indices) == 300
-        assert len(state.residual_indices) == 0
+        assert len(residuals(state)) == 0
 
     def test_fresh_wall_becomes_one_new_plane(self):
         state = fresh_state(make_plane_cloud(200))
@@ -289,7 +294,7 @@ class TestSubsume:
         before = len(state.planes)
         subsume(state, scraps, GP, seed=1)
         assert len(state.planes) == before
-        assert len(state.residual_indices) == 3
+        assert np.array_equal(residuals(state), np.arange(len(state) - 3, len(state)))
 
     def test_assigned_points_recheck_against_their_plane(self):
         spec = SyntheticSpaceSpec(density=50, noise_sigma=0.01, seed=8)
@@ -302,12 +307,32 @@ class TestSubsume:
             assert np.all(
                 plane.accepts(state.positions[idx], state.normals[idx], GP)
             )
-            assert np.all(state.assignment[idx] == plane.seq)
+
+    def test_ransac_pool_is_every_point_no_plane_holds(self, space, monkeypatch):
+        # Each RANSAC pass of a walk gets the accumulated points that no plane
+        # made before it holds, residuals of earlier releases included.
+        calls = []   # per pass: (points accumulated, its pool, planes it made)
+        extract = mechanisms._greedy_extract
+
+        def spy(positions, normals, eligible, pool, params, rng):
+            planes = extract(positions, normals, eligible, pool, params, rng)
+            calls.append((len(positions), np.array(pool), len(planes)))
+            return planes
+
+        monkeypatch.setattr(mechanisms, "_greedy_extract", spy)
+        _, state = release_sequence(space, 0.8, 6, seed=4)
+        assert len(calls) > 1 and len(state.planes) > 1
+        made = 0
+        for n, pool, new in calls:
+            before = ReleaseState(planes=state.planes[:made])
+            assert np.array_equal(pool, residuals(before, n))
+            made += new
+        assert made == len(state.planes)
 
     def test_plane_count_monotone(self):
         spec = SyntheticSpaceSpec(density=50, seed=9)
         cloud = generate_space(spec, "s")
-        state = ReleaseState.empty()
+        state = ReleaseState()
         counts = []
         chunks = np.array_split(np.arange(len(cloud)), 5)
         for chunk in chunks:
@@ -326,7 +351,8 @@ def release_now(state, cap):
 
 
 def ranked(planes):
-    return sorted(planes, key=lambda p: (-len(p.inlier_indices), p.seq))
+    """The planes' indices by inlier count descending, ties by index."""
+    return sorted(range(len(planes)), key=lambda i: (-len(planes[i].inlier_indices), i))
 
 
 class TestConservativeRelease:
@@ -339,7 +365,7 @@ class TestConservativeRelease:
             ),
             np.tile([1.0, 0, 0], (100, 1)),
         )
-        state = ReleaseState.empty()
+        state = ReleaseState()
         subsume(state, big, GP, seed=0)
         subsume(state, wall, GP, seed=0)
         assert [len(p.inlier_indices) for p in state.planes] == [300, 100]
@@ -368,7 +394,7 @@ class TestConservativeRelease:
             ),
             np.tile([1.0, 0, 0], (100, 1)),
         )
-        state = ReleaseState.empty()
+        state = ReleaseState()
         subsume(state, a, GP, seed=0)
         subsume(state, b, GP, seed=0)
         out = release_now(state, 1)
@@ -421,7 +447,7 @@ def revealed_union(space, steps, radius):
 class TestReleaseSequence:
 
     def test_single_release_matches_one_time_generalization(self, space):
-        steps, state = release_sequence(space, ReleasePolicy(1.0, 1), seed=5)
+        steps, state = release_sequence(space, 1.0, 1, seed=5)
         assert len(steps) == 1
         step = steps[0]
         expected = project_to_planes(state.prefix(len(state)), state.planes)
@@ -438,7 +464,7 @@ class TestReleaseSequence:
         grid = 0.5 * np.array([(i, j, 0) for i in range(5) for j in range(5)], float)
         cloud = PointCloud(grid, np.tile([0.0, 0.0, 1.0], (len(grid), 1)))
         for seed in range(4):
-            steps, state = release_sequence(cloud, ReleasePolicy(0.5, 1), seed=seed,
+            steps, state = release_sequence(cloud, 0.5, 1, seed=seed,
                                             generalize=False)
             first = release_at(state, steps[0])
             cut = cloud.subset(ball_indices(cloud, steps[0].center, 0.5))
@@ -447,7 +473,7 @@ class TestReleaseSequence:
             assert np.any(np.linalg.norm(first.positions - steps[0].center, axis=1) == 0.5)
 
     def test_accumulation_monotone_and_union_exact(self, space):
-        steps, state = release_sequence(space, ReleasePolicy(0.5, 12), seed=7)
+        steps, state = release_sequence(space, 0.5, 12, seed=7)
         sizes = [s.n_accumulated for s in steps]
         assert sizes == sorted(sizes)
         assert sizes[-1] == len(state)
@@ -457,44 +483,45 @@ class TestReleaseSequence:
                                   sorted_rows(space.positions[union]))
 
     def test_walk_steps_bounded(self, space):
-        steps, _ = release_sequence(space, ReleasePolicy(0.5, 12), seed=8)
+        steps, _ = release_sequence(space, 0.5, 12, seed=8)
         centers = np.array([s.center for s in steps])
         hops = np.linalg.norm(np.diff(centers, axis=0), axis=1)
         assert np.all(hops <= 0.5 + 1e-12)
 
     def test_same_transform_for_whole_sequence(self, space):
-        steps, _ = release_sequence(space, ReleasePolicy(0.5, 5), seed=9)
+        steps, _ = release_sequence(space, 0.5, 5, seed=9)
         first = steps[0].transform
         for step in steps[1:]:
             assert np.array_equal(step.transform.rotation, first.rotation)
             assert np.array_equal(step.transform.translation, first.translation)
 
     def test_deterministic(self, space):
-        a, state_a = release_sequence(space, ReleasePolicy(0.5, 8), seed=10)
-        b, state_b = release_sequence(space, ReleasePolicy(0.5, 8), seed=10)
+        a, state_a = release_sequence(space, 0.5, 8, seed=10)
+        b, state_b = release_sequence(space, 0.5, 8, seed=10)
         assert np.array_equal(state_a.positions, state_b.positions)
-        assert np.array_equal(state_a.assignment, state_b.assignment)
+        assert_same_planes(state_a.planes, state_b.planes)
         for sa, sb in zip(a, b):
             assert np.array_equal(release_at(state_a, sa, 3).positions,
                                   release_at(state_b, sb, 3).positions)
 
     def test_release_at_matches_shorter_walk(self, space):
         # A walk cut after t releases holds exactly the state as of release t.
-        steps, final = release_sequence(space, ReleasePolicy(0.6, 10), seed=11)
+        steps, final = release_sequence(space, 0.6, 10, seed=11)
         for t in range(1, len(steps) + 1):
-            _, live = release_sequence(space, ReleasePolicy(0.6, t), seed=11)
+            _, live = release_sequence(space, 0.6, t, seed=11)
             assert len(live) == steps[t - 1].n_accumulated
             assert len(live.planes) == steps[t - 1].n_planes
             for cap in (None, 1, 2, 5):
                 derived = release_at(final, steps[t - 1], cap)
+                chosen = sorted(ranked(live.planes)[:cap])
                 expected = project_to_planes(live.prefix(len(live)),
-                                             ranked(live.planes)[:cap])
+                                             [live.planes[i] for i in chosen])
                 assert np.array_equal(derived.positions, expected.positions)
                 assert np.array_equal(derived.normals, expected.normals)
 
     def test_raw_mode_releases_accumulated_points(self, space):
         steps, state = release_sequence(
-            space, ReleasePolicy(0.5, 4), seed=13, generalize=False
+            space, 0.5, 4, seed=13, generalize=False
         )
         assert not state.generalize
         for step, union in zip(steps, revealed_union(space, steps, 0.5)):
@@ -512,15 +539,15 @@ class TestReleaseSequence:
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             release_sequence(
-                PointCloud(np.zeros((0, 3)), np.zeros((0, 3))), ReleasePolicy(1.0, 1)
+                PointCloud(np.zeros((0, 3)), np.zeros((0, 3))), 1.0, 1
             )
 
     @pytest.mark.parametrize("radius, releases, message", [
         (float("nan"), 1, "radius must be"), (float("inf"), 1, "radius must be"),
         (0.0, 1, "radius must be"), (-1.0, 1, "radius must be"), ("1", 1, "radius must be"),
-        (1.0, 0, "num_releases must be"), (1.0, 2.0, "num_releases must be"),
-        (1.0, True, "num_releases must be"),
+        (1.0, 0, "releases must be"), (1.0, 2.0, "releases must be"),
+        (1.0, True, "releases must be"),
     ])
-    def test_bad_policy_rejected_by_name(self, radius, releases, message):
-        with pytest.raises(ValueError, match=message):
-            ReleasePolicy(radius, releases)
+    def test_bad_policy_rejected_by_name(self, space, radius, releases, message):
+        with pytest.raises(ValueError, match="^" + message):
+            release_sequence(space, radius, releases)
