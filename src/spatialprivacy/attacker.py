@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import require_bool, require_real
-from .descriptors import DescribedSpace, SpinParams, describe, select_keypoints
+from .descriptors import (DescribedSpace, SpinParams, UnusableSpaceError, describe,
+                          select_keypoints)
 from .geometry import PointCloud, knn_bruteforce, ranking_copy
 from .mechanisms import GeneralizationParams, project_to_planes, ransac_planes
 
@@ -80,12 +81,12 @@ class ReferenceEnsemble:
     Each label's pool stacks the descriptors and keypoint positions of its
     raw and generalized variants, the raw variant first: its rows lead the
     pool in :func:`describe`'s keypoint order, so :func:`raw_view` reads a
-    space's raw description back without describing it. ``ranked`` lists
-    the labels whose pools hold at least two descriptors, the ones
-    :func:`match_inter` 2-nn matches, and ``prepared`` caches their grouped
-    ranking copy (:func:`ranking_copy`), which every query's
-    ``knn_bruteforce`` would otherwise recompute; it adds about half the
-    descriptors' size. Every value must be finite: a NaN row would be
+    space's raw description back without describing it. Every pool holds
+    at least two rows, so :func:`match_inter` can 2-nn match in each;
+    ``ValueError`` names a label whose pool does not. ``prepared`` caches
+    the pools' grouped ranking copy (:func:`ranking_copy`), which every
+    query's ``knn_bruteforce`` would otherwise recompute; it adds about half
+    the descriptors' size. Every value must be finite: a NaN row would be
     every query's neighbour at distance NaN, which the NNDR reads as a
     perfect match.
     :func:`infer` describes queries with ``params`` and ``factor``.
@@ -97,19 +98,18 @@ class ReferenceEnsemble:
         if not pools or factor < 1:
             raise ValueError("ensemble needs at least one label and a factor >= 1")
         for label, (descriptors, positions) in pools.items():
-            if (descriptors.shape[1:] != (params.length,) or len(descriptors) == 0
+            if (descriptors.shape[1:] != (params.length,) or len(descriptors) < 2
                     or positions.shape != (len(descriptors), 3)):
                 raise ValueError(f"label {label!r} has {descriptors.shape} descriptors and "
-                                 f"{positions.shape} positions for width {params.length}")
+                                 f"{positions.shape} positions; it needs at least 2 rows "
+                                 f"of width {params.length}")
             if not (np.isfinite(descriptors).all() and np.isfinite(positions).all()):
                 raise ValueError(f"label {label!r} has non-finite descriptors or positions")
         self.labels = list(pools)
         self.params = params
         self.factor = factor
         self._pools = {label: _LabelPool(*arrays) for label, arrays in pools.items()}
-        self.ranked = [label for label in self.labels if len(pools[label][0]) >= 2]
-        self.prepared = (ranking_copy([pools[label][0] for label in self.ranked])
-                         if self.ranked else None)
+        self.prepared = ranking_copy([pools[label][0] for label in self.labels])
 
     def pool(self, label: str) -> _LabelPool:
         return self._pools[label]
@@ -156,7 +156,7 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
 
     One ``knn_bruteforce`` call 2-nn matches every query descriptor in
     every label's pool. ``neighbours``, if given, is that call's
-    ``(distances, indices)``, each ``(len(ensemble.ranked), len(query), 2)``,
+    ``(distances, indices)``, each ``(len(ensemble.labels), len(query), 2)``,
     computed by the caller, as :func:`two_nn` does for many queries at
     once; the exact kNN ranks each row on its own, so they are bitwise the
     rows this call would compute. Per label, each query keypoint gets its
@@ -164,10 +164,9 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     ``strict_nndr`` only those below ``nndr_threshold`` stay candidates.
     Each reference keypoint keeps the candidate of lowest NNDR (ties by
     lower query index), and the label scores ``(1 - mean kept NNDR) * kept
-    / len(query)``. A label whose pool has fewer than two descriptors, or
-    that keeps no pair, scores zero. Ties go to the label that comes first
-    in ensemble order. The query must be described with the ensemble's
-    spin-image settings.
+    / len(query)``. A label that keeps no pair scores zero. Ties go to the
+    label that comes first in ensemble order. The query must be described
+    with the ensemble's spin-image settings.
     """
     n_query = len(query)
     if n_query == 0:
@@ -178,51 +177,51 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     empty = MatchedPairs(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))
     scores = dict.fromkeys(ensemble.labels, 0.0)
     pairs = dict.fromkeys(ensemble.labels, empty)
-    if ensemble.ranked:
-        dist, idx = _ranked_knn(ensemble, query.descriptors) if neighbours is None else neighbours
-        second = dist[:, :, 1].ravel()
-        nndr = np.divide(dist[:, :, 0].ravel(), second, out=np.zeros(len(second)),
-                         where=second > 0)
-        # One candidate per (label, query keypoint). Per label and reference
-        # keypoint, keep the first in (label, NNDR, query index) order.
-        candidates = np.arange(len(nndr))
-        if params.strict_nndr:
-            candidates = candidates[nndr < params.nndr_threshold]
-        group, query_idx = np.divmod(candidates, n_query)
-        order = np.lexsort((query_idx, nndr[candidates], group))
-        ordered = candidates[order]
-        refs = idx[:, :, 0].ravel()
-        width = ensemble.prepared[0].shape[1]
-        _, first = np.unique(group[order] * width + refs[ordered], return_index=True)
-        kept = ordered[np.sort(first)]
-        group, query_idx = np.divmod(kept, n_query)
-        kept_nndr = nndr[kept]
-        bounds = np.searchsorted(group, np.arange(len(ensemble.ranked) + 1))
-        for label, lo, hi in zip(ensemble.ranked, bounds[:-1], bounds[1:]):
-            if hi > lo:
-                # Each label's own mean, as a lone array of its NNDRs sums.
-                scores[label] = float((1.0 - kept_nndr[lo:hi].mean()) * ((hi - lo) / n_query))
-                pairs[label] = MatchedPairs(query_idx[lo:hi], refs[kept[lo:hi]],
-                                            kept_nndr[lo:hi])
+    dist, idx = _ranked_knn(ensemble, query.descriptors) if neighbours is None else neighbours
+    second = dist[:, :, 1].ravel()
+    nndr = np.divide(dist[:, :, 0].ravel(), second, out=np.zeros(len(second)),
+                     where=second > 0)
+    # One candidate per (label, query keypoint). Per label and reference
+    # keypoint, keep the first in (label, NNDR, query index) order.
+    candidates = np.arange(len(nndr))
+    if params.strict_nndr:
+        candidates = candidates[nndr < params.nndr_threshold]
+    group, query_idx = np.divmod(candidates, n_query)
+    order = np.lexsort((query_idx, nndr[candidates], group))
+    ordered = candidates[order]
+    refs = idx[:, :, 0].ravel()
+    width = ensemble.prepared[0].shape[1]
+    _, first = np.unique(group[order] * width + refs[ordered], return_index=True)
+    kept = ordered[np.sort(first)]
+    group, query_idx = np.divmod(kept, n_query)
+    kept_nndr = nndr[kept]
+    bounds = np.searchsorted(group, np.arange(len(ensemble.labels) + 1))
+    for label, lo, hi in zip(ensemble.labels, bounds[:-1], bounds[1:]):
+        if hi > lo:
+            # Each label's own mean, as a lone array of its NNDRs sums.
+            scores[label] = float((1.0 - kept_nndr[lo:hi].mean()) * ((hi - lo) / n_query))
+            pairs[label] = MatchedPairs(query_idx[lo:hi], refs[kept[lo:hi]],
+                                        kept_nndr[lo:hi])
     winner = max(ensemble.labels, key=lambda lab: scores[lab])
     return InterSpaceResult(scores, winner, pairs)
 
 
 def _ranked_knn(ensemble: ReferenceEnsemble, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each descriptor row's 2 nearest neighbours in every ranked pool."""
-    return knn_bruteforce([ensemble.pool(label).descriptors for label in ensemble.ranked],
+    """Each descriptor row's 2 nearest neighbours in every label's pool."""
+    return knn_bruteforce([ensemble.pool(label).descriptors for label in ensemble.labels],
                           rows, k=2, prepared=ensemble.prepared)
 
 
 def two_nn(ensemble: ReferenceEnsemble,
-           described_list: list[DescribedSpace]) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """Each described query's 2-nn ``(distances, indices)`` over the
-    ensemble's ranked pools, as :func:`match_inter` takes them (``None`` if
-    no pool is ranked). One ``knn_bruteforce`` call ranks the bit-distinct
-    rows, so a row that several queries share is ranked once; the caller
-    bounds the rows of one call, which set the memory it holds."""
-    if not (described_list and ensemble.ranked):
-        return [None] * len(described_list)
+           described_list: list[DescribedSpace]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each described query's 2-nn ``(distances, indices)`` over every
+    label's pool, as :func:`match_inter` takes them. One ``knn_bruteforce``
+    call ranks the bit-distinct rows of all the queries, so a row that
+    several queries share is ranked once; the caller bounds the rows of one
+    call, which set the memory it holds. A lone query needs no dedup:
+    :func:`match_inter` ranks its rows itself."""
+    if not described_list:
+        return []
     rows = np.concatenate([d.descriptors for d in described_list])
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
     _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
@@ -347,6 +346,8 @@ def build_reference(
     identical ensemble. ``map_fn`` maps the per-space work over the spaces
     and returns the results in order, as the builtin ``map`` does or an
     executor's ``map`` across threads; the ensemble does not depend on it.
+    A space that cannot be described, or whose variants give fewer than two
+    descriptor rows in all, raises :class:`UnusableSpaceError`.
     """
     labels = [space.label for space in spaces]
     seen: set[str] = set()
@@ -367,8 +368,11 @@ def build_reference(
             planes = ransac_planes(space, gen, rng)
             generalized = project_to_planes(space, planes)
             variants.append(describe(generalized, desc_params, factor))
-        return (np.vstack([v.descriptors for v in variants]),
-                np.vstack([v.positions for v in variants]))
+        descriptors = np.vstack([v.descriptors for v in variants])
+        if len(descriptors) < 2:
+            raise UnusableSpaceError(f"one descriptor row in {space.label}; "
+                                     f"2-nn matching needs at least 2")
+        return descriptors, np.vstack([v.positions for v in variants])
 
     pools = dict(zip(labels, map_fn(pool_of, range(len(spaces)), spaces)))
     return ReferenceEnsemble(pools, desc_params, factor)

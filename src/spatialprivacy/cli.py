@@ -48,8 +48,8 @@ _LOAD_ERRORS = (DatasetError, PlyFormatError, OSError)
 
 class _BadInput(Exception):
     """A bad config, option, dataset, cache or trials file, an unreadable
-    input or a missing output directory: the input is at fault, not the
-    program. :func:`main` prints it on one line and exits 2."""
+    input or an output path that cannot be written: the input is at fault,
+    not the program. :func:`main` prints it on one line and exits 2."""
 
 
 @contextmanager
@@ -76,8 +76,17 @@ def _check_writable(*paths) -> None:
             raise _BadInput(f"cannot write {path}: no directory {Path(path).parent}")
 
 
+def _check_out_dir(path) -> None:
+    """Fail before any work on an output directory that cannot be made:
+    ``path``, or the nearest of its parents that exists, is not a directory."""
+    existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not existing.is_dir():
+        raise _BadInput(f"cannot make directory {path}: {existing} is not a directory")
+
+
 def cmd_gen(args) -> int:
     config = _config(args)
+    _check_out_dir(args.out)
     with _input(*_LOAD_ERRORS):
         spaces = load_dataset(config.dataset)
     out = Path(args.out)
@@ -152,6 +161,7 @@ def cmd_release(args) -> int:
 
 def cmd_run(args) -> int:
     config = _config(args)
+    _check_out_dir(args.out)
     # Only the dataset's own errors, and an unusable space in the reference (trials
     # abstain on an unusable release): a fault in the sweep keeps its traceback.
     with _input(DatasetError, PlyFormatError, UnusableSpaceError):
@@ -166,6 +176,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_out_dir(args.out)
     # Only reading the record: a fault while aggregating or writing keeps its traceback.
     with _input(OSError, ValueError):
         trials = trials_from_jsonl(Path(args.trials).read_text())

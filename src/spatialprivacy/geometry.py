@@ -218,26 +218,18 @@ def _exponent(a: np.ndarray) -> int:
     return min(-math.frexp(top)[1], 1000)
 
 
-def _groups(references) -> list[np.ndarray]:
-    """``references`` as a list of float64 arrays: a list or tuple is the
-    groups, anything else one group."""
-    if isinstance(references, (list, tuple)):
-        return [np.asarray(r, dtype=np.float64) for r in references]
-    return [np.asarray(references, dtype=np.float64)]
-
-
 def ranking_copy(references) -> tuple[np.ndarray, int, np.ndarray]:
     """``(sq_norms, e, copy)``, what :func:`knn_bruteforce` ranks on, for
-    one (n, dim) reference array or a list of G of them (one array is the
-    case G = 1). With L the largest group's row count, ``sq_norms`` is
-    (G, L): each group's ``einsum("ij,ij->i", r, r)``, padded with +inf.
-    ``copy`` is (G, dim, L) float32, C-contiguous: each group times 2**e,
+    a list of G (n_g, dim) reference groups. With L the largest group's
+    row count, ``sq_norms`` is (G, L): each group's
+    ``einsum("ij,ij->i", r, r)``, padded with +inf. ``copy`` is
+    (G, dim, L) float32, C-contiguous: each group times 2**e,
     transposed and padded with zeros, where one e brings the largest
     magnitude of all groups into [0.5, 1). Scaling by a power of two is
     exact, so the cast cannot overflow, and it flushes to zero only entries
     some 2**149 times smaller than the largest. The transposed layout runs
     the GEMM about a fifth faster."""
-    groups = _groups(references)
+    groups = [np.asarray(r, dtype=np.float64) for r in references]
     e = min(_exponent(r) for r in groups)
     width = max(len(r) for r in groups)
     sq_norms = np.full((len(groups), width), np.inf)
@@ -252,14 +244,14 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
                    prepared: tuple[np.ndarray, int, np.ndarray] | None = None):
     """Exact k-nn in arbitrary dimension, e.g. descriptor space.
 
-    ``references`` is one (n, dim) array, or a list of G such arrays (the
-    groups, of any sizes n_g >= k), each searched on its own. Exact means
-    equal, bitwise in both indices and distances, to the direct linear scan:
-    for each query ``q`` and group ``r`` the distances are
-    ``np.linalg.norm(r - q, axis=1)`` and the neighbors are the first ``k``
-    of their ascending order, ties by lower row index (the contract of
-    :meth:`SpatialIndex.query`). Returns ``(distances, indices)`` of shape
-    ``(q, k)`` for one array and ``(G, q, k)`` for a list. ``prepared``, if
+    ``references`` is a list of G (n_g, dim) arrays (the groups, of any
+    sizes n_g >= k), each searched on its own by the (q, dim) ``queries``;
+    anything else raises ``ValueError``. Exact means equal, bitwise in both
+    indices and distances, to the direct linear scan: for each query ``q``
+    and group ``r`` the distances are ``np.linalg.norm(r - q, axis=1)`` and
+    the neighbors are the first ``k`` of their ascending order, ties by
+    lower row index (the contract of :meth:`SpatialIndex.query`). Returns
+    ``(distances, indices)``, each of shape ``(G, q, k)``. ``prepared``, if
     given, is ``ranking_copy(references)``, for callers that query one
     reference set many times; otherwise each call makes it.
 
@@ -276,10 +268,11 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
     their distances directly, in float64, as the linear scan sums them, and
     those of all groups are sorted in one pass per tile.
     """
-    groups = _groups(references)
+    groups = [np.asarray(r, dtype=np.float64) for r in references]
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim == 1:
-        queries = queries[None, :]
+    if queries.ndim != 2 or any(r.ndim != 2 for r in groups):
+        raise ValueError("knn_bruteforce takes a list of (n, dim) reference groups "
+                         "and (q, dim) queries")
     sizes = [len(r) for r in groups]
     dim = groups[0].shape[1]
     if not 1 <= k <= min(sizes):
@@ -374,9 +367,7 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
         take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
         dist[:, s:s + nb] = d[take].reshape(n_groups, nb, k)
         idx[:, s:s + nb] = cols[take].reshape(n_groups, nb, k)
-    if isinstance(references, (list, tuple)):
-        return dist, idx
-    return dist[0], idx[0]
+    return dist, idx
 
 
 def centroid(cloud: PointCloud) -> np.ndarray:

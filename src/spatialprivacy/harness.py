@@ -12,12 +12,13 @@ removing one sweep cell leaves the others unchanged. One pool of ``workers``
 threads builds the reference, runs the preflight and runs the sweep.
 
 A walk attacks each of its distinct release clouds once (a step that
-reveals no new point repeats an earlier release), in batches: the clouds
-queued, each described once, until they hold ``_BATCH_ROWS`` descriptor rows
-are 2-nn matched by one ``attacker.two_nn`` call, which makes one large GEMM
-of many small ones and ranks a row that several releases share once.
-``_BATCH_ROWS`` bounds the memory a walk holds for this; a batch never spans
-walks. ``infer`` is still called once per distinct release, with its cloud.
+reveals no new point repeats an earlier release). Each is described once;
+an empty or undescribable release abstains there, unmatched. The others are
+queued until they hold ``_BATCH_ROWS`` descriptor rows, then 2-nn matched by
+one ``attacker.two_nn`` call, which makes one large GEMM of many small ones
+and ranks a row that several releases share once; ``infer`` is then called
+once per release, with its cloud. ``_BATCH_ROWS`` bounds the memory a walk
+holds for this; a batch never spans walks.
 A run's record is its trials (:func:`trial_lines`, read back by
 :func:`trials_from_jsonl`); its cells are :func:`aggregate` of them.
 """
@@ -38,7 +39,7 @@ import numpy as np
 from ._checks import is_int, is_real, require, require_bool, require_int, require_real
 from .attacker import (AttackParams, ReferenceEnsemble, build_reference, infer, raw_view,
                        two_nn)
-from .descriptors import DescribedSpace, SpinParams, UnusableSpaceError, describe
+from .descriptors import SpinParams, UnusableSpaceError, describe
 from .geometry import PointCloud, apply_transform, centroid, estimate_normals
 from .mechanisms import GeneralizationParams, release_at, release_sequence
 from .metrics import (
@@ -125,8 +126,8 @@ class ExperimentConfig:
     takes its mode's paper-scale preset, and unset radii are 0.5/1.0/2.0; a
     set field always wins. Fields that contradict each other are rejected:
     bounded plane caps on raw or one-time releases, or a one-time config with
-    more than one release. So are repeated radii (equal to 1e-6 m), caps or
-    kinds.
+    more than one release. So are empty lists of radii, caps or kinds, and
+    repeated radii (equal to 1e-6 m), caps or kinds.
 
         mode          samples  releases  max_planes      kinds
         one-time      1000     1         inf             raw, generalized
@@ -186,6 +187,8 @@ class ExperimentConfig:
             if value is not None and not (isinstance(value, (tuple, list))
                                           and all(map(ok, value))):
                 raise ValueError(f"{name} must be a list of {entries}, got {value!r}")
+            if value is not None and len(value) == 0:
+                raise ValueError(f"{name} must not be empty: a sweep needs at least one value")
             if value is not None and len(set(map(key, value))) < len(value):
                 raise ValueError(f"{name} must not repeat a value, got {value!r}")
         if self.mode == "one-time" and self.resolved_releases() != 1:
@@ -343,17 +346,6 @@ def _radius_key(radius: float) -> int:
     return int(round(radius * 1_000_000))
 
 
-def _infer_or_abstain(ensemble, query, config, described: DescribedSpace | None = None,
-                      neighbours=None) -> tuple[str | None, np.ndarray | None, bool]:
-    if len(query) == 0:
-        return None, None, True
-    try:
-        hyp = infer(ensemble, query, config.attack, described, neighbours)
-    except UnusableSpaceError:
-        return None, None, True
-    return hyp.label, hyp.centroid, hyp.abstained
-
-
 def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     """Trials for one trajectory, shared across every cap in the sweep.
 
@@ -368,14 +360,15 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     the walk's trials with one such key share one outcome: caps at or above a
     plane count, and later steps that revealed no new point, run once.
 
-    The distinct releases, in walk order, are described and queued (a cloud
-    with no reliable keypoint without a description). Once the queue holds
-    ``_BATCH_ROWS`` descriptor rows, and at the walk's end, one
-    :func:`two_nn` call ranks its bit-distinct rows and ``infer`` is called
-    once per queued cloud, so each release counts as one query and abstains
-    on its own. The queue bounds the memory this holds and never spans
-    walks; the exact kNN ranks each row on its own, so the trials do not
-    depend on how the releases fall into batches.
+    Each distinct release, in walk order, is described once. One that is
+    empty, or on which ``describe`` raises ``UnusableSpaceError`` (no
+    reliable keypoint), abstains there, with its Q, and is never matched.
+    The others are queued; once the queue holds ``_BATCH_ROWS`` descriptor
+    rows, and at the walk's end, one :func:`two_nn` call ranks its
+    bit-distinct rows and ``infer`` is called once per queued release, with
+    its cloud, description and neighbours. The queue bounds the memory this
+    holds and never spans walks; the exact kNN ranks each row on its own,
+    so the trials do not depend on how the releases fall into batches.
     """
     rng = _trial_rng(
         config.seed, (_WALK_FAMILY, _KINDS.index(kind), _radius_key(radius), sample)
@@ -383,20 +376,17 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     space = spaces_list[int(rng.integers(len(spaces_list)))]
     steps, state = release_sequence(space, radius, config.resolved_releases(), rng,
                                     config.generalization, generalize=kind == "generalized")
-    outcomes = []   # per distinct release: (hyp_label, hyp_centroid, abstained, q)
-    queued = []     # (query, description or None, q) per distinct release not yet attacked
-    queued_rows = 0
+    outcomes = {}   # release key -> (hyp_label, hyp_centroid, abstained, q)
+    queued = {}     # release key -> (query, description, q), not yet attacked
 
     def attack_queued():
-        neighbours = iter(two_nn(ensemble, [d for _, d, _ in queued if d is not None]))
-        for query, described, q_value in queued:
-            rows = None if described is None else next(neighbours)
-            outcomes.append((*_infer_or_abstain(ensemble, query, config, described, rows),
-                             q_value))
+        neighbours = two_nn(ensemble, [described for _, described, _ in queued.values()])
+        for (key, (query, described, q_value)), rows in zip(queued.items(), neighbours):
+            hyp = infer(ensemble, query, config.attack, described, rows)
+            outcomes[key] = (hyp.label, hyp.centroid, hyp.abstained, q_value)
         queued.clear()
 
-    records = []    # per trial record: (release_idx, cap, true_centroid, outcome slot)
-    shared: dict[tuple[int, int, int], int] = {}   # release key -> outcome slot
+    records = []    # per trial: (release_idx, cap, true_centroid, release key)
     for idx, step in enumerate(steps, start=1):
         accumulated = state.prefix(step.n_accumulated)
         true_centroid = centroid(accumulated)
@@ -404,29 +394,28 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
             # Raw walks have no planes and no bounded cap: one key per release.
             effective = step.n_planes if cap is None else min(cap, step.n_planes)
             key = (step.n_accumulated, step.n_planes, effective)
-            if key not in shared:
-                shared[key] = len(outcomes) + len(queued)
-                released = release_at(state, step, cap)
-                q_value = described = None
-                if len(released):
-                    q_value = qos(released, accumulated, config.qos_alpha, config.qos_beta,
-                                  config.qos_symmetric)
-                    released = apply_transform(released, step.transform)
-                    try:
-                        described = describe(released, ensemble.params, ensemble.factor)
-                    except UnusableSpaceError:
-                        pass   # queued undescribed: its infer call raises, and it abstains
-                    else:
-                        queued_rows += len(described)
-                queued.append((released, described, q_value))
-                if queued_rows >= _BATCH_ROWS:
-                    attack_queued()
-                    queued_rows = 0
-            records.append((idx, cap, true_centroid, shared[key]))
+            records.append((idx, cap, true_centroid, key))
+            if key in outcomes or key in queued:
+                continue
+            released = release_at(state, step, cap)
+            if len(released) == 0:
+                outcomes[key] = (None, None, True, None)
+                continue
+            q_value = qos(released, accumulated, config.qos_alpha, config.qos_beta,
+                          config.qos_symmetric)
+            query = apply_transform(released, step.transform)
+            try:
+                described = describe(query, ensemble.params, ensemble.factor)
+            except UnusableSpaceError:
+                outcomes[key] = (None, None, True, q_value)
+                continue
+            queued[key] = (query, described, q_value)
+            if sum(len(d) for _, d, _ in queued.values()) >= _BATCH_ROWS:
+                attack_queued()
     attack_queued()
     trials = []
-    for idx, cap, true_centroid, slot in records:
-        hyp_label, hyp_centroid, abstained, q_value = outcomes[slot]
+    for idx, cap, true_centroid, key in records:
+        hyp_label, hyp_centroid, abstained, q_value = outcomes[key]
         trials.append(TrialRecord(
             true_label=space.label, true_centroid=true_centroid, hyp_label=hyp_label,
             hyp_centroid=hyp_centroid, abstained=abstained, radius=radius, release_idx=idx,

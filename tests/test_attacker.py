@@ -85,9 +85,8 @@ def match_label_oracle(descriptors, query, params):
     empty = MatchedPairs(
         np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     )
-    if len(descriptors) < 2:
-        return 0.0, empty
-    dist, idx = knn_bruteforce(descriptors, query.descriptors, k=2)
+    dist, idx = knn_bruteforce([descriptors], query.descriptors, k=2)
+    dist, idx = dist[0], idx[0]
     second = dist[:, 1]
     nndr = np.divide(dist[:, 0], second, out=np.zeros(n_query), where=second > 0)
     candidates = np.arange(n_query)
@@ -126,10 +125,11 @@ class TestLabelScore:
         assert np.allclose(pairs.nndr, 0.2, atol=1e-9)
         assert score == pytest.approx(0.4, abs=1e-9)
 
-    def test_pool_too_small_scores_zero(self):
-        score, pairs = label_score([[0.0]], [[0.0], [1.0]])
-        assert score == 0.0
-        assert len(pairs.query_indices) == 0
+    def test_one_row_pool_rejected(self):
+        """2-nn matching needs two rows in every pool: a one-row pool is
+        rejected, naming its label, not scored."""
+        with pytest.raises(ValueError, match="label 'a' has \\(1, 128\\) descriptors"):
+            label_score([[0.0]], [[0.0], [1.0]])
 
     def test_duplicate_distances_give_zero_nndr(self):
         score, pairs = label_score([[5.0], [5.0]], [[5.0]])
@@ -181,7 +181,7 @@ class TestMatchInter:
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_scores_and_pairs_are_the_per_label_loop(self, strict):
-        """Random ensembles of 1 to 8 labels, some pools of one or two rows,
+        """Random ensembles of 1 to 8 labels, some pools of two rows,
         rows repeated within and across labels, queries partly copied from
         the pools: each label's score and pairs equal, bitwise, those of a
         2-nn call on its pool alone, and the first label of the top score
@@ -193,7 +193,7 @@ class TestMatchInter:
             distinct = np.abs(r.normal(size=(int(r.integers(1, 40)), width)))
             pools = {}
             for g in range(int(r.integers(1, 9))):
-                n = int(r.choice([1, 2, int(r.integers(3, 300))]))
+                n = int(r.choice([2, int(r.integers(3, 300))]))
                 rows = (distinct[r.integers(0, len(distinct), n)] if case % 2
                         else np.abs(r.normal(size=(n, width))))
                 rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
@@ -511,9 +511,9 @@ class TestQueryBatch:
         knn_rows = counted_knn(monkeypatch)
         neighbours = two_nn(mini_ensemble, described)
         assert knn_rows == [distinct]
-        ranked = [mini_ensemble.pool(label).descriptors for label in mini_ensemble.ranked]
+        pools = [mini_ensemble.pool(label).descriptors for label in mini_ensemble.labels]
         for cloud, d, rows in zip(clouds, described, neighbours):
-            lone = knn_bruteforce(ranked, d.descriptors, k=2, prepared=mini_ensemble.prepared)
+            lone = knn_bruteforce(pools, d.descriptors, k=2, prepared=mini_ensemble.prepared)
             for got, want in zip(rows, lone):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             result = match_inter(mini_ensemble, d, AttackParams(), rows)
@@ -553,11 +553,8 @@ class TestQueryBatch:
         assert infer(mini_ensemble, clouds[3], described=described[1],
                      neighbours=last).label == "mini1"
 
-    def test_no_ranked_pool_gives_no_neighbours(self, clouds, mini_ensemble, monkeypatch):
-        one_row = ReferenceEnsemble({"a": (describe(clouds[0]).descriptors[:1], np.zeros((1, 3)))},
-                                    SpinParams(), 5)
+    def test_no_queries_give_no_neighbours(self, mini_ensemble, monkeypatch):
         knn_rows = counted_knn(monkeypatch)
-        assert two_nn(one_row, [describe(clouds[0]), describe(clouds[1])]) == [None, None]
         assert two_nn(mini_ensemble, []) == []
         assert knn_rows == []
 
@@ -649,6 +646,21 @@ class TestBuildReference:
                               np.vstack([raw.descriptors, generalized.descriptors]))
         assert np.array_equal(pool.positions,
                               np.vstack([raw.positions, generalized.positions]))
+
+    def test_one_row_pool_rejected(self, mini_spaces, tmp_path):
+        """A space of fewer points than the keypoint factor describes to one
+        row; without generalized variants its pool is that row, which
+        build_reference rejects as an unusable space and a cache holding it
+        as malformed."""
+        space = mini_spaces[0]
+        tiny = space.subset(np.arange(4)).with_label("tiny")
+        with pytest.raises(UnusableSpaceError, match="one descriptor row in tiny"):
+            build_reference([space, tiny], variant_params=(), seed=0)
+        d8, pos = np.arange(16, dtype=float).reshape(2, 8), np.ones((2, 3))
+        path = tmp_path / "e.spen"
+        path.write_bytes(ensemble_file(2, [("a", d8, pos), ("b", d8[:1], pos[:1])]))
+        with pytest.raises(CacheFormatError, match="label 'b'"):
+            load_ensemble(path)
 
     def test_duplicate_labels_rejected(self, mini_spaces):
         with pytest.raises(ValueError):

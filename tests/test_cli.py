@@ -10,6 +10,7 @@ from spatialprivacy import cli, harness
 from spatialprivacy.attacker import build_reference, load_ensemble
 from spatialprivacy.cli import main
 from spatialprivacy.descriptors import SpinParams
+from spatialprivacy.geometry import PointCloud
 from spatialprivacy.harness import ExperimentConfig, load_cloud, run_experiment, trial_lines
 from spatialprivacy.mechanisms import release_at, release_sequence
 from spatialprivacy.metrics import TrialRecord
@@ -235,9 +236,10 @@ def test_space_without_planes_is_one_line_error(command, tmp_path, capsys):
     None,
     [],
     {"mode": "one-time", "radii": [1.0, 1.0], "samples": 2, "kinds": ["raw"]},
+    {"mode": "one-time", "radii": [], "samples": 2},
 ], ids=["unknown-key", "rejected-combination", "wrong-type", "descriptor-type",
         "dataset-type", "dataset-kind", "attack-type", "qos-type", "qos-sum", "null", "list",
-        "repeated-radius"])
+        "repeated-radius", "empty-radii"])
 def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
@@ -436,6 +438,48 @@ def test_output_in_a_missing_directory_fails_before_any_work(
     assert err.startswith(f"spatialprivacy {command}: ") and "nodir" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "nodir").exists() and not (tmp_path / "r.ply").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "report"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_output_directory_on_a_file_fails_before_any_work(command, under, tmp_path, capsys,
+                                                          monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was loaded")
+
+    for loader in ("load_dataset", "run_experiment", "trials_from_jsonl"):
+        monkeypatch.setattr(f"spatialprivacy.cli.{loader}", fail)
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "sub" if under else taken
+    options = (["--trials", str(tmp_path / "trials.jsonl")] if command == "report"
+               else ["--config", config_file(tmp_path, {"dataset": {"count": 2}})])
+    rc = main([command, *options, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"spatialprivacy {command}: cannot make directory {out}: "
+                   f"{taken} is not a directory\n")
+    assert taken.read_text() == "a file\n"
+
+
+def test_reference_of_a_one_row_pool_is_one_line_error(tmp_path, capsys):
+    """Spaces of fewer points than the keypoint factor describe to one row;
+    with no generalized variant that row is the whole pool, too few to
+    2-nn match."""
+    spaces = tmp_path / "spaces"
+    spaces.mkdir()
+    r = np.random.default_rng(8)
+    for i in range(2):
+        save_ply(PointCloud(r.normal(size=(4, 3)), np.tile([0.0, 0.0, 1.0], (4, 1))),
+                 spaces / f"space{i}.ply")
+    config = config_file(tmp_path, {"variants": 0, **directory_config(spaces)})
+    out = tmp_path / "ref.spen"
+    rc = main(["reference", "--config", config, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "spatialprivacy reference: one descriptor row in space0; " \
+                  "2-nn matching needs at least 2\n"
+    assert not out.exists()
 
 
 BAD_CONFIGS = {

@@ -167,6 +167,12 @@ class _CountingTree:
         return self.tree.query_ball_point(*args, **kwargs)
 
 
+def one_group(refs, queries, k, prepared=None):
+    """``knn_bruteforce`` on the one group ``refs``: its (q, k) results."""
+    dist, idx = knn_bruteforce([refs], queries, k=k, prepared=prepared)
+    return dist[0], idx[0]
+
+
 class TestKnn:
     def test_query_on_cloud_point(self, random_cloud):
         index = SpatialIndex(random_cloud)
@@ -270,8 +276,8 @@ class TestKnn:
             queries = scale * r.normal(size=(nq, dim))
             copied = r.random(nq) < 0.5
             queries[copied] = refs[r.integers(0, n, copied.sum())]
-            results = [knn_bruteforce(refs, queries, k=k),
-                       knn_bruteforce(refs, queries, k=k, prepared=ranking_copy(refs))]
+            results = [one_group(refs, queries, k=k),
+                       one_group(refs, queries, k=k, prepared=ranking_copy([refs]))]
             for qi, q in enumerate(queries):
                 d = np.linalg.norm(refs - q, axis=1)
                 order = np.lexsort((np.arange(n), d))[:k]
@@ -285,7 +291,7 @@ class TestKnn:
         queries = np.abs(r.normal(size=(3387, 128)))
         tracemalloc.start()
         try:
-            knn_bruteforce(refs, queries, k=2)
+            knn_bruteforce([refs], queries, k=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -294,17 +300,18 @@ class TestKnn:
 
     def test_bruteforce_duplicate_reference_tie(self):
         refs = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
-        for prepared in (None, ranking_copy(refs)):
-            dist, idx = knn_bruteforce(refs, np.array([[1.0, 0.0]]), k=2, prepared=prepared)
+        for prepared in (None, ranking_copy([refs])):
+            dist, idx = one_group(refs, np.array([[1.0, 0.0]]), k=2, prepared=prepared)
             assert list(idx[0]) == [0, 2]
 
     @staticmethod
     def _assert_linear_scan(refs, queries, k):
         """Bitwise the linear scan, both with the prepared ranking copy
         given and with the call making its own."""
-        for prepared in (None, ranking_copy(refs)):
-            dist, idx = knn_bruteforce(refs, queries, k=k, prepared=prepared)
-            for qi, q in enumerate(np.atleast_2d(queries)):
+        queries = np.atleast_2d(queries)
+        for prepared in (None, ranking_copy([refs])):
+            dist, idx = one_group(refs, queries, k=k, prepared=prepared)
+            for qi, q in enumerate(queries):
                 d = np.linalg.norm(refs - q, axis=1)
                 order = np.lexsort((np.arange(len(refs)), d))[:k]
                 assert np.array_equal(idx[qi], order), (k, qi)
@@ -357,7 +364,7 @@ class TestKnn:
         refs, queries = r.normal(size=(2000, 16)), r.normal(size=(100, 16))
         tracemalloc.start()
         try:
-            knn_bruteforce(refs, queries, k=2)
+            knn_bruteforce([refs], queries, k=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -369,10 +376,10 @@ class TestKnn:
         a call adds little beyond one 100 x 2000 tile of 4-byte keys."""
         r = np.random.default_rng(2030)
         refs, queries = r.normal(size=(2000, 16)), r.normal(size=(100, 16))
-        prepared = ranking_copy(refs)
+        prepared = ranking_copy([refs])
         tracemalloc.start()
         try:
-            knn_bruteforce(refs, queries, k=2, prepared=prepared)
+            knn_bruteforce([refs], queries, k=2, prepared=prepared)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -523,6 +530,15 @@ class TestGroupedKnn:
         for k in range(1, 9):
             for groups in ([tied] + others, others[:2] + [tied] + others[2:]):
                 self._assert_each_group_scanned(groups, q[None], k)
+
+    def test_a_bare_array_is_rejected(self):
+        """The references are a list of groups and the queries 2-D: a bare
+        (n, dim) array of references, or one (dim,) query, raises."""
+        r = np.random.default_rng(6)
+        refs, queries = r.normal(size=(5, 4)), r.normal(size=(2, 4))
+        for bad_refs, bad_queries in ((refs, queries), ([refs], queries[0])):
+            with pytest.raises(ValueError, match="list of \\(n, dim\\) reference groups"):
+                knn_bruteforce(bad_refs, bad_queries, k=2)
 
     def test_k_beyond_a_group_is_rejected(self):
         r = np.random.default_rng(5)

@@ -121,6 +121,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             ExperimentConfig.from_dict({"mode": "conservative", field: value})
 
+    @pytest.mark.parametrize("field", ["radii", "max_planes", "kinds"])
+    def test_empty_sweep_list_rejected_by_name(self, field):
+        """An empty list would sweep nothing: no trial, no metrics."""
+        with pytest.raises(ValueError, match=f"^{field} must not be empty"):
+            ExperimentConfig.from_dict({"mode": "conservative", field: []})
+
     def test_uncapped_and_unit_values_accepted(self):
         cfg = ExperimentConfig(mode="conservative", max_planes=(1, None), radii=(0.1,),
                                samples=1, releases=1, workers=1)
@@ -404,27 +410,48 @@ class TestBatchedSweep:
         assert [c.release_idx for c in cells] == [1, 2, 3]
         assert len({(c.pi1, c.pi2, c.abstain_rate, c.q) for c in cells}) == 1
 
-    def test_unusable_cloud_abstains_alone(self):
-        spaces = load_dataset(TINY)
-        ensemble = build_reference(list(spaces.values()), seed=3)
-        config = tiny_config()
-        space = spaces["space1"]
-        part = space.subset(np.arange(0, len(space), 2))
-        unusable = PointCloud(part.positions, part.normals,
-                              reliable=np.zeros(len(part), dtype=bool))
-        queries = [spaces["space0"], unusable, part]
-        alone = [harness._infer_or_abstain(ensemble, q, config) for q in queries]
-        described = [descriptors.describe(q, ensemble.params, ensemble.factor)
-                     for q in queries[::2]]
-        first, last = attacker.two_nn(ensemble, described)
-        batched = [harness._infer_or_abstain(ensemble, queries[0], config, described[0], first),
-                   harness._infer_or_abstain(ensemble, unusable, config),
-                   harness._infer_or_abstain(ensemble, queries[2], config, described[1], last)]
-        assert alone[1] == batched[1] == (None, None, True)
-        for got, want in (zip(batched[::2], alone[::2])):
-            assert got[0] == want[0] and got[2] == want[2]
-            assert np.array_equal(got[1], want[1])
-        assert batched[0][0] == "space0" and batched[2][0] == "space1"
+    def test_unusable_cloud_abstains_alone(self, monkeypatch):
+        """A release on which ``describe`` raises ``UnusableSpaceError``
+        abstains with its Q and makes no ``infer`` call; the walk's other
+        releases are attacked as in a walk without it."""
+        config = tiny_config(**self.CONSERVATIVE)
+        spaces = load_dataset(config.dataset)
+        ensemble = harness.build_ensemble(config, spaces)
+        walk = (list(spaces.values()), config, "generalized", 0.8, 1)
+        before = harness._sequence_trials(ensemble, *walk)
+        original, described = descriptors.describe, []
+
+        def second_unusable(cloud, *args):
+            described.append(len(cloud))
+            if len(described) == 2:
+                raise UnusableSpaceError("no keypoints with reliable normals")
+            return original(cloud, *args)
+
+        monkeypatch.setattr(harness, "describe", second_unusable)
+        inferred = count_calls(monkeypatch, attacker.infer, 1)
+        after = harness._sequence_trials(ensemble, *walk)
+        assert len(described) >= 3
+        assert inferred == described[:1] + described[2:]
+        changed = [(got, want) for got, want in zip(after, before)
+                   if list(trial_lines([got])) != list(trial_lines([want]))]
+        assert changed and len(after) == len(before)
+        for got, want in changed:
+            assert got.abstained and (got.hyp_label, got.hyp_centroid) == (None, None)
+            assert want.hyp_label is not None
+            assert got.q is not None and got.q == want.q
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        """Only ``UnusableSpaceError`` is an abstention: any other error
+        from ``describe`` is a fault, and leaves the walk."""
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not an unusable space")
+
+        monkeypatch.setattr(harness, "describe", broken)
+        config = tiny_config(**self.CONSERVATIVE)
+        spaces = list(load_dataset(config.dataset).values())
+        ensemble = build_reference(spaces, seed=3)
+        with pytest.raises(ValueError, match="a bug"):
+            harness._sequence_trials(ensemble, spaces, config, "generalized", 0.8, 0)
 
 
 class TestPreflight:
@@ -473,25 +500,6 @@ class TestPreflight:
         config = tiny_config(attack=AttackParams(t2=1.5))
         with pytest.raises(RuntimeError, match="abstained"):
             self_query_check(ensemble, spaces, config)
-
-
-class TestInferOrAbstain:
-    def test_unusable_query_abstains(self, monkeypatch):
-        def unusable(*args, **kwargs):
-            raise UnusableSpaceError("no keypoints")
-
-        monkeypatch.setattr(harness, "infer", unusable)
-        query = PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
-        assert harness._infer_or_abstain(None, query, tiny_config()) == (None, None, True)
-
-    def test_other_value_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("a bug, not an unusable space")
-
-        monkeypatch.setattr(harness, "infer", broken)
-        query = PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
-        with pytest.raises(ValueError, match="a bug"):
-            harness._infer_or_abstain(None, query, tiny_config())
 
 
 class TestReporting:
