@@ -440,20 +440,6 @@ class TestBatchedSweep:
             assert want.hyp_label is not None
             assert got.q is not None and got.q == want.q
 
-    def test_other_value_errors_propagate(self, monkeypatch):
-        """Only ``UnusableSpaceError`` is an abstention: any other error
-        from ``describe`` is a fault, and leaves the walk."""
-        def broken(*args, **kwargs):
-            raise ValueError("a bug, not an unusable space")
-
-        monkeypatch.setattr(harness, "describe", broken)
-        config = tiny_config(**self.CONSERVATIVE)
-        spaces = list(load_dataset(config.dataset).values())
-        ensemble = build_reference(spaces, seed=3)
-        with pytest.raises(ValueError, match="a bug"):
-            harness._sequence_trials(ensemble, spaces, config, "generalized", 0.8, 0)
-
-
 class TestPreflight:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -500,6 +486,43 @@ class TestPreflight:
         config = tiny_config(attack=AttackParams(t2=1.5))
         with pytest.raises(RuntimeError, match="abstained"):
             self_query_check(ensemble, spaces, config)
+
+
+class TestInferOrAbstain:
+    """Each distinct release of a walk is either attacked by ``infer`` or
+    abstains; only ``UnusableSpaceError`` from ``describe`` makes it abstain."""
+
+    def test_unusable_query_abstains(self, monkeypatch):
+        """With no release describable, every trial abstains with no
+        hypothesis and keeps its Q, and ``infer`` is never called."""
+        config = tiny_config(**TestBatchedSweep.CONSERVATIVE)
+        spaces = list(load_dataset(config.dataset).values())
+        ensemble = build_reference(spaces, seed=3)
+        walk = (spaces, config, "generalized", 0.8, 0)
+        before = harness._sequence_trials(ensemble, *walk)
+
+        def unusable(*args, **kwargs):
+            raise UnusableSpaceError("no keypoints")
+
+        monkeypatch.setattr(harness, "describe", unusable)
+        inferred = count_calls(monkeypatch, attacker.infer, 1)
+        after = harness._sequence_trials(ensemble, *walk)
+        assert inferred == [] and len(after) == len(before) > 0
+        for got, want in zip(after, before):
+            assert got.abstained and (got.hyp_label, got.hyp_centroid) == (None, None)
+            assert got.q == want.q
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        """Any other error from ``describe`` is a fault, and leaves the walk."""
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not an unusable space")
+
+        monkeypatch.setattr(harness, "describe", broken)
+        config = tiny_config(**TestBatchedSweep.CONSERVATIVE)
+        spaces = list(load_dataset(config.dataset).values())
+        ensemble = build_reference(spaces, seed=3)
+        with pytest.raises(ValueError, match="a bug"):
+            harness._sequence_trials(ensemble, spaces, config, "generalized", 0.8, 0)
 
 
 class TestReporting:
