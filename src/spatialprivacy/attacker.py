@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import require_bool, require_real
+from ._checks import require_real
 from .descriptors import (DescribedSpace, SpinParams, UnusableSpaceError, describe,
                           select_keypoints)
 from .geometry import PointCloud, knn_bruteforce, ranking_copy
@@ -56,15 +56,17 @@ _BLOCK_EDGES = 1 << 15  # edges per match_intra row block
 
 @dataclass(frozen=True)
 class AttackParams:
-    strict_nndr: bool = False     # pre-filter matches at NNDR < nndr_threshold
-    nndr_threshold: float = 0.9
+    """The adversary's thresholds; ``nndr_threshold=None`` keeps every match
+    as a candidate of :func:`match_inter`, with no NNDR pre-filter."""
+
+    nndr_threshold: float | None = None  # pre-filter matches at NNDR < nndr_threshold
     t1: float = 0.9               # NNDR gate before the geometric check
     t2: float = 0.95              # combined geometric similarity gate
 
     def __post_init__(self):
-        require_bool("strict_nndr", self.strict_nndr)
         for name in ("nndr_threshold", "t1", "t2"):
-            require_real(name, getattr(self, name), 0.0, closed=True)
+            if name != "nndr_threshold" or self.nndr_threshold is not None:
+                require_real(name, getattr(self, name), 0.0, closed=True)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     once; the exact kNN ranks each row on its own, so they are bitwise the
     rows this call would compute. Per label, each query keypoint gets its
     NNDR (0 for the 0/0 of exact duplicates: closer is better); with
-    ``strict_nndr`` only those below ``nndr_threshold`` stay candidates.
+    ``params.nndr_threshold`` set, only those below it stay candidates.
     Each reference keypoint keeps the candidate of lowest NNDR (ties by
     lower query index), and the label scores ``(1 - mean kept NNDR) * kept
     / len(query)``. A label that keeps no pair scores zero. Ties go to the
@@ -184,7 +186,7 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     # One candidate per (label, query keypoint). Per label and reference
     # keypoint, keep the first in (label, NNDR, query index) order.
     candidates = np.arange(len(nndr))
-    if params.strict_nndr:
+    if params.nndr_threshold is not None:
         candidates = candidates[nndr < params.nndr_threshold]
     group, query_idx = np.divmod(candidates, n_query)
     order = np.lexsort((query_idx, nndr[candidates], group))

@@ -23,7 +23,8 @@ The other options name a command's inputs and outputs, or describe the one
 walk that ``release`` runs as a sweep trial does: ``--releases`` balls of
 ``--radius``, ``--kind`` raw or generalized, whose last release it writes
 under at most ``--max-planes`` planes; ``--manifest`` lists every release.
-``infer`` reads the cache ``reference`` writes.
+``infer`` reads the cache ``reference`` writes. An output that cannot be
+written, such as a file path that is a directory, fails before any work.
 """
 
 from __future__ import annotations
@@ -70,8 +71,10 @@ def _config(args) -> ExperimentConfig:
 
 
 def _check_writable(*paths) -> None:
-    """Fail before any work on an output path in a missing directory."""
+    """Fail before any work on an output file path that is a directory or in a missing one."""
     for path in paths:
+        if path is not None and Path(path).is_dir():
+            raise _BadInput(f"cannot write {path}: it is a directory")
         if path is not None and not Path(path).parent.is_dir():
             raise _BadInput(f"cannot write {path}: no directory {Path(path).parent}")
 

@@ -73,10 +73,12 @@ _KIND_TAGS = {"raw": "raw", "generalized": "gen"}  # kind -> its suffix in a cel
 _BATCH_ROWS = 512  # descriptor rows of a walk's releases per two_nn call
 _WALK_FAMILY = 2  # spawn-key family of every trial's walk, whatever the mode
 _PRESETS = {  # mode -> the values of the sweep fields a config leaves unset
-    "one-time": dict(samples=1000, releases=1, max_planes=(None,), kinds=_KINDS),
-    "successive": dict(samples=100, releases=100, max_planes=(None,), kinds=("generalized",)),
-    "conservative": dict(samples=100, releases=100, max_planes=tuple(range(1, 30, 2)),
-                         kinds=("generalized",)),
+    "one-time": dict(radii=(0.5, 1.0, 2.0), samples=1000, releases=1, max_planes=(None,),
+                     kinds=_KINDS),
+    "successive": dict(radii=(0.5, 1.0, 2.0), samples=100, releases=100, max_planes=(None,),
+                       kinds=("generalized",)),
+    "conservative": dict(radii=(0.5, 1.0, 2.0), samples=100, releases=100,
+                         max_planes=tuple(range(1, 30, 2)), kinds=("generalized",)),
 }
 
 
@@ -122,17 +124,18 @@ def _known_fields(klass, data: dict, where: str) -> dict:
 class ExperimentConfig:
     """A full experiment description. Every mode runs random walks; a
     one-time trial is a walk of one release, so ``one-time`` runs exactly as
-    ``successive`` with one release and no cap. A sweep field left unset
-    takes its mode's paper-scale preset, and unset radii are 0.5/1.0/2.0; a
-    set field always wins. Fields that contradict each other are rejected:
-    bounded plane caps on raw or one-time releases, or a one-time config with
-    more than one release. So are empty lists of radii, caps or kinds, and
-    repeated radii (equal to 1e-6 m), caps or kinds.
+    ``successive`` with one release and no cap. A sweep field left unset is
+    filled at construction with its mode's paper-scale preset, and lists are
+    stored as tuples, so the fields hold the values that run, and
+    ``dataclasses.replace(cfg, mode=...)`` keeps them. Fields that contradict
+    each other are rejected: bounded plane caps on raw or one-time releases,
+    or a one-time config with more than one release. So are empty lists of
+    radii, caps or kinds, and repeated radii (equal to 1e-6 m), caps or kinds.
 
-        mode          samples  releases  max_planes      kinds
-        one-time      1000     1         inf             raw, generalized
-        successive    100      100       inf             generalized
-        conservative  100      100       1, 3, ..., 29   generalized
+        mode          radii          samples  releases  max_planes      kinds
+        one-time      0.5, 1.0, 2.0  1000     1         inf             raw, generalized
+        successive    0.5, 1.0, 2.0  100      100       inf             generalized
+        conservative  0.5, 1.0, 2.0  100      100       1, 3, ..., 29   generalized
     """
 
     mode: str = "one-time"
@@ -151,29 +154,24 @@ class ExperimentConfig:
     generalization: GeneralizationParams = field(default_factory=GeneralizationParams)
     attack: AttackParams = field(default_factory=AttackParams)
     qos_alpha: float = 0.5
-    qos_beta: float = 0.5
-    qos_symmetric: bool = False
 
     def __post_init__(self):
         require("mode", self.mode, isinstance(self.mode, str) and self.mode in _PRESETS,
                 f"one of {tuple(_PRESETS)}")
+        for name, preset in _PRESETS[self.mode].items():
+            value = getattr(self, name)
+            if value is None or (isinstance(value, list) and isinstance(preset, tuple)):
+                object.__setattr__(self, name, preset if value is None else tuple(value))
         # Rejected here by name, not as a TypeError from a comparison, and not
         # after the reference is built and a sweep task fails.
         for name, least in (("samples", 1), ("releases", 1), ("workers", 1),
                             ("factor", 1), ("seed", 0), ("variants", 0)):
-            value = getattr(self, name)
-            if value is None and name in ("samples", "releases"):
-                continue
-            require_int(name, value, least)
+            require_int(name, getattr(self, name), least)
         for name, klass in _SECTIONS.items():
             value = getattr(self, name)
             require(name, value, isinstance(value, klass), f"an object of {klass.__name__} fields")
         require_bool("preflight", self.preflight)
-        require_bool("qos_symmetric", self.qos_symmetric)
         require_real("qos_alpha", self.qos_alpha, 0.0, 1.0, closed=True)
-        require_real("qos_beta", self.qos_beta, 0.0, 1.0, closed=True)
-        total = self.qos_alpha + self.qos_beta
-        require("qos_alpha + qos_beta", total, abs(total - 1.0) <= 1e-12, "1")
         # A repeated value counts one walk's trials twice; radii equal to
         # 1e-6 m share their walks (_radius_key).
         for name, ok, entries, key in (
@@ -184,37 +182,33 @@ class ExperimentConfig:
             ("kinds", lambda v: v in _KINDS, f"release kinds {_KINDS}", str),
         ):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, (tuple, list))
-                                          and all(map(ok, value))):
+            if not (isinstance(value, tuple) and all(map(ok, value))):
                 raise ValueError(f"{name} must be a list of {entries}, got {value!r}")
-            if value is not None and len(value) == 0:
+            if len(value) == 0:
                 raise ValueError(f"{name} must not be empty: a sweep needs at least one value")
-            if value is not None and len(set(map(key, value))) < len(value):
+            if len(set(map(key, value))) < len(value):
                 raise ValueError(f"{name} must not repeat a value, got {value!r}")
-        if self.mode == "one-time" and self.resolved_releases() != 1:
+        if self.mode == "one-time" and self.releases != 1:
             raise ValueError("a one-time config has exactly 1 release")
-        if (any(c is not None for c in self.resolved_caps())
-                and (self.mode == "one-time" or "raw" in self.resolved_kinds())):
+        if (any(c is not None for c in self.max_planes)
+                and (self.mode == "one-time" or "raw" in self.kinds)):
             raise ValueError("bounded plane caps apply only to generalized walks")
 
-    def _resolved(self, name: str):
-        value = getattr(self, name)
-        return _PRESETS[self.mode][name] if value is None else value
-
+    # perfbench/test_perfbench.py reads the sweep through these; each is its field.
     def resolved_radii(self) -> tuple[float, ...]:
-        return tuple(self.radii) if self.radii is not None else (0.5, 1.0, 2.0)
+        return self.radii
 
     def resolved_samples(self) -> int:
-        return self._resolved("samples")
+        return self.samples
 
     def resolved_releases(self) -> int:
-        return self._resolved("releases")
+        return self.releases
 
     def resolved_caps(self) -> tuple[int | None, ...]:
-        return tuple(self._resolved("max_planes"))
+        return self.max_planes
 
     def resolved_kinds(self) -> tuple[str, ...]:
-        return tuple(self._resolved("kinds"))
+        return self.kinds
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -228,13 +222,8 @@ class ExperimentConfig:
                     data[key] = klass(**_known_fields(klass, data[key], key))
                 except ValueError as err:
                     raise ValueError(f"{key}: {err}") from None
-        for key in ("radii", "kinds"):
-            if isinstance(data.get(key), list):
-                data[key] = tuple(data[key])
         if isinstance(data.get("max_planes"), list):
-            data["max_planes"] = tuple(
-                None if v in (None, "inf") else v for v in data["max_planes"]
-            )
+            data["max_planes"] = [None if v in (None, "inf") else v for v in data["max_planes"]]
         return cls(**data)
 
     @classmethod
@@ -243,6 +232,7 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
+        """Every field, each sweep field filled: the config that runs."""
         return asdict(self)
 
 
@@ -374,7 +364,7 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
         config.seed, (_WALK_FAMILY, _KINDS.index(kind), _radius_key(radius), sample)
     )
     space = spaces_list[int(rng.integers(len(spaces_list)))]
-    steps, state = release_sequence(space, radius, config.resolved_releases(), rng,
+    steps, state = release_sequence(space, radius, config.releases, rng,
                                     config.generalization, generalize=kind == "generalized")
     outcomes = {}   # release key -> (hyp_label, hyp_centroid, abstained, q)
     queued = {}     # release key -> (query, description, q), not yet attacked
@@ -390,7 +380,7 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     for idx, step in enumerate(steps, start=1):
         accumulated = state.prefix(step.n_accumulated)
         true_centroid = centroid(accumulated)
-        for cap in config.resolved_caps():
+        for cap in config.max_planes:
             # Raw walks have no planes and no bounded cap: one key per release.
             effective = step.n_planes if cap is None else min(cap, step.n_planes)
             key = (step.n_accumulated, step.n_planes, effective)
@@ -401,8 +391,7 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
             if len(released) == 0:
                 outcomes[key] = (None, None, True, None)
                 continue
-            q_value = qos(released, accumulated, config.qos_alpha, config.qos_beta,
-                          config.qos_symmetric)
+            q_value = qos(released, accumulated, config.qos_alpha)
             query = apply_transform(released, step.transform)
             try:
                 described = describe(query, ensemble.params, ensemble.factor)
@@ -438,9 +427,9 @@ def run_experiment(config: ExperimentConfig):
         raise DatasetError("inter-space inference needs at least 2 spaces")
     spaces_list = list(spaces.values())
 
-    tasks = [(kind, radius, sample) for kind in config.resolved_kinds()
-             for radius in config.resolved_radii()
-             for sample in range(config.resolved_samples())]
+    tasks = [(kind, radius, sample) for kind in config.kinds
+             for radius in config.radii
+             for sample in range(config.samples)]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         ensemble = build_ensemble(config, spaces, map_fn=pool.map)
         if config.preflight:

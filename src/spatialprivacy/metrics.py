@@ -85,35 +85,27 @@ def abstention_rate(trials: list[TrialRecord]) -> float:
     return sum(1 for t in trials if t.abstained) / len(trials)
 
 
-def qos(transformed: PointCloud, raw: PointCloud, alpha: float = 0.5,
-        beta: float = 0.5, symmetric: bool = False) -> float:
-    """Mean transformation error between a released cloud and the truth.
+def qos(transformed: PointCloud, raw: PointCloud, alpha: float = 0.5) -> float:
+    """Mean transformation error of a released cloud against the truth.
 
-    Every released point pairs with its nearest raw point; the error is
-    alpha * position distance + beta * normal deviation. Normal deviation is
-    computed as 0.5 * ||n - n'||^2, which equals 1 - n . n' for unit vectors
-    but is exactly zero for identical ones. The symmetric mode averages in
-    the reverse pairing so that raw structure missing from the release is
-    also penalized.
+    Q is one-sided, from the release to the truth: every released point pairs
+    with its nearest raw point, and its error is alpha * position distance +
+    (1 - alpha) * normal deviation; raw structure the release withholds adds
+    nothing. Normal deviation is computed as 0.5 * ||n - n'||^2, which equals
+    1 - n . n' for unit vectors but is exactly zero for identical ones.
     """
-    if abs(alpha + beta - 1.0) > 1e-12 or not (0 <= alpha <= 1 and 0 <= beta <= 1):
-        raise ValueError("need alpha, beta in [0, 1] with alpha + beta = 1")
-    forward = _one_sided_qos(transformed, raw, alpha, beta)
-    if not symmetric:
-        return forward
-    return 0.5 * (forward + _one_sided_qos(raw, transformed, alpha, beta))
-
-
-def _one_sided_qos(src: PointCloud, dst: PointCloud, alpha: float, beta: float) -> float:
-    if len(src) == 0 or len(dst) == 0:
+    if not 0 <= alpha <= 1:
+        raise ValueError(f"need alpha in [0, 1], got {alpha!r}")
+    if len(transformed) == 0 or len(raw) == 0:
         raise ValueError("qos needs non-empty clouds")
-    if not (src.has_normals and dst.has_normals):
+    if not (transformed.has_normals and raw.has_normals):
         raise ValueError("qos needs normals on both clouds")
-    dist, idx = SpatialIndex(dst).query(src.positions, k=1)
+    beta = 1 - alpha
+    dist, idx = SpatialIndex(raw).query(transformed.positions, k=1)
     dist = dist[:, 0]
-    paired = dst.normals[idx[:, 0]]
+    paired = raw.normals[idx[:, 0]]
     normal_dev = 0.5 * np.einsum(
-        "ij,ij->i", src.normals - paired, src.normals - paired
+        "ij,ij->i", transformed.normals - paired, transformed.normals - paired
     )
     return float(np.mean(alpha * dist + beta * normal_dev))
 

@@ -90,7 +90,7 @@ def match_label_oracle(descriptors, query, params):
     second = dist[:, 1]
     nndr = np.divide(dist[:, 0], second, out=np.zeros(n_query), where=second > 0)
     candidates = np.arange(n_query)
-    if params.strict_nndr:
+    if params.nndr_threshold is not None:
         candidates = candidates[nndr[candidates] < params.nndr_threshold]
     if len(candidates) == 0:
         return 0.0, empty
@@ -138,8 +138,8 @@ class TestLabelScore:
 
     def test_strict_filter_drops_weak_matches(self):
         refs = [[0.95], [1.0]]
-        relaxed, _ = label_score(refs, [[0.0]], AttackParams(strict_nndr=False))
-        strict, _ = label_score(refs, [[0.0]], AttackParams(strict_nndr=True))
+        relaxed, _ = label_score(refs, [[0.0]], AttackParams())
+        strict, _ = label_score(refs, [[0.0]], AttackParams(nndr_threshold=0.9))
         assert relaxed > 0
         assert strict == 0.0
 
@@ -187,7 +187,7 @@ class TestMatchInter:
         2-nn call on its pool alone, and the first label of the top score
         wins."""
         r = np.random.default_rng(2040 + strict)
-        params = AttackParams(strict_nndr=strict)
+        params = AttackParams(nndr_threshold=0.9 if strict else None)
         width = SpinParams().length
         for case in range(40):
             distinct = np.abs(r.normal(size=(int(r.integers(1, 40)), width)))

@@ -232,13 +232,16 @@ def test_space_without_planes_is_one_line_error(command, tmp_path, capsys):
     {"mode": "one-time", "dataset": {"type": "bogus"}},
     {"mode": "one-time", "attack": {"t1": "x"}},
     {"mode": "one-time", "qos_alpha": "x"},
-    {"mode": "one-time", "qos_alpha": 0.7},
+    {"mode": "one-time", "qos_alpha": 0.7, "qos_beta": 0.3},
+    {"mode": "one-time", "qos_symmetric": False},
+    {"mode": "one-time", "attack": {"strict_nndr": True}},
     None,
     [],
     {"mode": "one-time", "radii": [1.0, 1.0], "samples": 2, "kinds": ["raw"]},
     {"mode": "one-time", "radii": [], "samples": 2},
 ], ids=["unknown-key", "rejected-combination", "wrong-type", "descriptor-type",
-        "dataset-type", "dataset-kind", "attack-type", "qos-type", "qos-sum", "null", "list",
+        "dataset-type", "dataset-kind", "attack-type", "qos-type", "qos-beta", "qos-symmetric",
+        "strict-nndr", "null", "list",
         "repeated-radius", "empty-radii"])
 def test_run_bad_config_is_one_line_error(config, tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
@@ -414,15 +417,19 @@ def test_unusable_trials_is_one_line_error(text, message, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, options", [
+# Each command's file outputs, one of them under {nodir}.
+file_outputs = pytest.mark.parametrize("command, options", [
     ("reference", ["--out", "{nodir}/ref.spen"]),
     ("infer", ["--ensemble", "{ensemble}", "--query", "{space0}", "--out", "{nodir}/h.json"]),
     ("release", ["--cloud", "{space0}", "--out", "{nodir}/r.ply"]),
     ("release", ["--cloud", "{space0}", "--out", "{tmp}/r.ply",
                  "--manifest", "{nodir}/m.json"]),
 ], ids=["reference-out", "infer-out", "release-out", "release-manifest"])
-def test_output_in_a_missing_directory_fails_before_any_work(
-        command, options, space_dir, ensemble_path, tmp_path, capsys, monkeypatch):
+
+
+def run_without_inputs(command, options, space_dir, ensemble_path, tmp_path, monkeypatch):
+    """``main`` on ``options`` with {nodir} at ``tmp_path / "nodir"``; any
+    load of an input fails the test."""
     def fail(*args, **kwargs):
         raise AssertionError("an input was loaded")
 
@@ -431,13 +438,30 @@ def test_output_in_a_missing_directory_fails_before_any_work(
     names = {"nodir": tmp_path / "nodir", "ensemble": ensemble_path,
              "space0": space_dir / "space0.ply", "tmp": tmp_path}
     config = config_file(tmp_path, directory_config(space_dir))
-    argv = [command, "--config", config, *(o.format(**names) for o in options)]
-    rc = main(argv)
+    return main([command, "--config", config, *(o.format(**names) for o in options)])
+
+
+@file_outputs
+def test_output_in_a_missing_directory_fails_before_any_work(
+        command, options, space_dir, ensemble_path, tmp_path, capsys, monkeypatch):
+    rc = run_without_inputs(command, options, space_dir, ensemble_path, tmp_path, monkeypatch)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"spatialprivacy {command}: ") and "nodir" in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "nodir").exists() and not (tmp_path / "r.ply").exists()
+
+
+@file_outputs
+def test_output_file_that_is_a_directory_fails_before_any_work(
+        command, options, space_dir, ensemble_path, tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "nodir" / options[-1].rsplit("/", 1)[1]
+    taken.mkdir(parents=True)
+    rc = run_without_inputs(command, options, space_dir, ensemble_path, tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"spatialprivacy {command}: cannot write {taken}: it is a directory\n"
+    assert list(taken.iterdir()) == [] and not (tmp_path / "r.ply").exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "run", "report"])
