@@ -12,18 +12,19 @@ One kernel, ``_spin_histograms``, accumulates every histogram. It takes the
 keypoints in blocks of about 2**13 (keypoint, neighbor) entries: the first
 block as many as fit if every keypoint saw the whole cloud, each later one
 sized from the neighbor count of the block before. Per block it makes one
-ball query, which returns its (keypoint, neighbor) pairs as arrays without a
-Python list per keypoint, the (alpha, beta) and bilinear weights of the
-whole block at once, and one ``np.bincount`` over (keypoint, bin) keys. The
-bincount fills a grid per keypoint padded by a bin row above and below and
-two bin columns beyond alpha = R, so that every bilinear corner of a unit
-normal lands in it without a mask, and the (2w, w) histogram is cropped out.
-Its temporaries stay at a few MB for any cloud, in each thread that
-describes at once. Describing ``space0`` of the default specs at density 80
-(16.9k points, 3387 keypoints), read back from a PLY file without normals so
-that its normals are estimated, peaks at about 6.4 MiB (6.7 MB,
-``tracemalloc``), the cloud's own copies and the descriptors included; the
-same space with its true normals peaks at the same figure.
+ball query on the cloud's :class:`~spatialprivacy.geometry.SpatialIndex`, a
+uniform cell grid that gathers each keypoint's candidates from the cells its
+support radius reaches and returns the (keypoint, neighbor) pairs within it
+as arrays, without a Python list per keypoint; then the (alpha, beta) and
+bilinear weights of the whole block at once, and one ``np.bincount`` over
+(keypoint, bin) keys. The bincount fills a grid per keypoint padded by a
+bin row above and below and two bin columns beyond alpha = R, so that every
+bilinear corner of a unit normal lands in it without a mask, and the (2w, w)
+histogram is cropped out. Its temporaries stay at a few MB for any cloud,
+in each thread that describes at once. Describing ``space0`` of the
+default specs at density 80 (16.9k points, 3387 keypoints) with its true
+normals peaks at about 8.0 MiB (``tracemalloc``), the cloud's own copies,
+its grid (40 B per point) and the descriptors included.
 """
 
 from __future__ import annotations

@@ -4,6 +4,16 @@ Positions are in meters throughout. A cloud carries one unit normal per point;
 normals may be absent (``normals is None``) until :func:`estimate_normals` is
 run, and individual normals may be flagged unreliable when the local
 neighborhood does not define a plane.
+
+:class:`SpatialIndex` answers 3D fixed-radius and k-nearest queries on a
+uniform grid of cubic cells, numpy only. Its answers are exact, equal to a
+linear scan's, because a point's cell is a non-decreasing function of each
+of its coordinates: a point within distance R of q lies, on each axis, within
+R of q, and so in the box of cells that ``q -+ R`` (widened far beyond
+rounding) fall in. A k-nearest query either finds its k nearest within a box
+whose faces lie farther than its k-th candidate, or takes the box of the
+ball its first k candidates reach. Distances are summed as the linear scan
+sums them, and ties go to the lower index.
 """
 
 from __future__ import annotations
@@ -12,7 +22,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -30,6 +39,9 @@ __all__ = [
 
 UNIT_NORM_TOL = 1e-6
 _NORMAL_BLOCK_ENTRIES = 1 << 15  # neighbor entries per estimate_normals row block
+_CELL_POINTS = 2          # points per grid cell that SpatialIndex's cell size aims at
+_PAIR_ENTRIES = 1 << 13   # (query, point) pairs per SpatialIndex chunk
+_SCAN_PAIRS = 1 << 16     # at most this many (query, point) pairs: SpatialIndex scans
 
 
 def _as_points(a, name: str = "positions") -> np.ndarray:
@@ -136,15 +148,38 @@ class RigidTransform:
         return np.asarray(vectors, dtype=np.float64) @ self.rotation.T
 
 
-class SpatialIndex:
-    """Exact k-nearest-neighbor index over a cloud's positions.
+def _cell_size(ends: np.ndarray, n: int) -> float:
+    """The edge of SpatialIndex's cubic cells, from rows 0, j, n-1-j and n-1
+    (j = n // 100) of the cloud's positions partitioned along each axis.
 
-    Queries return exactly what a linear scan would: neighbors ordered by
-    Euclidean distance, ties broken by lower point index. A tree query for
-    k + 1 neighbors settles a row when its (k+1)-th distance exceeds its k-th
-    by a 1e-12 relative margin; only a row where a tie may straddle the k-th
-    place falls back to a ball query over every tied point. Read-only after
-    construction, safe for concurrent queries.
+    It aims at ``_CELL_POINTS`` points per cell if the n points filled the
+    box of their middle 98% on each axis evenly, an axis thinner than one
+    cell counting one cell thick, so that a planar cloud gets planar cells
+    and a few far points do not coarsen the grid. The edge is at least 2**-20
+    of the cloud's largest extent, so that cell keys stay below 2**63; a
+    cloud of one repeated point gets cells of 1 m.
+    """
+    extent = np.sort(ends[2] - ends[1])[::-1]
+    cells = n / _CELL_POINTS
+    for dim in (3, 2, 1):
+        edge = float(np.prod(extent[:dim]) / cells) ** (1 / dim)
+        if 0 < edge <= extent[dim - 1]:
+            break
+    edge = max(edge, float((ends[3] - ends[0]).max()) * 2.0**-20)
+    return edge if edge > 0 else 1.0
+
+
+class SpatialIndex:
+    """Exact neighbor search over a cloud's positions, on a uniform grid.
+
+    The points are sorted by the key of their cubic cell, whose edge comes
+    from the data (:func:`_cell_size`). Only the sorted keys, the order and
+    the sorted positions are kept, so memory is O(n) whatever the cloud's
+    extent. A point's cell is ``floor((p - origin) * (1 / edge))`` on each
+    axis, a non-decreasing function of each coordinate, so the points whose
+    coordinates lie in an interval fill a known range of cells; and the
+    keys put the cells of each (x, y) column in one run of the sorted order.
+    Read-only after construction, safe for concurrent queries.
     """
 
     def __init__(self, cloud_or_points):
@@ -152,62 +187,233 @@ class SpatialIndex:
             pts = cloud_or_points.positions
         else:
             pts = _as_points(cloud_or_points)
+        n = len(pts)
         self.points = pts
-        self._tree = cKDTree(pts)
+        ends = np.partition(pts, (0, n // 100, n - 1 - n // 100, n - 1), axis=0)[
+            [0, n // 100, n - 1 - n // 100, n - 1]] if n else np.zeros((4, 3))
+        self._origin = ends[0]
+        self._inv = 1.0 / _cell_size(ends, n)
+        self._edge = 1.0 / self._inv
+        cells = np.floor((pts - self._origin) * self._inv).astype(np.int64)
+        self._dims = cells.max(axis=0, initial=0) + 1
+        keys = (cells[:, 0] * self._dims[1] + cells[:, 1]) * self._dims[2] + cells[:, 2]
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        # One padding point past the end: index n, at infinity.
+        self._order = np.append(order, n)
+        self._sorted = np.full((3, n + 1), np.inf)
+        self._sorted[:, :n] = pts[order].T
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def _cells(self, x: np.ndarray) -> np.ndarray:
+        """The cell of each row of ``x``, found as ``__init__`` finds a
+        point's, and clipped on each axis to [-1, dims]: -1 and dims stand
+        for any cell below and above the grid."""
+        t = np.floor((x - self._origin) * self._inv)
+        return np.minimum(np.maximum(t, -1), self._dims).astype(np.int64)
+
+    def _box_runs(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(start, stop)``, each (m, c): for each row's box of cells from
+        ``lo`` to ``hi`` ((m, 3), inclusive, clipped here into the grid), the
+        runs of the sorted order that hold its points, one per (x, y) column,
+        padded with empty runs. A box past the grid on some axis is empty."""
+        lo, hi = np.maximum(lo, 0), np.minimum(hi, self._dims - 1)
+        span = hi - lo + 1
+        nx, ny = np.maximum(span[:, :2].max(axis=0, initial=0), 0)
+        cx = lo[:, 0, None, None] + np.arange(nx)[:, None]
+        cy = lo[:, 1, None, None] + np.arange(ny)
+        column = (cx * self._dims[1] + cy) * self._dims[2]
+        start = np.searchsorted(self._keys, column + lo[:, 2, None, None])
+        stop = np.searchsorted(self._keys, column + hi[:, 2, None, None], side="right")
+        empty = ((cx > hi[:, 0, None, None]) | (cy > hi[:, 1, None, None])
+                 | (span[:, 2, None, None] <= 0))
+        return start.reshape(len(lo), -1), np.where(empty, start, stop).reshape(len(lo), -1)
 
     def query(self, queries: np.ndarray, k: int):
         """k nearest neighbors of each query point.
 
         Returns ``(distances, indices)`` each of shape ``(q, k)`` (or ``(k,)``
-        for a single query point).
+        for a single query point): exactly what a linear scan gives, the
+        distances ``np.linalg.norm(points - q, axis=1)`` and the first k of
+        their ascending order, ties by lower point index. When the queries
+        times the points are at most ``_SCAN_PAIRS``, it is that scan
+        (:meth:`_scan`); otherwise the grid's (:meth:`_grid_query`).
         """
         queries = np.asarray(queries, dtype=np.float64)
         single = queries.ndim == 1
-        q = queries.reshape(-1, 3)
+        q = _as_points(queries.reshape(-1, 3), "queries")
         n = len(self.points)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range for index of size {n}")
-        m = min(k + 1, n)
-        tree_dist, idx = self._tree.query(q, k=m)
-        tree_dist, idx = tree_dist.reshape(len(q), m), idx.reshape(len(q), m)
-        # Scan distances, ordered by (distance, index); a row whose (k+1)-th
-        # neighbor could tie its k-th is re-resolved over a ball.
-        dist = np.linalg.norm(self.points[idx] - q[:, None], axis=2)
-        order = np.lexsort((idx, dist), axis=1)[:, :k]
-        dist = np.take_along_axis(dist, order, axis=1)
-        idx = np.take_along_axis(idx, order, axis=1)
-        bound = tree_dist[:, k - 1] * (1.0 + 1e-12) + 1e-300
-        tied = np.flatnonzero(tree_dist[:, -1] <= bound) if m > k else []
-        for row in tied:
-            cand = self.ball(q[row], bound[row])
-            d = np.linalg.norm(self.points[cand] - q[row], axis=1)
-            order = np.lexsort((cand, d))[:k]
-            dist[row] = d[order]
-            idx[row] = cand[order]
+        dist, idx = self._scan(q, k) if len(q) * n <= _SCAN_PAIRS else self._grid_query(q, k)
         if single:
             return dist[0], idx[0]
         return dist, idx
 
-    def ball(self, centers: np.ndarray, radius: float):
-        """Points with distance <= radius of each center, ascending by index.
+    def _grid_query(self, q: np.ndarray, k: int):
+        """``query`` on the grid. A row first takes as candidates the points
+        of the box of cells within r of its own (clamped into the grid), for
+        the least r whose box of (2r + 1)**3 cells averages k points. Every
+        point outside the box lies beyond one of its faces that has cells
+        behind it, so the row is settled if its k-th candidate distance is
+        below the distance to the nearest such face, less a slack far above
+        the rounding of cell coordinates and of distances. A row with k
+        candidates that is not settled has k points within its k-th
+        candidate distance, so its k nearest lie in that ball, and so in the
+        box of cells the ball reaches, whose points answer it. A row with
+        fewer than k candidates tries again with r doubled, and is scanned
+        once a box would have ``n / _CELL_POINTS`` columns or more."""
+        dist = np.empty((len(q), k))
+        idx = np.empty((len(q), k), dtype=np.intp)
+        t = (q - self._origin) * self._inv
+        cell = np.minimum(np.maximum(self._cells(q), 0), self._dims - 1)
+        key = (cell[:, 0] * self._dims[1] + cell[:, 1]) * self._dims[2] + cell[:, 2]
+        slack = 2.0**-40 * (np.abs(t).max(axis=1, initial=0) + self._dims.max())
+        pending, r = np.arange(len(q)), 0
+        while (2 * r + 1) ** 3 * _CELL_POINTS < k:
+            r += 1
+        while len(pending):
+            if (2 * r + 1) ** 2 * _CELL_POINTS >= len(self.points):
+                dist[pending], idx[pending] = self._scan(q[pending], k)
+                break
+            lo, hi = cell[pending] - r, cell[pending] + r
+            # The rows of one cell share its box, whose runs are found once.
+            _, first, group = np.unique(key[pending], return_index=True, return_inverse=True)
+            start, stop = self._box_runs(lo[first], hi[first])
+            dk, ik = self._nearest(q[pending], start[group], stop[group], k)
+            # Distance, in cells, to each face with cells behind it.
+            tp = t[pending]
+            faces = np.minimum(np.where(lo > 0, tp - lo, np.inf),
+                               np.where(hi < self._dims - 1, hi + 1 - tp, np.inf))
+            bound = (faces.min(axis=1) - slack[pending]) * self._edge * (1 - 2.0**-40)
+            ok = dk[:, -1] < bound
+            dist[pending[ok]], idx[pending[ok]] = dk[ok], ik[ok]
+            ball = ~ok & (dk[:, -1] < np.inf)
+            if ball.any():
+                rows = pending[ball]
+                reach = dk[ball, -1:] * (1 + 2.0**-40)
+                runs = self._box_runs(self._cells(q[rows] - reach), self._cells(q[rows] + reach))
+                dist[rows], idx[rows] = self._nearest(q[rows], *runs, k)
+            pending, r = pending[~ok & ~ball], max(2 * r, 1)
+        return dist, idx
 
-        For one center of shape ``(3,)``, their index array. For centers of
-        shape ``(m, 3)``, the pair ``(rows, indices)`` that ``np.nonzero``
-        gives for the (m, n) mask of hits: ordered by center, then by index.
-        The (m, 3) form builds no Python list: one ``sparse_distance_matrix``
-        call between a tree over the centers and this index's tree returns
-        every pair as arrays, and one sort of ``row * n + index`` orders them.
-        """
-        centers = np.asarray(centers, dtype=np.float64)
-        if centers.ndim == 1:
-            return np.asarray(self._tree.query_ball_point(centers, radius, return_sorted=True),
-                              dtype=np.intp)
-        pairs = cKDTree(centers).sparse_distance_matrix(self._tree, radius, output_type="ndarray")
+    def _nearest(self, q: np.ndarray, start: np.ndarray, stop: np.ndarray, k: int):
+        """``(distances, indices)``, each (m, k): each query's first k by
+        (distance, index) among the points of its runs, padded with +inf
+        distances if it has fewer. Rows are taken in order of their candidate
+        counts, in chunks of about ``_PAIR_ENTRIES`` candidates."""
         n = len(self.points)
-        return np.divmod(np.sort(pairs["i"].astype(np.int64) * n + pairs["j"]), n)
+        lens = stop - start
+        counts = lens.sum(axis=1)
+        dist = np.empty((len(q), k))
+        idx = np.empty((len(q), k), dtype=np.intp)
+        by_count = np.argsort(counts, kind="stable")
+        for a, b in _chunks(counts[by_count], _PAIR_ENTRIES):
+            rows = by_count[a:b]
+            cnt, width = counts[rows], max(int(counts[rows[-1]]), k)
+            # Row i's candidates fill row i of an (m, width) array, padded
+            # with the point at infinity.
+            run = lens[rows].ravel()
+            step = np.arange(run.sum())
+            slot = np.repeat(np.arange(len(rows)) * width - (np.cumsum(cnt) - cnt), cnt)
+            padded = np.full(len(rows) * width, n)
+            padded[slot + step] = np.repeat(start[rows].ravel() - (np.cumsum(run) - run),
+                                            run) + step
+            padded = padded.reshape(len(rows), width)
+            sq = _squared([c.take(padded) for c in self._sorted], q[rows].T[:, :, None])
+            dist[rows], idx[rows] = self._select(np.sqrt(sq), padded, k)
+        return dist, idx
+
+    def _select(self, d: np.ndarray, pos: np.ndarray, k: int):
+        """``(distances, indices)``, each (m, k): each row's first k by
+        (distance, index) of the distances ``d`` to the sorted points at
+        ``pos``, both (m, w) with w >= k."""
+        line = np.arange(len(d))[:, None]
+        if k == 1:
+            pick = d.argmin(axis=1)[:, None]
+        else:
+            pick = np.argpartition(d, k - 1, axis=1)[:, :k]
+            pick = pick[line, d[line, pick].argsort(axis=1)]
+        dk = d[line, pick]
+        # Equal distances among the k, or across the k-th place, are ordered
+        # by index: such a row is sorted whole.
+        tied = ((dk[:, 1:] == dk[:, :-1]).any(axis=1)
+                | (np.count_nonzero(d <= dk[:, -1:], axis=1) > k)) & (dk[:, -1] < np.inf)
+        if tied.any():
+            pick[tied] = np.lexsort((self._order[pos[tied]], d[tied]), axis=1)[:, :k]
+            dk = d[line, pick]
+        return dk, self._order[pos[line, pick]]
+
+    def _scan(self, q: np.ndarray, k: int):
+        """``(distances, indices)``, each (m, k): each query's first k by
+        (distance, index) over every point, from the distances in index
+        order, in row chunks of about ``_PAIR_ENTRIES`` pairs."""
+        n = len(self.points)
+        dist = np.empty((len(q), k))
+        idx = np.empty((len(q), k), dtype=np.intp)
+        rows = max(1, _PAIR_ENTRIES // n)
+        for s in range(0, len(q), rows):
+            d = np.sqrt(_squared(self.points.T[:, None], q[s:s + rows].T[:, :, None]))
+            if k == 1:
+                pick = d.argmin(axis=1)[:, None]
+            else:
+                pick = np.argsort(d, axis=1, kind="stable")[:, :k]
+            dist[s:s + rows] = np.take_along_axis(d, pick, axis=1)
+            idx[s:s + rows] = pick
+        return dist, idx
+
+    def ball(self, centers: np.ndarray, radius: float):
+        """Points within ``radius`` of each of the (m, 3) ``centers``.
+
+        Returns the pair ``(rows, indices)`` that ``np.nonzero`` gives for
+        the (m, n) mask of hits: ordered by center, then by index. A hit is
+        a point whose difference d from the center has
+        ``(d_x**2 + d_y**2) + d_z**2 <= radius**2``, summed in that order, as
+        ``cKDTree.query_ball_point`` tests it. Such a point lies within
+        radius * (1 + 2**-40) of the center on each axis, so the cells of
+        ``center -+ radius * (1 + 2**-40)`` bound the box of cells it is in;
+        when the centers times the points are at most ``_SCAN_PAIRS``, the
+        mask is made whole.
+        """
+        centers = _as_points(centers, "centers")
+        n = len(self.points)
+        if len(centers) * n <= _SCAN_PAIRS:
+            return np.nonzero(_squared(self.points.T[:, None], centers.T[:, :, None])
+                              <= radius * radius)
+        reach = radius * (1 + 2.0**-40)
+        rows, pos = _flatten(*self._box_runs(self._cells(centers - reach),
+                                             self._cells(centers + reach)))
+        hit = _squared([c.take(pos) for c in self._sorted], centers.T[:, rows]) <= radius * radius
+        return np.divmod(np.sort(rows[hit] * n + self._order[pos[hit]]), n)
+
+
+def _squared(points: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``(d_x**2 + d_y**2) + d_z**2``, summed in that order, for the
+    differences d = points - q, given per axis as arrays that broadcast;
+    +inf at a padding point. ``np.linalg.norm(points - q, axis=1)`` of (n, 3)
+    arrays is its square root."""
+    sq = None
+    for axis in range(3):
+        d = points[axis] - q[axis]
+        d *= d
+        sq = d if sq is None else np.add(sq, d, out=sq)
+    return sq
+
+
+def _chunks(counts: np.ndarray, size: int):
+    """``(start, stop)`` row slices whose ``counts`` sum to about ``size``
+    (a row with more forms a slice of its own)."""
+    cut = np.flatnonzero(np.diff(np.cumsum(counts) // size)) + 1
+    return zip([0, *cut], [*cut, len(counts)]) if len(counts) else ()
+
+
+def _flatten(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, positions)``: every position of each (m, c) row's runs, in order."""
+    lens = (stop - start).ravel()
+    pos = np.repeat(start.ravel() - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+    return np.repeat(np.arange(len(start)), (stop - start).sum(axis=1)), pos
 
 
 def _exponent(a: np.ndarray) -> int:
@@ -446,8 +652,9 @@ def estimate_normals(cloud: PointCloud, k: int) -> PointCloud:
     (n . (p - c) >= 0). Points whose neighborhood is degenerate (collinear or
     coincident) keep an arbitrary unit normal but are flagged unreliable.
 
-    One :class:`SpatialIndex` serves the whole cloud; the (k+1)-NN query,
-    the neighborhood covariances and their ``eigh`` run in row blocks of
+    One :class:`SpatialIndex` grid serves the whole cloud, its cells sized
+    from the cloud; the (k+1)-NN query (exact, as a linear scan ranks), the
+    neighborhood covariances and their ``eigh`` run in row blocks of
     ``_NORMAL_BLOCK_ENTRIES`` (2**15) neighbor entries, about 2.5k rows at
     k = 12, and fill preallocated outputs. So beyond the O(n) outputs, the
     index and the O(n) orientation and unit-length passes over the whole

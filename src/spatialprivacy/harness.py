@@ -524,8 +524,9 @@ def trial_lines(trials: list[TrialRecord]) -> Iterator[str]:
     """One JSON object per trial, keyed by the :class:`TrialRecord` fields,
     and no header line: a run's record, which :func:`trials_from_jsonl` reads.
     The lines are made one at a time, as they are written."""
+    names = [f.name for f in fields(TrialRecord)]
     for t in trials:
-        row = {f.name: getattr(t, f.name) for f in fields(TrialRecord)}
+        row = {name: getattr(t, name) for name in names}
         for key in ("true_centroid", "hyp_centroid"):
             row[key] = None if row[key] is None else [float(v) for v in row[key]]
         yield json.dumps(row, sort_keys=True) + "\n"

@@ -1,11 +1,16 @@
 """Command-line interface: each subcommand end to end on tiny data."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spatialprivacy
 from spatialprivacy import cli, harness
 from spatialprivacy.attacker import build_reference, load_ensemble
 from spatialprivacy.cli import main
@@ -183,6 +188,19 @@ def test_run_and_report_conservative(space_dir, tmp_path):
         "workers": 2,
         **directory_config(space_dir),
     }, tmp_path)
+
+
+def test_run_loads_no_scipy(tmp_path):
+    """The program needs numpy alone: a whole run imports no scipy module.
+    It runs in a fresh interpreter, since the tests load scipy as an oracle."""
+    config = config_file(tmp_path, {"mode": "one-time", "radii": [1.0], "samples": 1,
+                                    "dataset": {"count": 2, "density": 10}})
+    code = ("import sys; from spatialprivacy import cli; "
+            f"assert cli.main(['run', '--config', {config!r}, '--out', {str(tmp_path / 'out')!r}])"
+            " == 0; assert 'scipy' not in sys.modules, sorted(sys.modules)")
+    src = str(Path(spatialprivacy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
 
 
 def test_run_writes_trials_jsonl_as_it_makes_its_rows(tmp_path, monkeypatch):

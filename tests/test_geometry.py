@@ -153,24 +153,49 @@ class TestRandomRigidTransform:
             assert np.all(np.abs(t.translation) <= 10.0)
 
 
-class _CountingTree:
-    """A cKDTree stand-in that counts the ball queries made through it."""
-
-    def __init__(self, tree):
-        self.tree, self.balls = tree, 0
-
-    def query(self, *args, **kwargs):
-        return self.tree.query(*args, **kwargs)
-
-    def query_ball_point(self, *args, **kwargs):
-        self.balls += 1
-        return self.tree.query_ball_point(*args, **kwargs)
-
-
 def one_group(refs, queries, k, prepared=None):
     """``knn_bruteforce`` on the one group ``refs``: its (q, k) results."""
     dist, idx = knn_bruteforce([refs], queries, k=k, prepared=prepared)
     return dist[0], idx[0]
+
+
+def assert_linear_scan(index, pts, queries, k):
+    """``index.query`` equals, bitwise, a linear scan of ``pts``."""
+    dist, idx = index.query(queries, k)
+    for qi, q in enumerate(queries):
+        d = np.linalg.norm(pts - q, axis=1)
+        order = np.lexsort((np.arange(len(pts)), d))[:k]
+        assert np.array_equal(idx[qi], order), (k, qi)
+        assert np.array_equal(dist[qi], d[order]), (k, qi)
+
+
+def assert_query_is_the_linear_scan(r):
+    """120 tie-heavy and tie-free cases of ``TestKnn.test_query_is_the_linear_scan``;
+    returns, for each kind, how many rows tie across the k-th place."""
+    ties = {True: 0, False: 0}
+    for case in range(120):
+        tie_heavy = case % 2 == 0
+        n, nq = int(r.integers(1, 300)), int(r.integers(1, 40))
+        if tie_heavy:
+            distinct = np.round(4 * r.uniform(-1, 1, (r.integers(1, n + 1), 3))) / 4
+            pts = distinct[r.integers(0, len(distinct), n)]
+            queries = np.round(8 * r.uniform(-1.2, 1.2, (nq, 3))) / 8
+        else:
+            pts = r.uniform(-1, 1, (n, 3))
+            queries = r.uniform(-1.2, 1.2, (nq, 3))
+        copied = r.random(nq) < 0.5
+        queries[copied] = pts[r.integers(0, n, copied.sum())]
+        index = SpatialIndex(pts)
+        for k in sorted({1, int(r.integers(1, n + 1)), n}):
+            assert_linear_scan(index, pts, queries, k)
+            dist, idx = index.query(queries, k)
+            one_dist, one_idx = index.query(queries[0], k)
+            assert one_idx.shape == (k,)
+            assert np.array_equal(one_idx, idx[0]) and np.array_equal(one_dist, dist[0])
+            if k < n:
+                d = np.sort(np.linalg.norm(pts[None] - queries[:, None], axis=2), axis=1)
+                ties[tie_heavy] += int(np.sum(d[:, k - 1] == d[:, k]))
+    return ties
 
 
 class TestKnn:
@@ -205,38 +230,61 @@ class TestKnn:
         rows and put queries on the grid, so the k-th and (k+1)-th neighbors
         often tie; tie-free cases are uniform random clouds. Queries are
         copied from the cloud or drawn off it, k is 1, a random value and n,
-        and the first query is also asked alone as a ``(3,)`` point. The
-        ball fallback must run on tie-heavy cases and never on tie-free ones.
+        and the first query is also asked alone as a ``(3,)`` point. Ties
+        across the k-th place must occur on tie-heavy cases and never on
+        tie-free ones.
         """
-        r = np.random.default_rng(2008)
-        balls = {True: 0, False: 0}
-        for case in range(120):
-            ties = case % 2 == 0
-            n, nq = int(r.integers(1, 300)), int(r.integers(1, 40))
-            if ties:
-                distinct = np.round(4 * r.uniform(-1, 1, (r.integers(1, n + 1), 3))) / 4
-                pts = distinct[r.integers(0, len(distinct), n)]
-                queries = np.round(8 * r.uniform(-1.2, 1.2, (nq, 3))) / 8
-            else:
-                pts = r.uniform(-1, 1, (n, 3))
-                queries = r.uniform(-1.2, 1.2, (nq, 3))
-            copied = r.random(nq) < 0.5
-            queries[copied] = pts[r.integers(0, n, copied.sum())]
+        ties = assert_query_is_the_linear_scan(np.random.default_rng(2008))
+        assert ties[True] > 0
+        assert ties[False] == 0
+
+    def test_grid_query_is_the_linear_scan(self, monkeypatch):
+        """The same cases on the grid path, which small inputs skip."""
+        monkeypatch.setattr(geometry, "_SCAN_PAIRS", 0)
+        ties = assert_query_is_the_linear_scan(np.random.default_rng(2008))
+        assert ties[True] > 0
+
+    def test_query_far_outside_the_cloud(self, rng, monkeypatch):
+        """Queries 500 m outside the cloud, on every side, on both paths."""
+        pts = rng.uniform(-1, 1, (2000, 3))
+        queries = np.vstack([np.eye(3) * 500, -np.eye(3) * 500, [[300.0, -400, 0]]])
+        for scan_pairs in (geometry._SCAN_PAIRS, 0):
+            monkeypatch.setattr(geometry, "_SCAN_PAIRS", scan_pairs)
+            for k in (1, 5):
+                assert_linear_scan(SpatialIndex(pts), pts, queries, k)
+
+    def test_k_equal_to_n(self, rng, monkeypatch):
+        monkeypatch.setattr(geometry, "_SCAN_PAIRS", 0)
+        pts = rng.uniform(-1, 1, (1500, 3))
+        assert_linear_scan(SpatialIndex(pts), pts, pts[:3] + 0.01, len(pts))
+
+    def test_no_queries(self, random_cloud):
+        dist, idx = SpatialIndex(random_cloud).query(np.zeros((0, 3)), 3)
+        assert dist.shape == idx.shape == (0, 3)
+
+    def test_one_point_cloud(self, rng, monkeypatch):
+        monkeypatch.setattr(geometry, "_SCAN_PAIRS", 0)
+        pts = np.array([[1.0, 2.0, 3.0]])
+        index = SpatialIndex(pts)
+        queries = np.vstack([pts, rng.uniform(-10, 10, (20, 3))])
+        assert_linear_scan(index, pts, queries, 1)
+        rows, indices = index.ball(queries, 5.0)
+        assert np.array_equal(rows, np.flatnonzero(np.linalg.norm(queries - pts, axis=1) <= 5))
+        assert not indices.any()
+
+    def test_memory_is_linear_with_a_far_outlier(self, rng):
+        """A cloud of 10k points with one 1 km away: a dense grid over its
+        bounding box would need about 10**9 cells; the index holds O(n)."""
+        pts = np.vstack([rng.uniform(-5, 5, (10_000, 3)), [[1000.0, 0, 0]]])
+        tracemalloc.start()
+        try:
             index = SpatialIndex(pts)
-            index._tree = _CountingTree(index._tree)
-            for k in sorted({1, int(r.integers(1, n + 1)), n}):
-                dist, idx = index.query(queries, k)
-                for qi, q in enumerate(queries):
-                    d = np.linalg.norm(pts - q, axis=1)
-                    order = np.lexsort((np.arange(n), d))[:k]
-                    assert np.array_equal(idx[qi], order), (case, k, qi)
-                    assert np.array_equal(dist[qi], d[order]), (case, k, qi)
-                one_dist, one_idx = index.query(queries[0], k)
-                assert one_idx.shape == (k,)
-                assert np.array_equal(one_idx, idx[0]) and np.array_equal(one_dist, dist[0])
-            balls[ties] += index._tree.balls
-        assert balls[True] > 0
-        assert balls[False] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * len(pts)
+        queries = np.vstack([pts[::997], [[1000.0, 1, 0], [600.0, 0, 0]]])
+        assert_linear_scan(index, pts, queries, 4)
 
     def test_k_out_of_range(self, random_cloud):
         index = SpatialIndex(random_cloud)
@@ -597,19 +645,18 @@ class TestBall:
         # Inclusive: the grid point one radius along x of the first center.
         assert int(8 * radius) in indices[rows == 0]
 
+    @pytest.mark.parametrize("radius", [0.125, 0.25, 0.75, 1.0])
+    def test_grid_path_with_points_exactly_at_the_radius(self, radius, monkeypatch):
+        """The same clouds on the grid path, which small inputs skip."""
+        monkeypatch.setattr(geometry, "_SCAN_PAIRS", 0)
+        self.test_grid_with_points_exactly_at_the_radius(radius)
+        self.test_random_clouds()
+
     def test_center_far_from_every_point_gets_no_rows(self, random_cloud):
         centers = np.vstack([random_cloud.positions[:2], [[500.0, 0, 0]],
                              random_cloud.positions[2:4]])
         rows, _ = self.assert_ball(random_cloud.positions, centers, 0.8)
         assert set(rows.tolist()) == {0, 1, 3, 4}
-
-    def test_one_center(self, random_cloud):
-        index = SpatialIndex(random_cloud)
-        center = random_cloud.positions[5]
-        one = index.ball(center, 0.8)
-        assert one.ndim == 1
-        assert np.array_equal(one, flat_ball_point(random_cloud.positions, center[None], 0.8)[1])
-        assert np.array_equal(one, index.ball(center[None], 0.8)[1])
 
     def test_no_centers_gives_empty_arrays(self, random_cloud):
         rows, indices = SpatialIndex(random_cloud).ball(np.zeros((0, 3)), 0.8)
@@ -723,23 +770,17 @@ class TestEstimateNormals:
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_row_blocks_equal_the_whole_cloud_bitwise(self, kind, k, n, monkeypatch):
         """Blocks of 16 rows around a block boundary and over a short last
-        block give the bytes of the whole-cloud computation. On the grid the
-        tied rows are re-resolved by SpatialIndex.query's ball fallback
-        inside a block."""
+        block give the bytes of the whole-cloud computation, on the grid
+        path. On the grid, distances tie across the k-th place and those
+        rows are ordered by index inside a block."""
         monkeypatch.setattr(geometry, "_NORMAL_BLOCK_ENTRIES", self.BLOCK * (k + 1))
-        balls = []
-        ball = SpatialIndex.ball
-
-        def counting_ball(index, centers, radius):
-            balls.append(centers)
-            return ball(index, centers, radius)
-
-        monkeypatch.setattr(SpatialIndex, "ball", counting_ball)
+        monkeypatch.setattr(geometry, "_SCAN_PAIRS", 0)
         cloud = PointCloud(normals_case(kind, n))
         out = estimate_normals(cloud, k)
-        monkeypatch.undo()
         if kind == "grid":
-            assert balls
+            d = np.sort(np.linalg.norm(cloud.positions[None] - cloud.positions[:, None],
+                                       axis=2), axis=1)
+            assert np.any(d[:, k] == d[:, k + 1])
         normals, reliable = whole_cloud_normals(cloud, k)
         assert out.normals.tobytes() == normals.tobytes()
         assert out.reliable.tobytes() == reliable.tobytes()
