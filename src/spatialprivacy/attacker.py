@@ -30,7 +30,7 @@ import numpy as np
 from ._checks import require_real
 from .descriptors import (DescribedSpace, SpinParams, UnusableSpaceError, describe,
                           select_keypoints)
-from .geometry import PointCloud, knn_bruteforce, ranking_copy
+from .geometry import PackedRows, PointCloud, knn_bruteforce, ranking_copy
 from .mechanisms import GeneralizationParams, project_to_planes, ransac_planes
 
 __all__ = [
@@ -71,9 +71,9 @@ class AttackParams:
 
 @dataclass(frozen=True)
 class _LabelPool:
-    """One label's stacked descriptors and keypoint positions."""
+    """One label's stacked descriptors, packed, and keypoint positions."""
 
-    descriptors: np.ndarray
+    descriptors: PackedRows
     positions: np.ndarray
 
 
@@ -83,35 +83,43 @@ class ReferenceEnsemble:
     Each label's pool stacks the descriptors and keypoint positions of its
     raw and generalized variants, the raw variant first: its rows lead the
     pool in :func:`describe`'s keypoint order, so :func:`raw_view` reads a
-    space's raw description back without describing it. Every pool holds
+    space's raw description back without describing it. Each pool's
+    descriptors are packed in a :class:`PackedRows` store. Spin images are
+    mostly zero (a third to two fifths of the entries are not, on the
+    synthetic rooms), so at 128 bins a store takes 24 bytes per row plus 8
+    per nonzero entry, under half the dense rows; the exact kNN makes dense
+    only the rows it compares. Every pool holds
     at least two rows, so :func:`match_inter` can 2-nn match in each;
     ``ValueError`` names a label whose pool does not. ``prepared`` caches
     the pools' grouped ranking copy (:func:`ranking_copy`), which every
-    query's ``knn_bruteforce`` would otherwise recompute; it adds about half
-    the descriptors' size. Every value must be finite: a NaN row would be
-    every query's neighbour at distance NaN, which the NNDR reads as a
-    perfect match.
+    query's ``knn_bruteforce`` would otherwise recompute; at half the dense
+    descriptors' size, it is the ensemble's largest part. Every value must
+    be finite: a NaN row would be every query's neighbour at distance NaN,
+    which the NNDR reads as a perfect match.
     :func:`infer` describes queries with ``params`` and ``factor``.
     Immutable after construction; concurrent matching against it is safe.
     """
 
-    def __init__(self, pools: dict[str, tuple[np.ndarray, np.ndarray]],
+    def __init__(self, pools: dict[str, tuple[np.ndarray | PackedRows, np.ndarray]],
                  params: SpinParams, factor: int):
         if not pools or factor < 1:
             raise ValueError("ensemble needs at least one label and a factor >= 1")
+        self._pools = {}
         for label, (descriptors, positions) in pools.items():
             if (descriptors.shape[1:] != (params.length,) or len(descriptors) < 2
                     or positions.shape != (len(descriptors), 3)):
                 raise ValueError(f"label {label!r} has {descriptors.shape} descriptors and "
                                  f"{positions.shape} positions; it needs at least 2 rows "
                                  f"of width {params.length}")
-            if not (np.isfinite(descriptors).all() and np.isfinite(positions).all()):
+            if not isinstance(descriptors, PackedRows):
+                descriptors = PackedRows.pack(descriptors)
+            if not (np.isfinite(descriptors.nonzeros).all() and np.isfinite(positions).all()):
                 raise ValueError(f"label {label!r} has non-finite descriptors or positions")
+            self._pools[label] = _LabelPool(descriptors, positions)
         self.labels = list(pools)
         self.params = params
         self.factor = factor
-        self._pools = {label: _LabelPool(*arrays) for label, arrays in pools.items()}
-        self.prepared = ranking_copy([pools[label][0] for label in self.labels])
+        self.prepared = ranking_copy([self._pools[label].descriptors for label in self.labels])
 
     def pool(self, label: str) -> _LabelPool:
         return self._pools[label]
@@ -317,7 +325,8 @@ def raw_view(ensemble: ReferenceEnsemble, space: PointCloud) -> DescribedSpace:
     """``describe(space, ensemble.params, ensemble.factor)`` as the pool of
     ``space.label`` already holds it, if the ensemble was built from this
     space: the pool's first rows, one per keypoint of
-    :func:`select_keypoints`, as views, not copies.
+    :func:`select_keypoints`. The descriptors are a dense copy of those
+    rows alone, the positions a view of the pool's.
 
     Nothing here checks that the rows are this space's; a pool built from
     another cloud yields that cloud's rows. Raises ``KeyError`` for a label
@@ -330,7 +339,7 @@ def raw_view(ensemble: ReferenceEnsemble, space: PointCloud) -> DescribedSpace:
         raise ValueError(f"pool of {space.label!r} holds {len(pool.descriptors)} rows, "
                          f"fewer than its {len(keys)} raw keypoints")
     return DescribedSpace(keys.astype(np.int64), pool.positions[:len(keys)],
-                          pool.descriptors[:len(keys)], ensemble.params)
+                          np.asarray(pool.descriptors[:len(keys)]), ensemble.params)
 
 
 def build_reference(
@@ -349,7 +358,10 @@ def build_reference(
     and returns the results in order, as the builtin ``map`` does or an
     executor's ``map`` across threads; the ensemble does not depend on it.
     A space that cannot be described, or whose variants give fewer than two
-    descriptor rows in all, raises :class:`UnusableSpaceError`.
+    descriptor rows in all, raises :class:`UnusableSpaceError`. Each
+    variant's descriptors are packed as soon as it is described, and each
+    label's packed variants are stacked into its pool, so no dense pool is
+    ever stacked.
     """
     labels = [space.label for space in spaces]
     seen: set[str] = set()
@@ -360,21 +372,24 @@ def build_reference(
             raise ValueError(f"duplicate space label {label!r}")
         seen.add(label)
 
-    def pool_of(space_idx: int, space: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    def described(space_idx: int, space: PointCloud):
         # The raw variant first: raw_view reads it back from there.
-        variants = [describe(space, desc_params, factor)]
+        yield describe(space, desc_params, factor)
         for v_idx, gen in enumerate(variant_params):
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(space_idx, v_idx))
             )
             planes = ransac_planes(space, gen, rng)
-            generalized = project_to_planes(space, planes)
-            variants.append(describe(generalized, desc_params, factor))
-        descriptors = np.vstack([v.descriptors for v in variants])
+            yield describe(project_to_planes(space, planes), desc_params, factor)
+
+    def pool_of(space_idx: int, space: PointCloud) -> tuple[PackedRows, np.ndarray]:
+        variants = [(PackedRows.pack(v.descriptors), v.positions)
+                    for v in described(space_idx, space)]
+        descriptors = PackedRows.concat([d for d, _ in variants])
         if len(descriptors) < 2:
             raise UnusableSpaceError(f"one descriptor row in {space.label}; "
                                      f"2-nn matching needs at least 2")
-        return descriptors, np.vstack([v.positions for v in variants])
+        return descriptors, np.vstack([p for _, p in variants])
 
     pools = dict(zip(labels, map_fn(pool_of, range(len(spaces)), spaces)))
     return ReferenceEnsemble(pools, desc_params, factor)
@@ -441,7 +456,8 @@ def _read_text(fh) -> str:
 
 def save_ensemble(ensemble: ReferenceEnsemble, path) -> None:
     """Write the magic, version, bin size, image width, factor and label
-    count, then per label its name, descriptors and positions."""
+    count, then per label its name, descriptors and positions. The
+    descriptors are written dense, one label's made dense at a time."""
     params = ensemble.params
     with open(path, "wb") as fh:
         fh.write(_ENSEMBLE_MAGIC)
@@ -464,7 +480,8 @@ def load_ensemble(path) -> ReferenceEnsemble:
                 label = _read_text(fh)
                 if label in pools:
                     raise CacheFormatError(f"repeated label {label!r}")
-                pools[label] = (_read_array(fh, "<f8"), _read_array(fh, "<f8"))
+                pools[label] = (PackedRows.pack(_read_array(fh, "<f8")),
+                                _read_array(fh, "<f8"))
             return ReferenceEnsemble(pools, SpinParams(bin_size, width), factor)
     except ValueError as err:
         raise CacheFormatError(f"ensemble cache: {err}") from err

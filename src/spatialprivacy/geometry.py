@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 __all__ = [
+    "PackedRows",
     "PointCloud",
     "RigidTransform",
     "SpatialIndex",
@@ -42,6 +43,7 @@ _NORMAL_BLOCK_ENTRIES = 1 << 15  # neighbor entries per estimate_normals row blo
 _CELL_POINTS = 2          # points per grid cell that SpatialIndex's cell size aims at
 _PAIR_ENTRIES = 1 << 13   # (query, point) pairs per SpatialIndex chunk
 _SCAN_PAIRS = 1 << 16     # at most this many (query, point) pairs: SpatialIndex scans
+_DENSE_ENTRIES = 1 << 15  # float64 entries of packed rows made dense at a time
 
 
 def _as_points(a, name: str = "positions") -> np.ndarray:
@@ -411,9 +413,108 @@ def _chunks(counts: np.ndarray, size: int):
 
 def _flatten(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, positions)``: every position of each (m, c) row's runs, in order."""
-    lens = (stop - start).ravel()
-    pos = np.repeat(start.ravel() - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-    return np.repeat(np.arange(len(start)), (stop - start).sum(axis=1)), pos
+    return (np.repeat(np.arange(len(start)), (stop - start).sum(axis=1)),
+            _run_positions(start.ravel(), (stop - start).ravel()))
+
+
+def _run_positions(start: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Every position of the runs ``start[i]:start[i] + lens[i]``, in order."""
+    pos = np.repeat(start - (np.cumsum(lens) - lens), lens)
+    pos += np.arange(len(pos))
+    return pos
+
+
+class PackedRows:
+    """Read-only float64 rows of one width, packed: per row, a bit mask of
+    its nonzero entries and their values, in row order.
+
+    An entry is stored when any of its bits is set, so -0.0 is kept and the
+    dense rows come back bit for bit. A store takes ``ceil(dim / 8) + 8``
+    bytes per row plus 8 per stored entry, against ``8 * dim`` dense. Make
+    one with :meth:`pack` or :meth:`concat`. A slice of rows (step 1) is a
+    view of the same store; any other index gives dense rows, as numpy
+    indexes an (n, dim) array, and ``np.asarray`` gives them all.
+    """
+
+    ndim = 2
+
+    def __init__(self, bits: np.ndarray, offsets: np.ndarray, values: np.ndarray, dim: int,
+                 start: int = 0, stop: int | None = None):
+        # The whole store's arrays: row i's mask is bits[i], its values are
+        # values[offsets[i]:offsets[i + 1]]. This object is rows start:stop.
+        self._bits, self._offsets, self._values = bits, offsets, values
+        for a in (bits, offsets, values):
+            a.flags.writeable = False
+        self.dim = dim
+        self.start = start
+        self.stop = len(bits) if stop is None else stop
+
+    @classmethod
+    def pack(cls, rows) -> "PackedRows":
+        """The store of the (n, dim) ``rows``, as float64."""
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError(f"rows must have shape (n, dim), got {rows.shape}")
+        mask = rows.view(np.uint64) != 0
+        stored = np.flatnonzero(mask)   # faster than rows[mask]
+        offsets = np.searchsorted(stored, np.arange(len(rows) + 1) * rows.shape[1])
+        return cls(np.packbits(mask, axis=1), offsets, rows.reshape(-1).take(stored),
+                   rows.shape[1])
+
+    @classmethod
+    def concat(cls, parts: list["PackedRows"]) -> "PackedRows":
+        """One store of the rows of ``parts``, in order, all of one width."""
+        dims = {p.dim for p in parts}
+        if len(dims) != 1:
+            raise ValueError(f"rows of widths {sorted(dims)} cannot share a store")
+        offsets = np.zeros(sum(map(len, parts)) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate([np.diff(p._offsets[p.start:p.stop + 1]) for p in parts]),
+                  out=offsets[1:])
+        return cls(np.concatenate([p._bits[p.start:p.stop] for p in parts]), offsets,
+                   np.concatenate([p.nonzeros for p in parts]), dims.pop())
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self), self.dim)
+
+    @property
+    def nonzeros(self) -> np.ndarray:
+        """The stored entries of these rows, in row order: a view."""
+        return self._values[self._offsets[self.start]:self._offsets[self.stop]]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and key.step in (None, 1):
+            start, stop, _ = key.indices(len(self))
+            return PackedRows(self._bits, self._offsets, self._values, self.dim,
+                              self.start + start, self.start + max(start, stop))
+        return self._gather(np.arange(self.start, self.stop)[key])
+
+    def __array__(self, dtype=None, copy=None):
+        out = self._place(slice(self.start, self.stop), self.nonzeros)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        """The dense rows of the store at row numbers ``rows`` (of any
+        shape, counted from the store's first row): ``rows.shape + (dim,)``."""
+        rows = np.asarray(rows)
+        flat = rows.ravel()
+        first = self._offsets[flat]
+        values = self._values.take(_run_positions(first, self._offsets[flat + 1] - first))
+        return self._place(flat, values).reshape(rows.shape + (self.dim,))
+
+    def _place(self, rows, values: np.ndarray) -> np.ndarray:
+        """The dense (m, dim) rows of the store's ``rows`` (a slice or an
+        index array), given their stored ``values`` in row order. They are
+        placed by the flat index of each set mask bit: on rows a third
+        nonzero, 2-3 times faster than assigning through the boolean mask,
+        for an index array the size of ``values``."""
+        mask = np.unpackbits(self._bits[rows], axis=1, count=self.dim).view(bool)
+        out = np.zeros(mask.shape)
+        out.reshape(-1)[np.flatnonzero(mask)] = values
+        return out
 
 
 def _exponent(a: np.ndarray) -> int:
@@ -426,7 +527,8 @@ def _exponent(a: np.ndarray) -> int:
 
 def ranking_copy(references) -> tuple[np.ndarray, int, np.ndarray]:
     """``(sq_norms, e, copy)``, what :func:`knn_bruteforce` ranks on, for
-    a list of G (n_g, dim) reference groups. With L the largest group's
+    a list of G (n_g, dim) reference groups, arrays or :class:`PackedRows`,
+    each made dense in turn. With L the largest group's
     row count, ``sq_norms`` is (G, L): each group's
     ``einsum("ij,ij->i", r, r)``, padded with +inf. ``copy`` is
     (G, dim, L) float32, C-contiguous: each group times 2**e,
@@ -435,14 +537,18 @@ def ranking_copy(references) -> tuple[np.ndarray, int, np.ndarray]:
     exact, so the cast cannot overflow, and it flushes to zero only entries
     some 2**149 times smaller than the largest. The transposed layout runs
     the GEMM about a fifth faster."""
-    groups = [np.asarray(r, dtype=np.float64) for r in references]
-    e = min(_exponent(r) for r in groups)
-    width = max(len(r) for r in groups)
-    sq_norms = np.full((len(groups), width), np.inf)
-    copy = np.zeros((len(groups), groups[0].shape[1], width), dtype=np.float32)
-    for g, r in enumerate(groups):
-        sq_norms[g, :len(r)] = np.einsum("ij,ij->i", r, r)
-        np.multiply(r.T, 2.0**e, out=copy[g, :, :len(r)], casting="same_kind")
+    e = min(_exponent(r.nonzeros if isinstance(r, PackedRows)
+                      else np.asarray(r, dtype=np.float64)) for r in references)
+    width = max(len(r) for r in references)
+    sq_norms = np.full((len(references), width), np.inf)
+    copy = np.zeros((len(references), references[0].shape[1], width), dtype=np.float32)
+    rows = max(1, _DENSE_ENTRIES // copy.shape[1])
+    for g, r in enumerate(references):
+        for lo in range(0, len(r), rows):
+            part = np.asarray(r[lo:lo + rows], dtype=np.float64)
+            hi = lo + len(part)
+            sq_norms[g, lo:hi] = np.einsum("ij,ij->i", part, part)
+            np.multiply(part.T, 2.0**e, out=copy[g, :, lo:hi], casting="same_kind")
     return sq_norms, e, copy
 
 
@@ -450,10 +556,10 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
                    prepared: tuple[np.ndarray, int, np.ndarray] | None = None):
     """Exact k-nn in arbitrary dimension, e.g. descriptor space.
 
-    ``references`` is a list of G (n_g, dim) arrays (the groups, of any
-    sizes n_g >= k), each searched on its own by the (q, dim) ``queries``;
-    anything else raises ``ValueError``. Exact means equal, bitwise in both
-    indices and distances, to the direct linear scan: for each query ``q``
+    ``references`` is a list of G (n_g, dim) groups, of any sizes n_g >= k,
+    each an array or a :class:`PackedRows` store, and each searched on its
+    own by the (q, dim) ``queries``; anything else raises ``ValueError``.
+    Exact means equal, bitwise in both indices and distances, to the direct linear scan: for each query ``q``
     and group ``r`` the distances are ``np.linalg.norm(r - q, axis=1)`` and
     the neighbors are the first ``k`` of their ascending order, ties by
     lower row index (the contract of :meth:`SpatialIndex.query`). Returns
@@ -471,10 +577,12 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
     k + 1 min passes over the buffer, O((k + 1) * tile) beyond the GEMM;
     only a row whose (k+1)-th key falls within the bound (a tie may straddle
     the k-th place) is masked in full to find its survivors. Survivors get
-    their distances directly, in float64, as the linear scan sums them, and
-    those of all groups are sorted in one pass per tile.
+    their distances directly, in float64, as the linear scan sums them, from
+    their rows made dense ``_DENSE_ENTRIES`` (2**15) entries at a time, one
+    group at a time; those of all groups are sorted in one pass per tile.
     """
-    groups = [np.asarray(r, dtype=np.float64) for r in references]
+    groups = [r if isinstance(r, PackedRows) else np.asarray(r, dtype=np.float64)
+              for r in references]
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or any(r.ndim != 2 for r in groups):
         raise ValueError("knn_bruteforce takes a list of (n, dim) reference groups "
@@ -515,13 +623,12 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
     dist = np.empty((n_groups, len(queries), k))
     idx = np.empty((n_groups, len(queries), k), dtype=np.intp)
     # Tiles of 2**18 keys per group keep the GEMM efficient while no q x n
-    # matrix exists; the k * dim term bounds one group's difference vectors.
-    block = max(1, (1 << 18) // max(width, k * dim))
+    # matrix exists; the survivors' float64 rows are made in chunks.
+    block = max(1, (1 << 18) // width)
+    chunk = max(1, _DENSE_ENTRIES // dim)
     buf = np.empty((min(block, len(queries)), width), dtype=np.float32)
     picks = np.empty((n_groups, len(buf), k), dtype=np.intp)
     keys = np.empty((len(buf), k), dtype=np.float32)
-    diff = np.empty((len(buf), k, dim))
-    sq = np.empty((n_groups, len(buf), k))
     for s in range(0, len(queries), block):
         qb = queries[s:s + block]
         nb = len(qb)
@@ -532,8 +639,8 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
                  + 4 * tiny * (math.sqrt(dim) * (a + b) + 2 * dim + 3)
                  + (dim + 8) * eps * (a + b) ** 2 + under)
         rows = np.arange(nb)
-        extra = []   # tied rows' further survivors: (group, row), column, distance
-        for g, ref in enumerate(groups):
+        extra = []   # tied rows' further survivors: (group, row), column
+        for g in range(n_groups):
             copy = r32[g] if rescale is None else r32[g] * rescale
             kb = np.matmul(x32, copy, out=buf[:nb])
             kb += n32[g]
@@ -546,11 +653,6 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
                 pick[:, j] = p
                 key[:, j] = kb[rows, p]
                 kb[rows, p] = np.inf
-            # The picks' squared distances as the linear scan sums them:
-            # np.linalg.norm takes sqrt(add.reduce(x * x)).
-            vec = np.subtract(ref[pick], qb[:, None], out=diff[:nb])
-            vec *= vec
-            np.add.reduce(vec, axis=-1, out=sq[g, :nb])
             # Every row keeps its k picks. A row whose (k+1)-th key is within
             # thr (a tie may straddle the k-th place) also keeps every other
             # key within thr, as SpatialIndex.query re-resolves a tied row
@@ -559,14 +661,24 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
             tied = kb.min(axis=1) <= thr
             if tied.any():
                 tied_rows, tied_cols = np.nonzero(kb[tied] <= thr[tied, None])
-                tied_rows = rows[tied][tied_rows]
-                extra.append((tied_rows + g * nb, tied_cols,
-                              np.linalg.norm(ref[tied_cols] - qb[tied_rows], axis=1)))
-        d = np.sqrt(sq[:, :nb]).ravel()
+                extra.append((rows[tied][tied_rows] + g * nb, tied_cols))
         owner = np.repeat(np.arange(n_groups * nb), k)
         cols = picks[:, :nb].ravel()
         if extra:
-            owner, cols, d = (np.concatenate(part) for part in zip((owner, cols, d), *extra))
+            owner, cols = (np.concatenate(part) for part in zip((owner, cols), *extra))
+        # The survivors' distances as the linear scan sums them:
+        # np.linalg.norm takes sqrt(add.reduce(x * x)).
+        group, row = np.divmod(owner, nb)
+        d = np.empty(len(owner))
+        for g, ref in enumerate(groups):
+            mine = np.flatnonzero(group == g)
+            for lo in range(0, len(mine), chunk):
+                at = mine[lo:lo + chunk]
+                vec = ref[cols[at]]
+                vec -= qb[row[at]]
+                vec *= vec
+                d[at] = np.sqrt(np.add.reduce(vec, axis=-1))
+                del vec   # before the next chunk's rows are made
         order = np.lexsort((cols, d, owner))
         # Every (group, row) keeps at least k survivors; take the first k.
         counts = np.bincount(owner, minlength=n_groups * nb)

@@ -12,7 +12,10 @@ removing one sweep cell leaves the others unchanged. One pool of ``workers``
 threads builds the reference, runs the preflight and runs the sweep.
 
 A walk attacks each of its distinct release clouds once (a step that
-reveals no new point repeats an earlier release). Each is described once;
+reveals no new point repeats an earlier release). Q is computed once per
+step: the step's live planes are projected once, every projected point's
+error against the step's truth is found on one index, and each plane cap's
+release and Q take the rows of its top planes. Each is described once;
 an empty or undescribable release abstains there, unmatched. The others are
 queued until they hold ``_BATCH_ROWS`` descriptor rows, then 2-nn matched by
 one ``attacker.two_nn`` call, which makes one large GEMM of many small ones
@@ -41,7 +44,7 @@ from .attacker import (AttackParams, ReferenceEnsemble, build_reference, infer, 
                        two_nn)
 from .descriptors import SpinParams, UnusableSpaceError, describe
 from .geometry import PointCloud, apply_transform, centroid, estimate_normals
-from .mechanisms import GeneralizationParams, release_at, release_sequence
+from .mechanisms import GeneralizationParams, release_sequence, step_release
 from .metrics import (
     TrialRecord,
     abstention_rate,
@@ -49,7 +52,7 @@ from .metrics import (
     inter_privacy,
     intra_privacy,
     privacy_band,
-    qos,
+    qos_errors,
 )
 from .ply_io import load_ply
 from .synthetic import DEFAULT_SPACE_COUNT, default_space_specs, generate_space
@@ -348,7 +351,11 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     attacker sees the release moved by the walk's one transform. A release is
     fixed by its step's ``(n_accumulated, n_planes, min(cap, n_planes))``, and
     the walk's trials with one such key share one outcome: caps at or above a
-    plane count, and later steps that revealed no new point, run once.
+    plane count, and later steps that revealed no new point, run once. A
+    step that releases something new projects its live planes once
+    (:func:`step_release`) and computes every projected point's Q error
+    once, on one index of its truth; each cap's release and Q are the rows
+    of its top planes.
 
     Each distinct release, in walk order, is described once. One that is
     empty, or on which ``describe`` raises ``UnusableSpaceError`` (no
@@ -380,6 +387,7 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
     for idx, step in enumerate(steps, start=1):
         accumulated = state.prefix(step.n_accumulated)
         true_centroid = centroid(accumulated)
+        release = errors = None   # derived once per step, when a cap needs them
         for cap in config.max_planes:
             # Raw walks have no planes and no bounded cap: one key per release.
             effective = step.n_planes if cap is None else min(cap, step.n_planes)
@@ -387,11 +395,17 @@ def _sequence_trials(ensemble, spaces_list, config, kind, radius, sample):
             records.append((idx, cap, true_centroid, key))
             if key in outcomes or key in queued:
                 continue
-            released = release_at(state, step, cap)
+            if release is None:
+                release = step_release(state, step)
+                if len(release.cloud):
+                    errors = qos_errors(release.cloud, accumulated, config.qos_alpha)
+            rows = release.rows(cap)
+            released = release.cloud.subset(rows)
             if len(released) == 0:
                 outcomes[key] = (None, None, True, None)
                 continue
-            q_value = qos(released, accumulated, config.qos_alpha)
+            # Each point's error is its own: Q is qos(released, accumulated).
+            q_value = float(np.mean(errors[rows]))
             query = apply_transform(released, step.transform)
             try:
                 described = describe(query, ensemble.params, ensemble.factor)

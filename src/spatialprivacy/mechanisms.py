@@ -12,8 +12,9 @@ Subsumption only appends newer point indices to existing planes, and
 planes are appended, so a plane's index is its creation number and the state
 as of any earlier release is a prefix of the final one. A walk therefore
 keeps only the final state plus a few counts per release, and
-:func:`release_at` derives what any release emitted, raw or under any plane
-cap.
+:func:`step_release` derives what any release emitted, raw or under any
+plane cap: each plane live at the step is projected once, and the release
+under a cap is the concatenation of its top planes' slices.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ __all__ = [
     "Plane",
     "ReleaseState",
     "ReleaseStep",
+    "StepRelease",
     "project_to_planes",
     "ransac_planes",
     "release_at",
     "release_sequence",
+    "step_release",
     "subsume",
 ]
 
@@ -265,32 +268,63 @@ class ReleaseStep:
     n_accumulated: int
 
 
-def release_at(state: ReleaseState, step: ReleaseStep,
-               cap: int | None = None) -> PointCloud:
-    """The cloud released at ``step``, reference frame.
+@dataclass(frozen=True)
+class StepRelease:
+    """Every cloud one walk step can release, reference frame: ``cloud`` is
+    its release under no cap, and :meth:`rows` picks the release under any
+    cap from it.
 
-    ``state`` is the walk's final state. A raw walk releases the raw points
-    revealed so far, ``state.prefix(step.n_accumulated)``, and takes no
-    bounded cap. In a generalized walk the planes live at ``step`` are its
-    first ``step.n_planes``, each holding its inliers below
-    ``step.n_accumulated``. They rank by inlier count descending, ties by
-    index (the older plane first), and the top ``cap`` (all when None) are
-    projected in index order. The state itself is untouched; withheld planes
-    remain available for subsumption.
+    In a generalized walk ``cloud`` holds the projections of the planes live
+    at the step, each plane projected once, in plane index order: plane i's
+    points are rows ``bounds[i]:bounds[i + 1]``. In a raw walk it is the raw
+    points revealed so far, and ``bounds`` is None.
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1 when bounded")
+
+    cloud: PointCloud
+    bounds: np.ndarray | None
+
+    def rows(self, cap: int | None = None) -> np.ndarray:
+        """The mask of the rows of ``cloud`` released under ``cap``: the
+        slices of the top ``cap`` planes (all when None), ranked by inlier
+        count descending, ties by index (the older plane first), in index
+        order. A raw walk releases every row and takes no bounded cap."""
+        if cap is not None and cap < 1:
+            raise ValueError("cap must be >= 1 when bounded")
+        if self.bounds is None:
+            if cap is not None:
+                raise ValueError("bounded plane caps apply only to generalized walks")
+            return np.ones(len(self.cloud), dtype=bool)
+        sizes = np.diff(self.bounds)
+        chosen = np.zeros(len(sizes), dtype=bool)
+        chosen[np.argsort(-sizes, kind="stable")[:cap]] = True
+        return np.repeat(chosen, sizes)
+
+
+def step_release(state: ReleaseState, step: ReleaseStep) -> StepRelease:
+    """What ``step`` can release, derived from ``state``, the walk's final
+    state. A raw walk releases the raw points revealed so far,
+    ``state.prefix(step.n_accumulated)``. In a generalized walk the planes
+    live at ``step`` are its first ``step.n_planes``, each holding its
+    inliers below ``step.n_accumulated``, projected by
+    :func:`project_to_planes`. The state itself is untouched; withheld
+    planes remain available for subsumption."""
     n = step.n_accumulated
     if not state.generalize:
-        if cap is not None:
-            raise ValueError("bounded plane caps apply only to generalized walks")
-        return state.prefix(n)
+        return StepRelease(state.prefix(n), None)
     live = [
         Plane(p.normal, p.offset, p.inlier_indices[: np.searchsorted(p.inlier_indices, n)])
         for p in state.planes[: step.n_planes]
     ]
-    top = sorted(range(len(live)), key=lambda i: (-len(live[i].inlier_indices), i))[:cap]
-    return project_to_planes(state.prefix(n), [live[i] for i in sorted(top)])
+    bounds = np.cumsum([0] + [len(p.inlier_indices) for p in live])
+    return StepRelease(project_to_planes(state.prefix(n), live), bounds)
+
+
+def release_at(state: ReleaseState, step: ReleaseStep,
+               cap: int | None = None) -> PointCloud:
+    """The cloud released at ``step`` under ``cap``, reference frame: the
+    rows :meth:`StepRelease.rows` picks from :func:`step_release`."""
+    release = step_release(state, step)
+    return release.cloud.subset(release.rows(cap))
 
 
 def release_sequence(space: PointCloud, radius: float, releases: int = 1, seed=0,
@@ -305,7 +339,7 @@ def release_sequence(space: PointCloud, radius: float, releases: int = 1, seed=0
     The next center is a point of the ball. Each release is re-expressed in
     one random rigid frame shared by the whole walk. Returns the steps and
     the final state, which records whether the walk generalizes;
-    :func:`release_at` derives every release from it.
+    :func:`step_release` derives every release from it.
     """
     require_real("radius", radius, 0.0)
     require_int("releases", releases, 1)

@@ -22,6 +22,7 @@ __all__ = [
     "intra_privacy",
     "privacy_band",
     "qos",
+    "qos_errors",
 ]
 
 
@@ -86,13 +87,24 @@ def abstention_rate(trials: list[TrialRecord]) -> float:
 
 
 def qos(transformed: PointCloud, raw: PointCloud, alpha: float = 0.5) -> float:
-    """Mean transformation error of a released cloud against the truth.
+    """Mean transformation error of a released cloud against the truth: the
+    mean of :func:`qos_errors`.
 
     Q is one-sided, from the release to the truth: every released point pairs
     with its nearest raw point, and its error is alpha * position distance +
     (1 - alpha) * normal deviation; raw structure the release withholds adds
-    nothing. Normal deviation is computed as 0.5 * ||n - n'||^2, which equals
-    1 - n . n' for unit vectors but is exactly zero for identical ones.
+    nothing.
+    """
+    return float(np.mean(qos_errors(transformed, raw, alpha)))
+
+
+def qos_errors(transformed: PointCloud, raw: PointCloud, alpha: float = 0.5) -> np.ndarray:
+    """Each released point's error against its nearest raw point, as
+    :func:`qos` averages them: alpha * position distance + (1 - alpha) *
+    normal deviation. Normal deviation is computed as 0.5 * ||n - n'||^2,
+    which equals 1 - n . n' for unit vectors but is exactly zero for
+    identical ones. Every point's error is its own, so the errors of any
+    rows of ``transformed`` are those rows of its errors.
     """
     if not 0 <= alpha <= 1:
         raise ValueError(f"need alpha in [0, 1], got {alpha!r}")
@@ -107,7 +119,7 @@ def qos(transformed: PointCloud, raw: PointCloud, alpha: float = 0.5) -> float:
     normal_dev = 0.5 * np.einsum(
         "ij,ij->i", transformed.normals - paired, transformed.normals - paired
     )
-    return float(np.mean(alpha * dist + beta * normal_dev))
+    return alpha * dist + beta * normal_dev
 
 
 def privacy_band(pi1: float) -> str:

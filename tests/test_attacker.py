@@ -570,7 +570,8 @@ class TestRawView:
             assert got.tobytes() == expected.tobytes()
         assert view.params == fresh.params
         pool = ensemble.pool(space.label)
-        assert np.shares_memory(view.descriptors, pool.descriptors)
+        # The descriptors are a dense copy of the packed raw rows alone.
+        assert not np.shares_memory(view.descriptors, pool.descriptors.nonzeros)
         assert np.shares_memory(view.positions, pool.positions)
 
     def test_built_ensemble(self, mini_spaces, mini_ensemble):
@@ -639,6 +640,29 @@ class TestBuildReference:
             assert np.array_equal(ensemble.pool(label).descriptors, raw.descriptors)
             assert np.array_equal(ensemble.pool(label).positions, raw.positions)
 
+    def test_pools_keep_the_nonzero_entries_alone(self, mini_spaces, mini_ensemble):
+        """The descriptors an ensemble retains take about a mask bit per
+        entry, a row offset and 8 bytes per nonzero entry, far below the 8
+        bytes per entry of dense rows; the ranking copy and positions
+        come on top. (``mini_ensemble`` was built first, so the imports a
+        first build makes are not counted.)"""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ensemble = build_reference(mini_spaces, seed=0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        pools = [ensemble.pool(label) for label in ensemble.labels]
+        rows = sum(len(pool.descriptors) for pool in pools)
+        nonzero = sum(np.count_nonzero(np.asarray(pool.descriptors)) for pool in pools)
+        rest = (sum(pool.positions.nbytes for pool in pools)
+                + ensemble.prepared[0].nbytes + ensemble.prepared[2].nbytes)
+        dim = ensemble.params.length
+        per_row = (retained - rest) / rows
+        assert per_row <= dim / 8 + 8 + 8 * nonzero / rows + 16
+        assert per_row < 0.6 * 8 * dim
+
     def test_pool_concatenates_variants(self, mini_spaces, mini_ensemble):
         raw, generalized = described_variants(mini_spaces[0], 0)
         pool = mini_ensemble.pool("mini0")
@@ -672,8 +696,8 @@ class TestBuildReference:
         assert threaded.labels == mini_ensemble.labels
         for label in threaded.labels:
             for name in ("descriptors", "positions"):
-                got = getattr(threaded.pool(label), name)
-                expected = getattr(mini_ensemble.pool(label), name)
+                got = np.asarray(getattr(threaded.pool(label), name))
+                expected = np.asarray(getattr(mini_ensemble.pool(label), name))
                 assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
         for got, expected in zip(threaded.prepared, mini_ensemble.prepared):
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()

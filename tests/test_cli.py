@@ -579,5 +579,5 @@ def test_reference_writes_the_ensemble_run_attacks(space_dir, tmp_path, monkeypa
     assert written.labels == attacked.labels == ["a", "a-b"]
     for label in attacked.labels:
         for name in ("descriptors", "positions"):
-            got = getattr(written.pool(label), name)
-            assert got.tobytes() == getattr(attacked.pool(label), name).tobytes()
+            got = np.asarray(getattr(written.pool(label), name))
+            assert got.tobytes() == np.asarray(getattr(attacked.pool(label), name)).tobytes()

@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 
 from spatialprivacy import geometry
 from spatialprivacy.geometry import (
+    PackedRows,
     PointCloud,
     RigidTransform,
     SpatialIndex,
@@ -304,7 +305,7 @@ class TestKnn:
         copied from the references, coordinates scaled from 1e-3 to 1e3 and
         every k from 1 to n. Every fifth case has more query rows than two
         GEMM tiles hold, so the kernel runs several tiles. Each case runs with
-        and without the prepared ranking copy.
+        and without the prepared ranking copy, and on the packed references.
         """
         r = np.random.default_rng(2004)
         for case in range(200):
@@ -325,7 +326,8 @@ class TestKnn:
             copied = r.random(nq) < 0.5
             queries[copied] = refs[r.integers(0, n, copied.sum())]
             results = [one_group(refs, queries, k=k),
-                       one_group(refs, queries, k=k, prepared=ranking_copy([refs]))]
+                       one_group(refs, queries, k=k, prepared=ranking_copy([refs])),
+                       one_group(PackedRows.pack(refs), queries, k=k)]
             for qi, q in enumerate(queries):
                 d = np.linalg.norm(refs - q, axis=1)
                 order = np.lexsort((np.arange(n), d))[:k]
@@ -355,10 +357,12 @@ class TestKnn:
     @staticmethod
     def _assert_linear_scan(refs, queries, k):
         """Bitwise the linear scan, both with the prepared ranking copy
-        given and with the call making its own."""
+        given and with the call making its own, and with the references
+        dense and packed."""
         queries = np.atleast_2d(queries)
-        for prepared in (None, ranking_copy([refs])):
-            dist, idx = one_group(refs, queries, k=k, prepared=prepared)
+        for group, prepared in ((refs, None), (refs, ranking_copy([refs])),
+                                (PackedRows.pack(refs), None)):
+            dist, idx = one_group(group, queries, k=k, prepared=prepared)
             for qi, q in enumerate(queries):
                 d = np.linalg.norm(refs - q, axis=1)
                 order = np.lexsort((np.arange(len(refs)), d))[:k]
@@ -526,8 +530,15 @@ class TestGroupedKnn:
 
     @staticmethod
     def _assert_each_group_scanned(groups, queries, k):
-        for prepared in (None, ranking_copy(groups)):
-            dist, idx = knn_bruteforce(groups, queries, k=k, prepared=prepared)
+        """Dense groups, with and without the prepared ranking copy; packed
+        groups, each in its own store; and slices of one packed store."""
+        packed = [PackedRows.pack(g) for g in groups]
+        store = PackedRows.concat(packed)
+        bounds = np.cumsum([0] + [len(g) for g in groups])
+        shared = [store[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for refs, prepared in ((groups, None), (groups, ranking_copy(groups)),
+                               (packed, None), (shared, ranking_copy(groups))):
+            dist, idx = knn_bruteforce(refs, queries, k=k, prepared=prepared)
             assert dist.shape == idx.shape == (len(groups), len(queries), k)
             for g, refs in enumerate(groups):
                 for qi, q in enumerate(queries):
@@ -609,6 +620,60 @@ class TestGroupedKnn:
             tracemalloc.stop()
         # The 3387 x 14185 key matrix alone would take 192 MB in float32.
         assert peak <= 32 * 2**20
+
+
+def sparse_rows(r, n, dim, density=0.35):
+    """(n, dim) rows, mostly zero as spin images are, with a -0.0 entry, an
+    all-zero row and an all-nonzero row."""
+    rows = np.where(r.random((n, dim)) < density, r.normal(size=(n, dim)), 0.0)
+    rows[0, -1] = -0.0
+    rows[1] = 0.0
+    rows[2] = r.normal(size=dim)
+    return rows
+
+
+class TestPackedRows:
+    """Rows packed as nonzero masks and values come back bit for bit."""
+
+    def test_round_trip_is_bitwise(self):
+        r = np.random.default_rng(33)
+        for dim in (1, 7, 8, 9, 128):
+            rows = sparse_rows(r, 40, dim)
+            packed = PackedRows.pack(rows)
+            assert len(packed) == 40 and packed.shape == (40, dim) and packed.ndim == 2
+            assert np.asarray(packed).tobytes() == rows.tobytes()
+            assert np.signbit(np.asarray(packed)[0, -1])
+            for key in (slice(3, 17), slice(-5, None), slice(9, 2), slice(None)):
+                assert np.asarray(packed[key]).tobytes() == rows[key].tobytes(), key
+            assert np.asarray(packed[5:30][2:9]).tobytes() == rows[7:14].tobytes()
+            picks = r.integers(0, 40, (6, 3))
+            for key in (picks, -picks - 1, 3, -1, [0, 1, 2], np.zeros(0, dtype=int)):
+                got, want = packed[key], rows[key]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+            assert packed[10:20][picks % 10].tobytes() == rows[10:20][picks % 10].tobytes()
+            assert np.count_nonzero(packed.nonzeros.view(np.uint64)) == packed.nonzeros.size
+
+    def test_concat_is_the_stacked_rows(self):
+        r = np.random.default_rng(34)
+        a, b = sparse_rows(r, 30, 16), sparse_rows(r, 12, 16)
+        pa, pb = PackedRows.pack(a), PackedRows.pack(b)
+        joined = PackedRows.concat([pa[20:], pb, pa[:5], pa[7:7]])
+        assert np.asarray(joined).tobytes() == np.vstack([a[20:], b, a[:5]]).tobytes()
+        with pytest.raises(ValueError, match="widths"):
+            PackedRows.concat([pa, PackedRows.pack(a[:, :8])])
+
+    def test_pack_takes_two_dimensional_rows(self):
+        with pytest.raises(ValueError, match="shape"):
+            PackedRows.pack(np.ones(5))
+
+    def test_ranking_copy_is_the_dense_one(self):
+        r = np.random.default_rng(35)
+        groups = [sparse_rows(r, n, 128) * 10.0 ** r.uniform(-3, 3) for n in (50, 9, 31)]
+        dense = ranking_copy(groups)
+        packed = ranking_copy([PackedRows.pack(g) for g in groups])
+        assert dense[1] == packed[1]
+        for got, want in ((packed[0], dense[0]), (packed[2], dense[2])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def flat_ball_point(points, centers, radius):

@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from spatialprivacy import attacker, descriptors, harness
+from spatialprivacy import attacker, descriptors, harness, metrics
 from spatialprivacy.attacker import AttackParams, ReferenceEnsemble, build_reference
 from spatialprivacy.descriptors import SpinParams, UnusableSpaceError
 from spatialprivacy.geometry import PointCloud
@@ -25,7 +25,7 @@ from spatialprivacy.harness import (
     trials_from_jsonl,
 )
 from spatialprivacy.mechanisms import GeneralizationParams, release_at, release_sequence
-from spatialprivacy.metrics import TrialRecord, privacy_band
+from spatialprivacy.metrics import TrialRecord, privacy_band, qos
 from spatialprivacy.ply_io import save_ply
 from spatialprivacy.synthetic import DEFAULT_SPACE_COUNT, SyntheticSpaceSpec, generate_space
 
@@ -355,22 +355,25 @@ def count_calls(monkeypatch, original, position) -> list[int]:
     return sizes
 
 
+def walk_of(config: ExperimentConfig, kind: str, radius: float, sample: int):
+    """The steps and final state of one walk of the sweep, run again."""
+    spaces = list(load_dataset(config.dataset).values())
+    rng = harness._trial_rng(config.seed, (harness._WALK_FAMILY, harness._KINDS.index(kind),
+                                           harness._radius_key(radius), sample))
+    space = spaces[int(rng.integers(len(spaces)))]
+    return release_sequence(space, radius, config.releases, rng, config.generalization,
+                            generalize=kind == "generalized")
+
+
 def distinct_release_sizes(config: ExperimentConfig) -> list[int]:
     """The size of every non-empty distinct release of the sweep's walks, in
     sweep order, derived from the walks themselves: a walk's release is fixed
     by its step's accumulated points and planes and its effective cap."""
-    spaces = list(load_dataset(config.dataset).values())
     sizes = []
     for kind in config.kinds:
         for radius in config.radii:
             for sample in range(config.samples):
-                rng = harness._trial_rng(config.seed, (harness._WALK_FAMILY,
-                                                       harness._KINDS.index(kind),
-                                                       harness._radius_key(radius), sample))
-                space = spaces[int(rng.integers(len(spaces)))]
-                steps, state = release_sequence(space, radius, config.releases,
-                                                rng, config.generalization,
-                                                generalize=kind == "generalized")
+                steps, state = walk_of(config, kind, radius, sample)
                 released = {}
                 for step in steps:
                     for cap in config.max_planes:
@@ -379,6 +382,56 @@ def distinct_release_sizes(config: ExperimentConfig) -> list[int]:
                                             len(release_at(state, step, cap)))
                 sizes.extend(n for n in released.values() if n)
     return sizes
+
+
+class TestStepQ:
+    """A step's releases and Q errors are derived once, for every cap."""
+
+    CONFIG = dict(mode="conservative", radii=(1.5,), samples=3, releases=6,
+                  max_planes=(1, 3, 5, None), kinds=None)
+
+    def test_each_cap_q_is_qos_of_its_release(self):
+        """Walks of up to 10 and 22 planes: every trial's Q is, bitwise,
+        ``qos`` of its release against the points revealed so far."""
+        config = tiny_config(**self.CONFIG)
+        spaces = load_dataset(config.dataset)
+        ensemble = harness.build_ensemble(config, spaces)
+        for sample in (1, 2):
+            steps, state = walk_of(config, "generalized", 1.5, sample)
+            assert steps[-1].n_planes >= 5
+            trials = harness._sequence_trials(ensemble, list(spaces.values()), config,
+                                              "generalized", 1.5, sample)
+            assert len(trials) == len(steps) * len(config.max_planes)
+            for trial in trials:
+                step = steps[trial.release_idx - 1]
+                expected = qos(release_at(state, step, trial.max_planes),
+                               state.prefix(step.n_accumulated), config.qos_alpha)
+                assert trial.q.hex() == expected.hex()
+
+    def test_one_q_index_per_step_that_releases_new_points(self, monkeypatch):
+        """Q indexes each step's truth once, whatever the number of caps; a
+        step that reveals nothing new adds no index, and each index holds
+        the points revealed by its step."""
+        config = tiny_config(**self.CONFIG)
+        indexed = []
+
+        class Counted(metrics.SpatialIndex):
+            def __init__(self, cloud):
+                indexed.append(len(cloud))
+                super().__init__(cloud)
+
+        monkeypatch.setattr(metrics, "SpatialIndex", Counted)
+        run_experiment(config)
+        expected = []
+        for sample in range(config.samples):
+            steps, _ = walk_of(config, "generalized", 1.5, sample)
+            seen = 0
+            for step in steps:
+                if step.n_accumulated > seen and step.n_planes:
+                    expected.append(step.n_accumulated)
+                seen = step.n_accumulated
+        assert len(expected) < config.samples * config.releases
+        assert indexed == expected
 
 
 class TestBatchedSweep:

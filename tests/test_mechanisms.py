@@ -19,6 +19,7 @@ from spatialprivacy.mechanisms import (
     ransac_planes,
     release_at,
     release_sequence,
+    step_release,
     subsume,
 )
 from spatialprivacy.synthetic import SyntheticSpaceSpec, generate_space
@@ -355,6 +356,16 @@ def ranked(planes):
     return sorted(range(len(planes)), key=lambda i: (-len(planes[i].inlier_indices), i))
 
 
+def projected_under_cap(state, step, cap):
+    """The release at ``step`` under ``cap``, projected for that cap alone:
+    the planes live at the step, each cut to its inliers revealed by then,
+    and the top ``cap`` of them by :func:`ranked`, in index order."""
+    n = step.n_accumulated
+    live = [Plane(p.normal, p.offset, p.inlier_indices[: np.searchsorted(p.inlier_indices, n)])
+            for p in state.planes[: step.n_planes]]
+    return project_to_planes(state.prefix(n), [live[i] for i in sorted(ranked(live)[:cap])])
+
+
 class TestConservativeRelease:
     def make_two_plane_state(self):
         big = make_plane_cloud(300)
@@ -518,6 +529,21 @@ class TestReleaseSequence:
                                              [live.planes[i] for i in chosen])
                 assert np.array_equal(derived.positions, expected.positions)
                 assert np.array_equal(derived.normals, expected.normals)
+
+    def test_release_is_the_per_cap_projection(self, space):
+        """A walk reaching 7 planes: under caps 1, 3, 5 and none, each
+        step's release, taken from its one projection of the live planes,
+        is bitwise the projection of its top planes alone."""
+        steps, state = release_sequence(space, 2.0, 6, seed=3)
+        assert steps[-1].n_planes >= 5
+        for step in steps:
+            release = step_release(state, step)
+            for cap in (1, 3, 5, None):
+                expected = projected_under_cap(state, step, cap)
+                for got in (release.cloud.subset(release.rows(cap)),
+                            release_at(state, step, cap)):
+                    for name in ("positions", "normals", "reliable"):
+                        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 
     def test_raw_mode_releases_accumulated_points(self, space):
         steps, state = release_sequence(
