@@ -21,6 +21,7 @@ results are bitwise those of a lone call.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -84,13 +85,13 @@ class ReferenceEnsemble:
     raw and generalized variants, the raw variant first: its rows lead the
     pool in :func:`describe`'s keypoint order, so :func:`raw_view` reads a
     space's raw description back without describing it. Each pool's
-    descriptors are packed in a :class:`PackedRows` store. Spin images are
-    mostly zero (a third to two fifths of the entries are not, on the
-    synthetic rooms), so at 128 bins a store takes 24 bytes per row plus 8
-    per nonzero entry, under half the dense rows; the exact kNN makes dense
-    only the rows it compares. Every pool holds
-    at least two rows, so :func:`match_inter` can 2-nn match in each;
-    ``ValueError`` names a label whose pool does not. ``prepared`` caches
+    descriptors must be a :class:`PackedRows` store. Spin images are mostly
+    zero (a third to two fifths of the entries are not, on the synthetic
+    rooms), so at 128 bins a store takes 24 bytes per row plus 8 per nonzero
+    entry, under half the dense rows; the exact kNN makes dense only the
+    rows it compares. Every pool holds at least two rows, so
+    :func:`match_inter` can 2-nn match in each; ``ValueError`` names a label
+    whose pool is not packed or holds fewer. ``prepared`` caches
     the pools' grouped ranking copy (:func:`ranking_copy`), which every
     query's ``knn_bruteforce`` would otherwise recompute; at half the dense
     descriptors' size, it is the ensemble's largest part. Every value must
@@ -100,20 +101,20 @@ class ReferenceEnsemble:
     Immutable after construction; concurrent matching against it is safe.
     """
 
-    def __init__(self, pools: dict[str, tuple[np.ndarray | PackedRows, np.ndarray]],
+    def __init__(self, pools: dict[str, tuple[PackedRows, np.ndarray]],
                  params: SpinParams, factor: int):
         if not pools or factor < 1:
             raise ValueError("ensemble needs at least one label and a factor >= 1")
         self._pools = {}
         for label, (descriptors, positions) in pools.items():
-            if (descriptors.shape[1:] != (params.length,) or len(descriptors) < 2
-                    or positions.shape != (len(descriptors), 3)):
-                raise ValueError(f"label {label!r} has {descriptors.shape} descriptors and "
+            if not isinstance(descriptors, PackedRows):
+                raise ValueError(f"label {label!r} descriptors are not a PackedRows store")
+            shape = (len(descriptors), descriptors.dim)
+            if shape[1] != params.length or shape[0] < 2 or positions.shape != (shape[0], 3):
+                raise ValueError(f"label {label!r} has {shape} descriptors and "
                                  f"{positions.shape} positions; it needs at least 2 rows "
                                  f"of width {params.length}")
-            if not isinstance(descriptors, PackedRows):
-                descriptors = PackedRows.pack(descriptors)
-            if not (np.isfinite(descriptors.nonzeros).all() and np.isfinite(positions).all()):
+            if not (np.isfinite(descriptors.values).all() and np.isfinite(positions).all()):
                 raise ValueError(f"label {label!r} has non-finite descriptors or positions")
             self._pools[label] = _LabelPool(descriptors, positions)
         self.labels = list(pools)
@@ -200,7 +201,7 @@ def match_inter(ensemble: ReferenceEnsemble, query: DescribedSpace,
     order = np.lexsort((query_idx, nndr[candidates], group))
     ordered = candidates[order]
     refs = idx[:, :, 0].ravel()
-    width = ensemble.prepared[0].shape[1]
+    width = max(len(ensemble.pool(label).descriptors) for label in ensemble.labels)
     _, first = np.unique(group[order] * width + refs[ordered], return_index=True)
     kept = ordered[np.sort(first)]
     group, query_idx = np.divmod(kept, n_query)
@@ -325,8 +326,8 @@ def raw_view(ensemble: ReferenceEnsemble, space: PointCloud) -> DescribedSpace:
     """``describe(space, ensemble.params, ensemble.factor)`` as the pool of
     ``space.label`` already holds it, if the ensemble was built from this
     space: the pool's first rows, one per keypoint of
-    :func:`select_keypoints`. The descriptors are a dense copy of those
-    rows alone, the positions a view of the pool's.
+    :func:`select_keypoints`. The descriptors are those rows alone, read
+    with :meth:`PackedRows.dense`; the positions are a view of the pool's.
 
     Nothing here checks that the rows are this space's; a pool built from
     another cloud yields that cloud's rows. Raises ``KeyError`` for a label
@@ -339,7 +340,7 @@ def raw_view(ensemble: ReferenceEnsemble, space: PointCloud) -> DescribedSpace:
         raise ValueError(f"pool of {space.label!r} holds {len(pool.descriptors)} rows, "
                          f"fewer than its {len(keys)} raw keypoints")
     return DescribedSpace(keys.astype(np.int64), pool.positions[:len(keys)],
-                          np.asarray(pool.descriptors[:len(keys)]), ensemble.params)
+                          pool.descriptors.dense(slice(len(keys))), ensemble.params)
 
 
 def build_reference(
@@ -412,10 +413,10 @@ def _write_array(fh, arr: np.ndarray, dtype: str) -> None:
 
 
 def _read(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+    # Checked before reading: a corrupt size must not allocate its bytes.
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CacheFormatError("cache file is cut short")
-    return data
+    return fh.read(size)
 
 
 def _read_array(fh, dtype: str) -> np.ndarray:
@@ -456,8 +457,8 @@ def _read_text(fh) -> str:
 
 def save_ensemble(ensemble: ReferenceEnsemble, path) -> None:
     """Write the magic, version, bin size, image width, factor and label
-    count, then per label its name, descriptors and positions. The
-    descriptors are written dense, one label's made dense at a time."""
+    count, then per label its name, descriptors and positions, the
+    descriptors dense (:meth:`PackedRows.dense`), one label's at a time."""
     params = ensemble.params
     with open(path, "wb") as fh:
         fh.write(_ENSEMBLE_MAGIC)
@@ -465,7 +466,7 @@ def save_ensemble(ensemble: ReferenceEnsemble, path) -> None:
                              params.image_width, ensemble.factor, len(ensemble.labels)))
         for label in ensemble.labels:
             _write_text(fh, label)
-            _write_array(fh, ensemble.pool(label).descriptors, "<f8")
+            _write_array(fh, ensemble.pool(label).descriptors.dense(), "<f8")
             _write_array(fh, ensemble.pool(label).positions, "<f8")
 
 

@@ -431,23 +431,16 @@ class PackedRows:
     An entry is stored when any of its bits is set, so -0.0 is kept and the
     dense rows come back bit for bit. A store takes ``ceil(dim / 8) + 8``
     bytes per row plus 8 per stored entry, against ``8 * dim`` dense. Make
-    one with :meth:`pack` or :meth:`concat`. A slice of rows (step 1) is a
-    view of the same store; any other index gives dense rows, as numpy
-    indexes an (n, dim) array, and ``np.asarray`` gives them all.
+    one with :meth:`pack` or :meth:`concat`. ``values`` holds the stored
+    entries; :meth:`dense` is the one way to read rows.
     """
 
-    ndim = 2
-
-    def __init__(self, bits: np.ndarray, offsets: np.ndarray, values: np.ndarray, dim: int,
-                 start: int = 0, stop: int | None = None):
-        # The whole store's arrays: row i's mask is bits[i], its values are
-        # values[offsets[i]:offsets[i + 1]]. This object is rows start:stop.
-        self._bits, self._offsets, self._values = bits, offsets, values
+    def __init__(self, bits: np.ndarray, offsets: np.ndarray, values: np.ndarray, dim: int):
+        # Row i's mask is bits[i], its values are values[offsets[i]:offsets[i + 1]].
+        self._bits, self._offsets, self.values = bits, offsets, values
         for a in (bits, offsets, values):
             a.flags.writeable = False
         self.dim = dim
-        self.start = start
-        self.stop = len(bits) if stop is None else stop
 
     @classmethod
     def pack(cls, rows) -> "PackedRows":
@@ -463,58 +456,37 @@ class PackedRows:
 
     @classmethod
     def concat(cls, parts: list["PackedRows"]) -> "PackedRows":
-        """One store of the rows of ``parts``, in order, all of one width."""
+        """One store of the rows of the stores ``parts``, in order, all of one width."""
         dims = {p.dim for p in parts}
         if len(dims) != 1:
             raise ValueError(f"rows of widths {sorted(dims)} cannot share a store")
         offsets = np.zeros(sum(map(len, parts)) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate([np.diff(p._offsets[p.start:p.stop + 1]) for p in parts]),
-                  out=offsets[1:])
-        return cls(np.concatenate([p._bits[p.start:p.stop] for p in parts]), offsets,
-                   np.concatenate([p.nonzeros for p in parts]), dims.pop())
+        np.cumsum(np.concatenate([np.diff(p._offsets) for p in parts]), out=offsets[1:])
+        return cls(np.concatenate([p._bits for p in parts]), offsets,
+                   np.concatenate([p.values for p in parts]), dims.pop())
 
     def __len__(self) -> int:
-        return self.stop - self.start
+        return len(self._bits)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self), self.dim)
-
-    @property
-    def nonzeros(self) -> np.ndarray:
-        """The stored entries of these rows, in row order: a view."""
-        return self._values[self._offsets[self.start]:self._offsets[self.stop]]
-
-    def __getitem__(self, key):
-        if isinstance(key, slice) and key.step in (None, 1):
-            start, stop, _ = key.indices(len(self))
-            return PackedRows(self._bits, self._offsets, self._values, self.dim,
-                              self.start + start, self.start + max(start, stop))
-        return self._gather(np.arange(self.start, self.stop)[key])
-
-    def __array__(self, dtype=None, copy=None):
-        out = self._place(slice(self.start, self.stop), self.nonzeros)
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-    def _gather(self, rows: np.ndarray) -> np.ndarray:
-        """The dense rows of the store at row numbers ``rows`` (of any
-        shape, counted from the store's first row): ``rows.shape + (dim,)``."""
-        rows = np.asarray(rows)
-        flat = rows.ravel()
+    def dense(self, rows=None) -> np.ndarray:
+        """The dense rows ``np.arange(len(self))[rows]`` (all if None), bit for
+        bit as indexing the dense (n, dim) array by ``rows`` gives them. The
+        stored values are placed by the flat index of each set mask bit: on
+        rows a third nonzero, 2-3 times faster than through the boolean mask."""
+        picked = np.arange(len(self))[slice(None) if rows is None else rows]
+        flat = picked.ravel()
         first = self._offsets[flat]
-        values = self._values.take(_run_positions(first, self._offsets[flat + 1] - first))
-        return self._place(flat, values).reshape(rows.shape + (self.dim,))
-
-    def _place(self, rows, values: np.ndarray) -> np.ndarray:
-        """The dense (m, dim) rows of the store's ``rows`` (a slice or an
-        index array), given their stored ``values`` in row order. They are
-        placed by the flat index of each set mask bit: on rows a third
-        nonzero, 2-3 times faster than assigning through the boolean mask,
-        for an index array the size of ``values``."""
-        mask = np.unpackbits(self._bits[rows], axis=1, count=self.dim).view(bool)
+        values = self.values.take(_run_positions(first, self._offsets[flat + 1] - first))
+        mask = np.unpackbits(self._bits[flat], axis=1, count=self.dim).view(bool)
         out = np.zeros(mask.shape)
         out.reshape(-1)[np.flatnonzero(mask)] = values
-        return out
+        return out.reshape(picked.shape + (self.dim,))
+
+
+def _packed_groups(references) -> bool:
+    """Whether ``references`` is a non-empty list of :class:`PackedRows`."""
+    return (isinstance(references, (list, tuple)) and len(references) > 0
+            and all(isinstance(r, PackedRows) for r in references))
 
 
 def _exponent(a: np.ndarray) -> int:
@@ -525,42 +497,43 @@ def _exponent(a: np.ndarray) -> int:
     return min(-math.frexp(top)[1], 1000)
 
 
-def ranking_copy(references) -> tuple[np.ndarray, int, np.ndarray]:
-    """``(sq_norms, e, copy)``, what :func:`knn_bruteforce` ranks on, for
-    a list of G (n_g, dim) reference groups, arrays or :class:`PackedRows`,
-    each made dense in turn. With L the largest group's
-    row count, ``sq_norms`` is (G, L): each group's
-    ``einsum("ij,ij->i", r, r)``, padded with +inf. ``copy`` is
-    (G, dim, L) float32, C-contiguous: each group times 2**e,
-    transposed and padded with zeros, where one e brings the largest
-    magnitude of all groups into [0.5, 1). Scaling by a power of two is
-    exact, so the cast cannot overflow, and it flushes to zero only entries
-    some 2**149 times smaller than the largest. The transposed layout runs
-    the GEMM about a fifth faster."""
-    e = min(_exponent(r.nonzeros if isinstance(r, PackedRows)
-                      else np.asarray(r, dtype=np.float64)) for r in references)
+def ranking_copy(references: list[PackedRows]) -> tuple[np.ndarray, int, np.ndarray]:
+    """``(sq_norms, e, copy)``, what :func:`knn_bruteforce` ranks on, for a
+    list of G (n_g, dim) reference groups, each a :class:`PackedRows` store
+    (anything else raises ``ValueError``) read ``_DENSE_ENTRIES`` values at
+    a time. With L the largest group's row count, ``sq_norms`` is (G, L):
+    each group's ``einsum("ij,ij->i", r, r)``, padded with +inf. ``copy`` is
+    (G, dim, L) float32, C-contiguous: each group times 2**e, transposed and
+    padded with zeros, where one e brings the largest magnitude of all
+    groups into [0.5, 1). Scaling by a power of two is exact, so the cast
+    cannot overflow, and it flushes to zero only entries some 2**149 times
+    smaller than the largest. The transposed layout runs the GEMM about a
+    fifth faster."""
+    if not _packed_groups(references):
+        raise ValueError("ranking_copy takes a list of PackedRows reference groups")
+    e = min(_exponent(r.values) for r in references)
     width = max(len(r) for r in references)
     sq_norms = np.full((len(references), width), np.inf)
-    copy = np.zeros((len(references), references[0].shape[1], width), dtype=np.float32)
+    copy = np.zeros((len(references), references[0].dim, width), dtype=np.float32)
     rows = max(1, _DENSE_ENTRIES // copy.shape[1])
     for g, r in enumerate(references):
         for lo in range(0, len(r), rows):
-            part = np.asarray(r[lo:lo + rows], dtype=np.float64)
+            part = r.dense(slice(lo, lo + rows))
             hi = lo + len(part)
             sq_norms[g, lo:hi] = np.einsum("ij,ij->i", part, part)
             np.multiply(part.T, 2.0**e, out=copy[g, :, lo:hi], casting="same_kind")
     return sq_norms, e, copy
 
 
-def knn_bruteforce(references, queries: np.ndarray, k: int, *,
+def knn_bruteforce(references: list[PackedRows], queries: np.ndarray, k: int, *,
                    prepared: tuple[np.ndarray, int, np.ndarray] | None = None):
     """Exact k-nn in arbitrary dimension, e.g. descriptor space.
 
-    ``references`` is a list of G (n_g, dim) groups, of any sizes n_g >= k,
-    each an array or a :class:`PackedRows` store, and each searched on its
-    own by the (q, dim) ``queries``; anything else raises ``ValueError``.
-    Exact means equal, bitwise in both indices and distances, to the direct linear scan: for each query ``q``
-    and group ``r`` the distances are ``np.linalg.norm(r - q, axis=1)`` and
+    ``references`` is a list of G groups of (n_g, dim) rows, n_g >= k, each a
+    :class:`PackedRows` store searched on its own by the (q, dim) ``queries``;
+    anything else raises ``ValueError``. Exact means equal, bitwise in indices
+    and distances, to the linear scan: for each query ``q`` and group ``r``
+    (its dense rows) the distances are ``np.linalg.norm(r - q, axis=1)`` and
     the neighbors are the first ``k`` of their ascending order, ties by
     lower row index (the contract of :meth:`SpatialIndex.query`). Returns
     ``(distances, indices)``, each of shape ``(G, q, k)``. ``prepared``, if
@@ -581,17 +554,15 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
     their rows made dense ``_DENSE_ENTRIES`` (2**15) entries at a time, one
     group at a time; those of all groups are sorted in one pass per tile.
     """
-    groups = [r if isinstance(r, PackedRows) else np.asarray(r, dtype=np.float64)
-              for r in references]
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or any(r.ndim != 2 for r in groups):
-        raise ValueError("knn_bruteforce takes a list of (n, dim) reference groups "
-                         "and (q, dim) queries")
-    sizes = [len(r) for r in groups]
-    dim = groups[0].shape[1]
+    if queries.ndim != 2 or not _packed_groups(references):
+        raise ValueError("knn_bruteforce takes a list of (n, dim) reference groups, "
+                         "each a PackedRows store, and (q, dim) queries")
+    sizes = [len(r) for r in references]
+    dim = references[0].dim
     if not 1 <= k <= min(sizes):
         raise ValueError(f"k={k} out of range for reference set of size {min(sizes)}")
-    sr, e_ref, r32 = ranking_copy(groups) if prepared is None else prepared
+    sr, e_ref, r32 = ranking_copy(references) if prepared is None else prepared
     # One scale s = 2**e for both sides: every |s q| and |s r| is below 1.
     # Queries larger than the references rescale the copy, exactly but for
     # underflow, which the slack below covers.
@@ -670,11 +641,11 @@ def knn_bruteforce(references, queries: np.ndarray, k: int, *,
         # np.linalg.norm takes sqrt(add.reduce(x * x)).
         group, row = np.divmod(owner, nb)
         d = np.empty(len(owner))
-        for g, ref in enumerate(groups):
+        for g, ref in enumerate(references):
             mine = np.flatnonzero(group == g)
             for lo in range(0, len(mine), chunk):
                 at = mine[lo:lo + chunk]
-                vec = ref[cols[at]]
+                vec = ref.dense(cols[at])
                 vec -= qb[row[at]]
                 vec *= vec
                 d[at] = np.sqrt(np.add.reduce(vec, axis=-1))
@@ -706,13 +677,15 @@ def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
 
 
 def ball_indices(cloud: PointCloud, center: np.ndarray, radius: float) -> np.ndarray:
-    """Indices of the points with ||p - center|| <= radius (inclusive),
-    ascending, by one linear scan."""
-    if radius <= 0 and not np.isclose(radius, 0.0):
+    """Indices of the points within ``radius`` of ``center``, ascending, by
+    one linear scan: those whose difference d from it has
+    ``(d_x**2 + d_y**2) + d_z**2 <= radius**2``, the rule of
+    :meth:`SpatialIndex.ball`, whose answer for this one center it is.
+    ``radius < 0`` raises ``ValueError``."""
+    if radius < 0:
         raise ValueError("radius must be >= 0")
     center = np.asarray(center, dtype=np.float64)
-    d = np.linalg.norm(cloud.positions - center, axis=1)
-    return np.flatnonzero(d <= radius)
+    return np.flatnonzero(_squared(cloud.positions.T, center) <= radius * radius)
 
 
 def canonical_order(positions: np.ndarray) -> np.ndarray:

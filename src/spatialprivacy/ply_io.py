@@ -8,6 +8,8 @@ whose normal is unreliable.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .geometry import PointCloud
@@ -100,10 +102,10 @@ def load_ply(path) -> PointCloud:
                 raise PlyFormatError(f"vertex element lacks property {required!r}")
         if fmt == "binary_little_endian":
             dtype = np.dtype([(p[0], "<" + p[1]) for p in props])
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
+            # Checked before reading: a corrupt count must not allocate its bytes.
+            if count * dtype.itemsize > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise PlyFormatError("truncated binary vertex data")
-            data = np.frombuffer(raw, dtype=dtype, count=count)
+            data = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype, count=count)
         else:
             rows = []
             for _ in range(count):
@@ -120,19 +122,13 @@ def load_ply(path) -> PointCloud:
             arr = np.asarray(rows, dtype=np.float64)
             data = {name: arr[:, i] for i, name in enumerate(names)}
 
-    positions = np.column_stack(
-        [np.asarray(data["x"], np.float64), np.asarray(data["y"], np.float64),
-         np.asarray(data["z"], np.float64)]
-    )
+    positions = np.column_stack([np.asarray(data[c], np.float64) for c in "xyz"])
     if not np.all(np.isfinite(positions)):
         raise PlyFormatError("non-finite vertex coordinates")
     normals = None
     reliable = None
     if all(n in names for n in ("nx", "ny", "nz")):
-        normals = np.column_stack(
-            [np.asarray(data["nx"], np.float64), np.asarray(data["ny"], np.float64),
-             np.asarray(data["nz"], np.float64)]
-        )
+        normals = np.column_stack([np.asarray(data["n" + c], np.float64) for c in "xyz"])
         if not np.all(np.isfinite(normals)):
             raise PlyFormatError("non-finite normal components")
         lens = np.linalg.norm(normals, axis=1)

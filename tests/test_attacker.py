@@ -27,6 +27,7 @@ from spatialprivacy.attacker import (
 )
 from spatialprivacy.descriptors import DescribedSpace, SpinParams, UnusableSpaceError, describe
 from spatialprivacy.geometry import (
+    PackedRows,
     PointCloud,
     apply_transform,
     ball_indices,
@@ -62,6 +63,13 @@ def mini_ensemble(mini_spaces):
     return build_reference(mini_spaces, seed=0)
 
 
+def packed(pools):
+    """``pools`` of dense descriptor rows, with each label's rows packed, as
+    :class:`ReferenceEnsemble` takes them."""
+    return {label: (PackedRows.pack(rows), positions)
+            for label, (rows, positions) in pools.items()}
+
+
 def padded(rows):
     """Toy descriptor rows widened with zero columns to the default
     descriptor width; distances between rows stay the same, bitwise."""
@@ -73,7 +81,8 @@ def label_score(refs, query, params=AttackParams()):
     """Score and pairs of the query's toy descriptors against a one-label
     ensemble holding the toy reference rows."""
     refs = padded(refs)
-    ensemble = ReferenceEnsemble({"a": (refs, np.zeros((len(refs), 3)))}, SpinParams(), 5)
+    ensemble = ReferenceEnsemble(packed({"a": (refs, np.zeros((len(refs), 3)))}),
+                                 SpinParams(), 5)
     result = match_inter(ensemble, toy_space(padded(query)), params)
     return result.scores["a"], result.pairs["a"]
 
@@ -85,7 +94,7 @@ def match_label_oracle(descriptors, query, params):
     empty = MatchedPairs(
         np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     )
-    dist, idx = knn_bruteforce([descriptors], query.descriptors, k=2)
+    dist, idx = knn_bruteforce([PackedRows.pack(descriptors)], query.descriptors, k=2)
     dist, idx = dist[0], idx[0]
     second = dist[:, 1]
     nndr = np.divide(dist[:, 0], second, out=np.zeros(n_query), where=second > 0)
@@ -174,7 +183,7 @@ class TestMatchInter:
         descs = np.zeros((3, SpinParams().length))
         descs[:, :2] = [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]
         pool = (descs, np.zeros((3, 3)))
-        ensemble = ReferenceEnsemble({"a": pool, "b": pool}, SpinParams(), 5)
+        ensemble = ReferenceEnsemble(packed({"a": pool, "b": pool}), SpinParams(), 5)
         result = match_inter(ensemble, toy_space(descs[:2]))
         assert result.scores["a"] == result.scores["b"]
         assert result.winner == "a"
@@ -198,7 +207,7 @@ class TestMatchInter:
                         else np.abs(r.normal(size=(n, width))))
                 rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
                 pools[f"l{g}"] = (rows, r.normal(size=(n, 3)))
-            ensemble = ReferenceEnsemble(pools, SpinParams(), 5)
+            ensemble = ReferenceEnsemble(packed(pools), SpinParams(), 5)
             nq = int(r.integers(1, 200))
             query = np.abs(r.normal(size=(nq, width)))
             query /= np.linalg.norm(query, axis=1, keepdims=True)
@@ -571,7 +580,7 @@ class TestRawView:
         assert view.params == fresh.params
         pool = ensemble.pool(space.label)
         # The descriptors are a dense copy of the packed raw rows alone.
-        assert not np.shares_memory(view.descriptors, pool.descriptors.nonzeros)
+        assert not np.shares_memory(view.descriptors, pool.descriptors.values)
         assert np.shares_memory(view.positions, pool.positions)
 
     def test_built_ensemble(self, mini_spaces, mini_ensemble):
@@ -598,7 +607,8 @@ class TestRawView:
 
     def test_pool_shorter_than_the_keypoints_rejected(self, mini_spaces, mini_ensemble):
         pool = mini_ensemble.pool("mini0")
-        short = ReferenceEnsemble({"mini0": (pool.descriptors[:3], pool.positions[:3])},
+        short = ReferenceEnsemble({"mini0": (PackedRows.pack(pool.descriptors.dense(slice(3))),
+                                             pool.positions[:3])},
                                   mini_ensemble.params, mini_ensemble.factor)
         with pytest.raises(ValueError, match="fewer than its"):
             raw_view(short, mini_spaces[0])
@@ -637,7 +647,7 @@ class TestBuildReference:
         ensemble = build_reference(mini_spaces[:2], variant_params=(), seed=0)
         for space, label in zip(mini_spaces, ensemble.labels):
             raw = describe(space)
-            assert np.array_equal(ensemble.pool(label).descriptors, raw.descriptors)
+            assert np.array_equal(ensemble.pool(label).descriptors.dense(), raw.descriptors)
             assert np.array_equal(ensemble.pool(label).positions, raw.positions)
 
     def test_pools_keep_the_nonzero_entries_alone(self, mini_spaces, mini_ensemble):
@@ -655,7 +665,7 @@ class TestBuildReference:
             tracemalloc.stop()
         pools = [ensemble.pool(label) for label in ensemble.labels]
         rows = sum(len(pool.descriptors) for pool in pools)
-        nonzero = sum(np.count_nonzero(np.asarray(pool.descriptors)) for pool in pools)
+        nonzero = sum(np.count_nonzero(pool.descriptors.dense()) for pool in pools)
         rest = (sum(pool.positions.nbytes for pool in pools)
                 + ensemble.prepared[0].nbytes + ensemble.prepared[2].nbytes)
         dim = ensemble.params.length
@@ -666,7 +676,7 @@ class TestBuildReference:
     def test_pool_concatenates_variants(self, mini_spaces, mini_ensemble):
         raw, generalized = described_variants(mini_spaces[0], 0)
         pool = mini_ensemble.pool("mini0")
-        assert np.array_equal(pool.descriptors,
+        assert np.array_equal(pool.descriptors.dense(),
                               np.vstack([raw.descriptors, generalized.descriptors]))
         assert np.array_equal(pool.positions,
                               np.vstack([raw.positions, generalized.positions]))
@@ -695,9 +705,9 @@ class TestBuildReference:
             threaded = build_reference(mini_spaces, seed=0, map_fn=pool.map)
         assert threaded.labels == mini_ensemble.labels
         for label in threaded.labels:
-            for name in ("descriptors", "positions"):
-                got = np.asarray(getattr(threaded.pool(label), name))
-                expected = np.asarray(getattr(mini_ensemble.pool(label), name))
+            mine, theirs = threaded.pool(label), mini_ensemble.pool(label)
+            for got, expected in ((mine.descriptors.dense(), theirs.descriptors.dense()),
+                                  (mine.positions, theirs.positions)):
                 assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
         for got, expected in zip(threaded.prepared, mini_ensemble.prepared):
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
@@ -716,9 +726,9 @@ class TestBuildReference:
         assert loaded.params == params
         assert loaded.factor == 7
         for label in fresh.labels:
-            for name in ("descriptors", "positions"):
-                assert np.array_equal(getattr(loaded.pool(label), name),
-                                      getattr(fresh.pool(label), name))
+            assert np.array_equal(loaded.pool(label).descriptors.dense(),
+                                  fresh.pool(label).descriptors.dense())
+            assert np.array_equal(loaded.pool(label).positions, fresh.pool(label).positions)
         sq_norms, e, copy = loaded.prepared
         assert np.array_equal(sq_norms, fresh.prepared[0])
         assert e == fresh.prepared[1]
@@ -732,7 +742,7 @@ class TestBuildReference:
         entries = [("a", d8, pos), ("b", d8[:2], pos[:2])]
         path = tmp_path / "e.spen"
         data = ensemble_file(2, entries)
-        save_ensemble(ReferenceEnsemble({"a": (d8, pos), "b": (d8[:2], pos[:2])},
+        save_ensemble(ReferenceEnsemble(packed({"a": (d8, pos), "b": (d8[:2], pos[:2])}),
                                         SpinParams(image_width=2), 5), path)
         assert path.read_bytes() == data
         bad = [data[:cut] for cut in range(len(data))]
@@ -767,3 +777,34 @@ class TestBuildReference:
                 load_ensemble(path)
         path.write_bytes(data)
         assert load_ensemble(path).labels == ["a", "b"]
+
+    @pytest.mark.parametrize("field", ["label", "array"])
+    def test_oversized_header_raises_before_allocating(self, field, tmp_path):
+        """A file of about a hundred bytes whose label length declares
+        2**32 - 1 bytes, or whose array header declares 2**31 values (16 GiB),
+        raises CacheFormatError without a read of that size."""
+        fh = io.BytesIO()
+        fh.write(b"SPEN" + struct.pack("<IdIII", 2, 0.1, 2, 5, 1))
+        if field == "label":
+            fh.write(struct.pack("<I", 2**32 - 1) + b"a")
+        else:
+            _write_text(fh, "a")
+            fh.write(struct.pack("<BII", 1, 2**31, 2**31))
+        path = tmp_path / "huge.spen"
+        path.write_bytes(fh.getvalue() + bytes(64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CacheFormatError, match="cut short"):
+                load_ensemble(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_dense_descriptors_are_rejected(self):
+        """Pools hold packed descriptors only: dense rows raise, naming the label."""
+        rows = np.abs(np.random.default_rng(8).normal(size=(4, SpinParams().length)))
+        pools = packed({"a": (rows, np.zeros((4, 3)))})
+        pools["b"] = (rows, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="label 'b' descriptors are not a PackedRows"):
+            ReferenceEnsemble(pools, SpinParams(), 5)

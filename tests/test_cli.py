@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -68,8 +69,8 @@ def test_reference_builds_ensemble(space_dir, ensemble_path):
     spaces = [load_cloud(p, 12) for p in sorted(space_dir.glob("*.ply"))]
     built = build_reference(spaces, seed=0)
     for label in built.labels:
-        assert np.array_equal(ensemble.pool(label).descriptors,
-                              built.pool(label).descriptors)
+        assert np.array_equal(ensemble.pool(label).descriptors.dense(),
+                              built.pool(label).descriptors.dense())
         assert np.array_equal(ensemble.pool(label).positions, built.pool(label).positions)
 
 
@@ -392,6 +393,32 @@ def test_bad_option_is_one_line_error(command, options, message, space_dir, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("oversized", ["ensemble", "query"])
+def test_oversized_header_is_one_line_error(oversized, space_dir, ensemble_path, tmp_path,
+                                            capsys):
+    """A short ``.spen`` whose array header declares 2**31 values, or a short
+    binary PLY whose header declares 2e9 vertices, fails ``infer`` with exit 2
+    and one line, not a MemoryError."""
+    spen, ply = tmp_path / "huge.spen", tmp_path / "huge.ply"
+    spen.write_bytes(b"SPEN" + struct.pack("<IdIII", 2, 0.1, 16, 5, 1)
+                     + struct.pack("<I", 1) + b"a" + struct.pack("<BII", 1, 2**31, 2**31)
+                     + bytes(64))
+    ply.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2000000000\n"
+                    b"property float x\nproperty float y\nproperty float z\nend_header\n"
+                    + bytes(24))
+    paths = {"ensemble": ensemble_path, "query": space_dir / "space0.ply",
+             oversized: spen if oversized == "ensemble" else ply}
+    out = tmp_path / "out"
+    rc = main(["infer", "--ensemble", str(paths["ensemble"]), "--query", str(paths["query"]),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("spatialprivacy infer: ")
+    assert ("cut short" if oversized == "ensemble" else "truncated") in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, missing", [
     ("infer", "ensemble"), ("infer", "query"), ("release", "cloud"), ("run", "config"),
     ("report", "trials"),
@@ -578,6 +605,6 @@ def test_reference_writes_the_ensemble_run_attacks(space_dir, tmp_path, monkeypa
     attacked, written = built.value.args[0], load_ensemble(cache)
     assert written.labels == attacked.labels == ["a", "a-b"]
     for label in attacked.labels:
-        for name in ("descriptors", "positions"):
-            got = np.asarray(getattr(written.pool(label), name))
-            assert got.tobytes() == np.asarray(getattr(attacked.pool(label), name)).tobytes()
+        got, expected = written.pool(label), attacked.pool(label)
+        assert got.descriptors.dense().tobytes() == expected.descriptors.dense().tobytes()
+        assert got.positions.tobytes() == expected.positions.tobytes()

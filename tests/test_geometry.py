@@ -1,5 +1,6 @@
 """Geometry core: cloud model, transforms, exact knn, ball cuts."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -154,9 +155,12 @@ class TestRandomRigidTransform:
             assert np.all(np.abs(t.translation) <= 10.0)
 
 
-def one_group(refs, queries, k, prepared=None):
-    """``knn_bruteforce`` on the one group ``refs``: its (q, k) results."""
-    dist, idx = knn_bruteforce([refs], queries, k=k, prepared=prepared)
+def one_group(refs, queries, k, prepare=False):
+    """``knn_bruteforce`` on the one group ``refs``, packed, with the ranking
+    copy made by the call or, with ``prepare``, beforehand: its (q, k) results."""
+    group = [PackedRows.pack(refs)]
+    dist, idx = knn_bruteforce(group, queries, k=k,
+                               prepared=ranking_copy(group) if prepare else None)
     return dist[0], idx[0]
 
 
@@ -305,7 +309,7 @@ class TestKnn:
         copied from the references, coordinates scaled from 1e-3 to 1e3 and
         every k from 1 to n. Every fifth case has more query rows than two
         GEMM tiles hold, so the kernel runs several tiles. Each case runs with
-        and without the prepared ranking copy, and on the packed references.
+        and without the prepared ranking copy.
         """
         r = np.random.default_rng(2004)
         for case in range(200):
@@ -325,9 +329,8 @@ class TestKnn:
             queries = scale * r.normal(size=(nq, dim))
             copied = r.random(nq) < 0.5
             queries[copied] = refs[r.integers(0, n, copied.sum())]
-            results = [one_group(refs, queries, k=k),
-                       one_group(refs, queries, k=k, prepared=ranking_copy([refs])),
-                       one_group(PackedRows.pack(refs), queries, k=k)]
+            results = [one_group(refs, queries, k=k, prepare=prepare)
+                       for prepare in (False, True)]
             for qi, q in enumerate(queries):
                 d = np.linalg.norm(refs - q, axis=1)
                 order = np.lexsort((np.arange(n), d))[:k]
@@ -337,7 +340,7 @@ class TestKnn:
 
     def test_bruteforce_memory_is_bounded_by_the_tile(self):
         r = np.random.default_rng(6500)
-        refs = np.abs(r.normal(size=(6500, 128)))
+        refs = PackedRows.pack(np.abs(r.normal(size=(6500, 128))))
         queries = np.abs(r.normal(size=(3387, 128)))
         tracemalloc.start()
         try:
@@ -350,19 +353,17 @@ class TestKnn:
 
     def test_bruteforce_duplicate_reference_tie(self):
         refs = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
-        for prepared in (None, ranking_copy([refs])):
-            dist, idx = one_group(refs, np.array([[1.0, 0.0]]), k=2, prepared=prepared)
+        for prepare in (False, True):
+            dist, idx = one_group(refs, np.array([[1.0, 0.0]]), k=2, prepare=prepare)
             assert list(idx[0]) == [0, 2]
 
     @staticmethod
     def _assert_linear_scan(refs, queries, k):
-        """Bitwise the linear scan, both with the prepared ranking copy
-        given and with the call making its own, and with the references
-        dense and packed."""
+        """Bitwise the linear scan of the packed references, both with the
+        prepared ranking copy given and with the call making its own."""
         queries = np.atleast_2d(queries)
-        for group, prepared in ((refs, None), (refs, ranking_copy([refs])),
-                                (PackedRows.pack(refs), None)):
-            dist, idx = one_group(group, queries, k=k, prepared=prepared)
+        for prepare in (False, True):
+            dist, idx = one_group(refs, queries, k=k, prepare=prepare)
             for qi, q in enumerate(queries):
                 d = np.linalg.norm(refs - q, axis=1)
                 order = np.lexsort((np.arange(len(refs)), d))[:k]
@@ -413,7 +414,7 @@ class TestKnn:
         """A row whose (k+1)-th key is clear of the slack keeps its k picks,
         so the selection adds no tile-sized temporary to the key tile."""
         r = np.random.default_rng(2029)
-        refs, queries = r.normal(size=(2000, 16)), r.normal(size=(100, 16))
+        refs, queries = PackedRows.pack(r.normal(size=(2000, 16))), r.normal(size=(100, 16))
         tracemalloc.start()
         try:
             knn_bruteforce([refs], queries, k=2)
@@ -427,7 +428,7 @@ class TestKnn:
         """The ranking tile holds float32 keys: with the ranking copy given,
         a call adds little beyond one 100 x 2000 tile of 4-byte keys."""
         r = np.random.default_rng(2030)
-        refs, queries = r.normal(size=(2000, 16)), r.normal(size=(100, 16))
+        refs, queries = PackedRows.pack(r.normal(size=(2000, 16))), r.normal(size=(100, 16))
         prepared = ranking_copy([refs])
         tracemalloc.start()
         try:
@@ -530,15 +531,11 @@ class TestGroupedKnn:
 
     @staticmethod
     def _assert_each_group_scanned(groups, queries, k):
-        """Dense groups, with and without the prepared ranking copy; packed
-        groups, each in its own store; and slices of one packed store."""
+        """The groups packed, each in its own store, with and without the
+        prepared ranking copy."""
         packed = [PackedRows.pack(g) for g in groups]
-        store = PackedRows.concat(packed)
-        bounds = np.cumsum([0] + [len(g) for g in groups])
-        shared = [store[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        for refs, prepared in ((groups, None), (groups, ranking_copy(groups)),
-                               (packed, None), (shared, ranking_copy(groups))):
-            dist, idx = knn_bruteforce(refs, queries, k=k, prepared=prepared)
+        for prepared in (None, ranking_copy(packed)):
+            dist, idx = knn_bruteforce(packed, queries, k=k, prepared=prepared)
             assert dist.shape == idx.shape == (len(groups), len(queries), k)
             for g, refs in enumerate(groups):
                 for qi, q in enumerate(queries):
@@ -592,24 +589,39 @@ class TestGroupedKnn:
 
     def test_a_bare_array_is_rejected(self):
         """The references are a list of groups and the queries 2-D: a bare
-        (n, dim) array of references, or one (dim,) query, raises."""
+        (n, dim) array or store of references, or one (dim,) query, raises."""
         r = np.random.default_rng(6)
         refs, queries = r.normal(size=(5, 4)), r.normal(size=(2, 4))
-        for bad_refs, bad_queries in ((refs, queries), ([refs], queries[0])):
+        packed = PackedRows.pack(refs)
+        for bad_refs, bad_queries in ((refs, queries), (packed, queries),
+                                      ([packed], queries[0])):
             with pytest.raises(ValueError, match="list of \\(n, dim\\) reference groups"):
                 knn_bruteforce(bad_refs, bad_queries, k=2)
 
+    def test_dense_groups_are_rejected(self):
+        """Only packed groups are searched: a dense group, alone or beside a
+        packed one, raises, with or without the ranking copy; so does an
+        empty list."""
+        r = np.random.default_rng(7)
+        refs, queries = r.normal(size=(5, 4)), r.normal(size=(2, 4))
+        packed = PackedRows.pack(refs)
+        for groups in ([refs], [packed, refs], []):
+            for prepared in (None, ranking_copy([packed])):
+                with pytest.raises(ValueError, match="each a PackedRows store"):
+                    knn_bruteforce(groups, queries, k=2, prepared=prepared)
+
     def test_k_beyond_a_group_is_rejected(self):
         r = np.random.default_rng(5)
-        with pytest.raises(ValueError):
-            knn_bruteforce([r.normal(size=(5, 4)), r.normal(size=(1, 4))],
+        with pytest.raises(ValueError, match="k=2 out of range"):
+            knn_bruteforce([PackedRows.pack(r.normal(size=(5, 4))),
+                            PackedRows.pack(r.normal(size=(1, 4)))],
                            r.normal(size=(2, 4)), k=2)
 
     def test_memory_is_bounded_by_the_tile(self):
         """Seven groups of about 2000 rows, as the reference ensemble holds,
         and 3387 query rows, as a full default space describes to."""
         r = np.random.default_rng(6501)
-        groups = [np.abs(r.normal(size=(n, 128)))
+        groups = [PackedRows.pack(np.abs(r.normal(size=(n, 128))))
                   for n in (2036, 2064, 2014, 1849, 2100, 1933, 2189)]
         queries = np.abs(r.normal(size=(3387, 128)))
         tracemalloc.start()
@@ -636,29 +648,37 @@ class TestPackedRows:
     """Rows packed as nonzero masks and values come back bit for bit."""
 
     def test_round_trip_is_bitwise(self):
+        """``dense`` gives, bit for bit, what indexing the dense rows gives:
+        all of them, slices, integers, index arrays of shape (m,) and
+        (m, k), negative indices; the rows hold a -0.0 entry, an all-zero
+        row and an all-nonzero row. An index past the rows raises as numpy
+        does."""
         r = np.random.default_rng(33)
         for dim in (1, 7, 8, 9, 128):
             rows = sparse_rows(r, 40, dim)
             packed = PackedRows.pack(rows)
-            assert len(packed) == 40 and packed.shape == (40, dim) and packed.ndim == 2
-            assert np.asarray(packed).tobytes() == rows.tobytes()
-            assert np.signbit(np.asarray(packed)[0, -1])
-            for key in (slice(3, 17), slice(-5, None), slice(9, 2), slice(None)):
-                assert np.asarray(packed[key]).tobytes() == rows[key].tobytes(), key
-            assert np.asarray(packed[5:30][2:9]).tobytes() == rows[7:14].tobytes()
+            assert len(packed) == 40 and packed.dim == dim
+            assert packed.dense().tobytes() == rows.tobytes()
+            assert np.signbit(packed.dense()[0, -1])
             picks = r.integers(0, 40, (6, 3))
-            for key in (picks, -picks - 1, 3, -1, [0, 1, 2], np.zeros(0, dtype=int)):
-                got, want = packed[key], rows[key]
+            for key in (slice(3, 17), slice(-5, None), slice(9, 2), slice(None),
+                        slice(1, 30, 4), slice(None, None, -3), picks, -picks - 1, picks[0],
+                        3, -1, [0, 1, 2], [2, 1, 0], np.zeros(0, dtype=int)):
+                got, want = packed.dense(key), rows[key]
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
-            assert packed[10:20][picks % 10].tobytes() == rows[10:20][picks % 10].tobytes()
-            assert np.count_nonzero(packed.nonzeros.view(np.uint64)) == packed.nonzeros.size
+            assert np.count_nonzero(packed.values.view(np.uint64)) == packed.values.size
+            for key in (40, -41, [0, 40]):
+                with pytest.raises(IndexError):
+                    packed.dense(key)
 
     def test_concat_is_the_stacked_rows(self):
         r = np.random.default_rng(34)
         a, b = sparse_rows(r, 30, 16), sparse_rows(r, 12, 16)
         pa, pb = PackedRows.pack(a), PackedRows.pack(b)
-        joined = PackedRows.concat([pa[20:], pb, pa[:5], pa[7:7]])
-        assert np.asarray(joined).tobytes() == np.vstack([a[20:], b, a[:5]]).tobytes()
+        joined = PackedRows.concat([pb, PackedRows.pack(a[:0]), pa, pb])
+        assert joined.dense().tobytes() == np.vstack([b, a, b]).tobytes()
+        assert joined.values.tobytes() == np.concatenate([pb.values, pa.values,
+                                                          pb.values]).tobytes()
         with pytest.raises(ValueError, match="widths"):
             PackedRows.concat([pa, PackedRows.pack(a[:, :8])])
 
@@ -667,13 +687,26 @@ class TestPackedRows:
             PackedRows.pack(np.ones(5))
 
     def test_ranking_copy_is_the_dense_one(self):
+        """Each group's squared norms, padded with +inf, and its rows times
+        one power of two, transposed to float32 and padded with zeros."""
         r = np.random.default_rng(35)
-        groups = [sparse_rows(r, n, 128) * 10.0 ** r.uniform(-3, 3) for n in (50, 9, 31)]
-        dense = ranking_copy(groups)
-        packed = ranking_copy([PackedRows.pack(g) for g in groups])
-        assert dense[1] == packed[1]
-        for got, want in ((packed[0], dense[0]), (packed[2], dense[2])):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        groups = [sparse_rows(r, n, 128) * 10.0 ** r.uniform(-3, 3) for n in (50, 9, 300)]
+        sq_norms, e, copy = ranking_copy([PackedRows.pack(g) for g in groups])
+        assert e == -math.frexp(max(np.abs(g).max() for g in groups))[1]
+        assert sq_norms.shape == (3, 300) and copy.shape == (3, 128, 300)
+        for g, rows in enumerate(groups):
+            norms = np.full(300, np.inf)
+            norms[:len(rows)] = np.einsum("ij,ij->i", rows, rows)
+            scaled = np.zeros((128, 300), dtype=np.float32)
+            scaled[:, :len(rows)] = (rows * 2.0**e).T
+            assert sq_norms[g].tobytes() == norms.tobytes()
+            assert copy[g].tobytes() == scaled.tobytes()
+
+    def test_ranking_copy_rejects_dense_groups(self):
+        rows = sparse_rows(np.random.default_rng(36), 5, 8)
+        for groups in ([rows], [PackedRows.pack(rows), rows], [], rows):
+            with pytest.raises(ValueError, match="PackedRows"):
+                ranking_copy(groups)
 
 
 def flat_ball_point(points, centers, radius):
@@ -750,6 +783,29 @@ class TestBallIndices:
         out = cloud.subset(ball_indices(cloud, center, 1.0))
         expected = np.sum(np.linalg.norm(pts - center, axis=1) <= 1.0)
         assert len(out) == expected
+
+    @pytest.mark.parametrize("scan_pairs", [geometry._SCAN_PAIRS, 0], ids=["scan", "grid"])
+    def test_the_rule_of_spatial_index_ball(self, scan_pairs, monkeypatch):
+        """``ball_indices`` is a single-centre ``SpatialIndex.ball`` (on its
+        scan and its grid path): points at exactly the radius along each
+        axis are kept, and so is a point whose distance is the radius only
+        after rounding, where the squared sum may exceed the squared radius."""
+        monkeypatch.setattr(geometry, "_SCAN_PAIRS", scan_pairs)
+        r = np.random.default_rng(1999)
+        center = np.array([0.25, -1.5, 2.0])
+        on_axes = center + 0.75 * np.vstack([np.eye(3), -np.eye(3)])
+        cloud = PointCloud(np.vstack([on_axes, center + r.uniform(-2, 2, (500, 3))]))
+        index = SpatialIndex(cloud)
+        assert np.array_equal(ball_indices(cloud, center, 0.75)[:6], np.arange(6))
+        radii = [0.0, 0.75, *np.linalg.norm(cloud.positions[6:60] - center, axis=1)]
+        for radius in radii:
+            _, expected = index.ball(center[None], radius)
+            assert np.array_equal(ball_indices(cloud, center, radius), expected), radius
+
+    def test_negative_radius_raises(self, random_cloud):
+        for radius in (-1.0, -1e-12):
+            with pytest.raises(ValueError, match="radius"):
+                ball_indices(random_cloud, np.zeros(3), radius)
 
     def test_nested_in_radius(self, random_cloud):
         center = np.zeros(3)

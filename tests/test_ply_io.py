@@ -1,5 +1,7 @@
 """PLY reader/writer: parsing, round trips, error cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,19 @@ def test_truncated_binary_rejected(tmp_path):
     body = np.zeros(3, dtype="<f4").tobytes()  # only one vertex present
     with pytest.raises(PlyFormatError):
         load_ply(write(tmp_path, header + body, name="trunc.ply"))
+
+
+def test_oversized_vertex_count_raises_before_allocating(tmp_path):
+    """A binary file of under 200 bytes whose header declares 2e9 vertices
+    (24 GB of float32 rows) raises without a read of that size."""
+    text = ("ply\nformat binary_little_endian 1.0\nelement vertex 2000000000\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n")
+    path = write(tmp_path, text.encode("ascii") + bytes(24))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlyFormatError, match="truncated"):
+            load_ply(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
