@@ -251,11 +251,27 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
     no geometry to check, so the matcher abstains. Each surviving vertex gets
     a distance similarity (mean of exp(-0.5 |edge length difference|) over its
     edges) and an angular similarity; their product must reach t2. The
-    hypothesis is the centroid of the accepted reference keypoints.
+    hypothesis is the centroid of the accepted reference keypoints. Where
+    the gated query and reference positions are identical, as a self-query's
+    are, each similarity is 1 by definition; :func:`_similarity` is skipped.
+    """
+    gate = np.asarray(nndr, dtype=np.float64) < params.t1
+    n = int(gate.sum())
+    if n < 3:
+        return IntraSpaceResult(True, None, None, None)
+    q, r = (np.asarray(p, np.float64)[gate] for p in (query_positions, reference_positions))
+    similarity = np.ones(n) if np.array_equal(q, r) else _similarity(q, r)
+    survivors = similarity >= params.t2
+    if not np.any(survivors):
+        return IntraSpaceResult(True, survivors, similarity, None)
+    return IntraSpaceResult(False, survivors, similarity, r[survivors].mean(axis=0))
 
-    The n gated vertices go in row blocks of ``max(1, 2**15 // n)``, about
-    2**15 edges each: O(n^2) time, O(2**15 + n) memory, about 2.9 MB for a
-    self-query's 1055 pairs (``tracemalloc``). A block's
+
+def _similarity(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Each vertex's similarity for matched positions ``q`` and ``r``, each
+    (n, 3) with n >= 3, in row blocks of ``max(1, 2**15 // n)`` vertices,
+    about 2**15 edges each: O(n^2) time, O(2**15 + n) memory, about 2.9 MB
+    for 1055 pairs that are not identical (``tracemalloc``). A block's
     (2, 3, B, n) array holds the query and reference edges from each vertex
     to every vertex. Their lengths give the distance term. Normalised, their
     3x3 gram products give the angle term: two vertices' angle-cosine sets
@@ -263,12 +279,8 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
     (|Uq^T Ur|_F^2 - (n - 1)) / 2. The zero-length self edge normalises to
     zero and adds nothing.
     """
-    gate = np.asarray(nndr, dtype=np.float64) < params.t1
-    n = int(gate.sum())
-    if n < 3:
-        return IntraSpaceResult(True, None, None, None)
-    r = np.asarray(reference_positions, dtype=np.float64)[gate]
-    points = np.stack([np.asarray(query_positions, dtype=np.float64)[gate].T, r.T])
+    n = len(q)
+    points = np.stack([q.T, r.T])
     block = min(n, max(1, _BLOCK_EDGES // n))
     buf = np.empty(6 * block * n)
     similarity = np.empty(n)
@@ -276,7 +288,7 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
         rows = np.arange(start, min(start + block, n))
         edges = np.subtract(points[:, :, None, :], points[:, :, rows, None],
                             out=buf[:6 * len(rows) * n].reshape(2, 3, len(rows), n))
-        # In place where possible: these temporaries set a self-query's peak.
+        # In place where possible: these temporaries set the check's peak.
         length = np.einsum("kcbj,kcbj->kbj", edges, edges)
         np.sqrt(length, out=length)
         edge_sim = np.subtract(length[0], length[1])
@@ -294,10 +306,7 @@ def match_intra(query_positions: np.ndarray, reference_positions: np.ndarray,
         both = (norm_q > 0) & (norm_r > 0)
         s_angle[both] = dot_qr[both] / np.sqrt(norm_q[both] * norm_r[both])
         similarity[rows] = edge_sim.sum(axis=1) / (n - 1) * s_angle
-    survivors = similarity >= params.t2
-    if not np.any(survivors):
-        return IntraSpaceResult(True, survivors, similarity, None)
-    return IntraSpaceResult(False, survivors, similarity, r[survivors].mean(axis=0))
+    return similarity
 
 
 def infer(ensemble: ReferenceEnsemble, query: PointCloud,

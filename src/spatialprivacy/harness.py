@@ -308,9 +308,10 @@ def self_query_check(ensemble: ReferenceEnsemble, spaces: dict[str, PointCloud],
     reference keypoints coincide with its own matched keypoints, the
     location hypothesis must sit on the centroid of those keypoints of the
     space itself to within 1e-6; a pool built from another cloud fails
-    here. ``map_fn`` maps the check over the spaces (see
-    :func:`build_reference`); the first failure in ``spaces`` order is
-    raised.
+    here. Those positions are identical, so :func:`match_intra` skips its
+    O(n^2) kernel and the check costs its 2-nn matching. ``map_fn`` maps it
+    over the spaces (see :func:`build_reference`); the first failure in
+    ``spaces`` order is raised.
     """
     def failure(label: str, space: PointCloud) -> str | None:
         hyp = infer(ensemble, space, config.attack, raw_view(ensemble, space))

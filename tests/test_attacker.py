@@ -254,6 +254,8 @@ class TestMatchIntra:
         assert np.all(result.survivor_mask)
         assert np.allclose(result.similarity, 1.0, atol=1e-12)
         assert np.allclose(result.centroid, pts.mean(axis=0), atol=1e-12)
+        # match_intra does not run the kernel on identical positions; run it.
+        assert np.allclose(attacker._similarity(pts, pts), 1.0, atol=1e-12)
 
     def test_too_few_pairs_abstains(self, rng):
         pts = rng.uniform(-1, 1, (5, 3))
@@ -392,6 +394,9 @@ class TestBlockedKernel:
             result = match_intra(q, r, np.zeros(n))
             assert np.max(np.abs(result.similarity - expected)) <= 1e-12
             assert np.array_equal(result.survivor_mask, expected >= 0.95)
+            # The kernel itself, which match_intra skips for the identical
+            # positions of "clusters": its both-degenerate branch.
+            assert np.max(np.abs(attacker._similarity(q, r) - expected)) <= 1e-12
             if kind.endswith("clusters"):
                 assert degenerate.any()
 
@@ -416,9 +421,10 @@ class TestBlockedKernel:
         assert peak <= 48 * 2**20
 
     def test_preflight_sized_check_stays_small(self):
-        """3387 gated pairs, a default space's self-query: blocks of 2**15
-        edges with in-place temporaries keep the peak near 2.9 MB; blocks of
-        2**16 took 6.7 MB and blocks of 2**18 26 MB."""
+        """3387 gated pairs, as many as a default space's self-query, but not
+        identical, so the kernel runs (a self-query's pairs skip it): blocks
+        of 2**15 edges with in-place temporaries keep the peak near 2.9 MB;
+        blocks of 2**16 took 6.7 MB and blocks of 2**18 26 MB."""
         q, r = kernel_case("random", 3387, 0)
         tracemalloc.start()
         try:
@@ -444,6 +450,75 @@ class TestBlockedKernel:
             monkeypatch.setattr(attacker, "_BLOCK_EDGES", edges)
             other = match_intra(q, r, np.zeros(n))
             assert np.array_equal(other.similarity, result.similarity), edges
+
+
+def kernel_calls(monkeypatch):
+    """Wrap the attacker's ``_similarity``; return each call's vertex count."""
+    sizes = []
+    original = attacker._similarity
+
+    def counted(q, r):
+        sizes.append(len(q))
+        return original(q, r)
+
+    monkeypatch.setattr(attacker, "_similarity", counted)
+    return sizes
+
+
+KERNEL_KINDS = ("random", "duplicates", "collinear", "clusters", "half-clusters")
+
+
+class TestIdenticalPositions:
+    """Identical gated query and reference positions, a self-query's, skip
+    the kernel and get its answer: each vertex's similarity is 1."""
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("n", [3, 4, 181, 182, 1500])
+    def test_the_kernels_answer(self, kind, n, monkeypatch):
+        q, _ = kernel_case(kind, n, 0)
+        similarity = attacker._similarity(q, q)
+        assert np.max(np.abs(similarity - 1.0)) <= 1e-12
+        calls = kernel_calls(monkeypatch)
+        result = match_intra(q, q, np.zeros(n))
+        assert calls == []
+        assert not result.abstained and result.survivor_mask.all()
+        survivors = similarity >= AttackParams().t2
+        assert np.array_equal(result.survivor_mask, survivors)
+        assert result.centroid.tobytes() == q[survivors].mean(axis=0).tobytes()
+
+    def test_t2_of_one_answers_and_above_one_abstains(self, monkeypatch):
+        q, _ = kernel_case("random", 30, 1)
+        calls = kernel_calls(monkeypatch)
+        exact = match_intra(q, q, np.zeros(30), AttackParams(t2=1.0))
+        assert not exact.abstained and exact.survivor_mask.all()
+        above = match_intra(q, q, np.zeros(30), AttackParams(t2=1.5))
+        assert above.abstained and above.centroid is None
+        assert not above.survivor_mask.any()
+        assert np.array_equal(above.similarity, np.ones(30))
+        assert calls == []
+
+    def test_only_the_gated_pairs_are_compared(self, monkeypatch):
+        """A pair the t1 gate drops may differ; the gated ones decide."""
+        q, _ = kernel_case("random", 30, 2)
+        r = q.copy()
+        r[0] += 5.0
+        nndr = np.zeros(30)
+        nndr[0] = 0.99
+        calls = kernel_calls(monkeypatch)
+        result = match_intra(q, r, nndr)
+        assert calls == [] and not result.abstained
+        assert np.array_equal(result.centroid, q[1:].mean(axis=0))
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_one_ulp_apart_runs_the_kernel(self, kind, monkeypatch):
+        q, _ = kernel_case(kind, 182, 0)
+        r = q.copy()
+        r[90, 1] = np.nextafter(r[90, 1], np.inf)
+        expected = attacker._similarity(q, r)
+        calls = kernel_calls(monkeypatch)
+        result = match_intra(q, r, np.zeros(182))
+        assert calls == [182]
+        assert np.array_equal(result.similarity, expected)
 
 
 class TestInfer:

@@ -11,7 +11,7 @@ import pytest
 from spatialprivacy import attacker, descriptors, harness, metrics
 from spatialprivacy.attacker import AttackParams, ReferenceEnsemble, build_reference
 from spatialprivacy.descriptors import SpinParams, UnusableSpaceError
-from spatialprivacy.geometry import PointCloud
+from spatialprivacy.geometry import PointCloud, apply_transform, random_rigid_transform
 from spatialprivacy.harness import (
     CellMetrics,
     DatasetSpec,
@@ -517,6 +517,25 @@ class TestPreflight:
             monkeypatch.setattr(module, "describe", counted, raising=False)
         self_query_check(ensemble, spaces, tiny_config())
         assert calls == []
+
+    def test_runs_no_geometric_kernel(self, setup, monkeypatch):
+        """A self-query's matched positions are identical, so its geometric
+        check skips the O(n^2) kernel."""
+        spaces, ensemble = setup
+        calls = count_calls(monkeypatch, attacker._similarity, 0)
+        self_query_check(ensemble, spaces, tiny_config())
+        assert calls == []
+
+    def test_a_moved_space_runs_the_geometric_kernel(self, setup, monkeypatch):
+        """A rigidly moved copy of a space, the kind of query a sweep makes,
+        takes the kernel, and still answers its own label."""
+        spaces, ensemble = setup
+        calls = count_calls(monkeypatch, attacker._similarity, 0)
+        for label, space in spaces.items():
+            moved = apply_transform(space, random_rigid_transform(7))
+            hyp = attacker.infer(ensemble, moved, tiny_config().attack)
+            assert hyp.label == label and not hyp.abstained
+        assert len(calls) == len(spaces) and min(calls) >= 3
 
     def test_wrong_label_raises(self, setup):
         spaces, ensemble = setup
